@@ -46,10 +46,7 @@ class Face:
     supporting: tuple[Vec, ...]
 
     def centroid(self) -> Vec:
-        count = Fraction(len(self.vertices))
-        return tuple(
-            sum(v[k] for v in self.vertices) / count for k in range(len(self.vertices[0]))
-        )
+        return convex_combination(self.vertices, [1] * len(self.vertices))
 
     def negated(self) -> "Face":
         return Face(
@@ -57,6 +54,22 @@ class Face:
             self.dim,
             tuple(sorted(tuple(-c for c in f) for f in self.supporting)),
         )
+
+
+def convex_combination(vertices: tuple[Vec, ...], weights) -> Vec:
+    """sum(w_i v_i) / sum(w_i) for positive weights.
+
+    A coordinate on which every vertex agrees is that value exactly, so the
+    vertex's own Fraction is returned there rather than a new equal one.
+    """
+    total = sum(weights)
+    first = vertices[0]
+    return tuple(
+        first[k]
+        if all(v[k] == first[k] for v in vertices)
+        else sum(w * v[k] for w, v in zip(weights, vertices)) / total
+        for k in range(len(first))
+    )
 
 
 @dataclass(frozen=True)

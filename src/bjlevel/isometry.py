@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .errors import InputError, InternalCheckError
 from .faces import extreme_points
 from .levels import LevelCertificate, is_level_vector, preserves_bj_at
-from .linalg import Vec, is_zero_vec
+from .linalg import Vec, is_zero_vec, vec_neg
 from .orthogonality import bj_orthogonal
 from .spaces import (
     EXACT,
@@ -59,18 +59,28 @@ class IsometryReport:
 
 
 def certify_scalar_isometry_polyhedral(op: Operator) -> IsometryReport:
-    """Exact certificate via preservation at every extreme point of the ball."""
+    """Exact certificate via preservation at every extreme point of the ball.
+
+    One point of each antipodal pair {v, -v} is decided: J(-v) = -J(v) and
+    T(-v) = -Tv, so preservation at -v is the same condition as at v, and v
+    is skipped once -v has held.  ``checked_points`` still lists every
+    extreme point visited, skipped ones included, in the ball's order.
+    """
     if not is_polyhedral_like(op.domain):
         raise InputError("not_polyhedral", "certification needs a polyhedral domain")
     if is_zero_operator(op):
         return IsometryReport(CERTIFIED, Fraction(0), None, (), EXACT)
     checked = []
+    held = set()
     for v in extreme_points(op.domain):
         checked.append(v)
+        if vec_neg(v) in held:
+            continue
         report = preserves_bj_at(op, v)
         if not report.holds:
             y, _ = report.counterexample
             return IsometryReport(REFUTED, None, (v, y), tuple(checked), EXACT)
+        held.add(v)
     scales = {norm(op.codomain, op(v)) / norm(op.domain, v) for v in checked}
     if len(scales) != 1:
         raise InternalCheckError(

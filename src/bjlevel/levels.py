@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InputError, InternalCheckError
-from .faces import antipodal_representatives, face_census
+from .faces import antipodal_representatives, convex_combination, face_census
 from .linalg import (
+    ZERO,
     Vec,
     dot,
     is_zero_vec,
@@ -132,16 +133,36 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     if mode == FLOAT:
         return _level_vector_float(op, x, tx)
 
+    found = _exact_level(op, x, tx, {})
+    return None if found is None else LevelCertificate(x, *found, EXACT)
+
+
+def _exact_level(op: Operator, x: Vec, tx: Vec, memo: dict) -> Optional[tuple]:
+    """(f, g, level number) certifying x as a level vector of T, or None.
+
+    Exact mode, Tx nonzero.  The LP depends only on the vertices of J(x), the
+    vertices of J(Tx) and the scale ||Tx||/||x|| (the adjoint images are fixed
+    by J(Tx) and T), so its answer is kept in ``memo`` under those three
+    values; a caller probing many points passes one dict to solve each
+    distinct subproblem once.  Every certificate is re-checked at x.
+    """
     scale = norm(op.codomain, tx) / norm(op.domain, x)
     p_verts = support_set(op.domain, x).vertices
     q_verts = support_set(op.codomain, tx).vertices
-    adj = _adjoint_images(op, q_verts)
-    k = norm_squared(op.codomain, tx) / norm_squared(op.domain, x)
+    key = (p_verts, q_verts, scale)
+    if key not in memo:
+        k = norm_squared(op.codomain, tx) / norm_squared(op.domain, x)
+        memo[key] = _solve_level(op, p_verts, q_verts, scale, k)
+    found = memo[key]
+    if found is not None and _adjoint_images(op, [found[1]])[0] != vec_scale(scale, found[0]):
+        raise InternalCheckError("level certificate fails its defining equation")
+    return found
 
+
+def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction, k: Fraction) -> Optional[tuple]:
+    adj = _adjoint_images(op, q_verts)
     if len(p_verts) == 1 and len(q_verts) == 1:
-        if adj[0] == vec_scale(scale, p_verts[0]):
-            return LevelCertificate(x, p_verts[0], q_verts[0], k, EXACT)
-        return None
+        return (p_verts[0], q_verts[0], k) if adj[0] == vec_scale(scale, p_verts[0]) else None
 
     np_, nq = len(p_verts), len(q_verts)
     rows = []
@@ -159,11 +180,9 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     if point is None:
         return None
     lam, mu = point[:np_], point[np_:]
-    f = tuple(sum(l * p[k2] for l, p in zip(lam, p_verts)) for k2 in range(op.domain.dim))
-    g = tuple(sum(m * q[k2] for m, q in zip(mu, q_verts)) for k2 in range(op.codomain.dim))
-    if _adjoint_images(op, [g])[0] != vec_scale(scale, f):
-        raise InternalCheckError("level certificate fails its defining equation")
-    return LevelCertificate(x, f, g, k, EXACT)
+    f = tuple(sum(l * p[c] for l, p in zip(lam, p_verts)) for c in range(op.domain.dim))
+    g = tuple(sum(m * q[c] for m, q in zip(mu, q_verts)) for c in range(op.codomain.dim))
+    return f, g, k
 
 
 def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> Optional[LevelCertificate]:
@@ -220,24 +239,26 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
         cert = _level_vector_float(op, x, tx)
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
     scale = norm(op.codomain, tx) / norm(op.domain, x)
-    g = _membership_witness(op, tx, vec_scale(scale, tuple(f)))
+    q_verts = support_set(op.codomain, tx).vertices
+    g = _membership_witness(q_verts, _adjoint_images(op, q_verts), vec_scale(scale, tuple(f)))
     return DirectionalPreservation(g is not None, g)
 
 
-def _membership_witness(op: Operator, tx: Vec, target: Vec) -> Optional[tuple]:
-    """g in J(Tx) with (adjoint T) g = target, or None."""
-    q_verts = support_set(op.codomain, tx).vertices
-    adj = _adjoint_images(op, q_verts)
+def _membership_witness(q_verts, adj, target: Vec) -> Optional[tuple]:
+    """g in J(Tx) = conv(q_verts) with (adjoint T) g = target, or None.
+
+    ``adj`` holds the adjoint images of ``q_verts``, in the same order.
+    """
     if len(q_verts) == 1:
         return q_verts[0] if adj[0] == target else None
-    rows = [[a[k] for a in adj] for k in range(op.domain.dim)]
+    rows = [[a[k] for a in adj] for k in range(len(target))]
     rows.append([Fraction(1)] * len(q_verts))
     rhs = list(target) + [Fraction(1)]
     mu = feasible_point(rows, rhs)
     if mu is None:
         return None
     return tuple(
-        sum(m * q[k] for m, q in zip(mu, q_verts)) for k in range(op.codomain.dim)
+        sum(m * q[k] for m, q in zip(mu, q_verts)) for k in range(len(q_verts[0]))
     )
 
 
@@ -247,7 +268,8 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     Checks every vertex f of J(x) for membership of (||Tx||/||x||) f in the
     adjoint image of J(Tx); on the first failure a counterexample direction y
     with x orthogonal to y and Tx not orthogonal to Ty is produced by an LP
-    and re-verified through `bj_orthogonal` before being reported.
+    and re-verified through `bj_orthogonal` before being reported.  J(Tx)
+    and its adjoint images are computed once and shared by every vertex f.
     """
     x = _rationalize(x)
     require_dim(op.domain, x)
@@ -260,9 +282,12 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     if mode == FLOAT:
         return _preserves_float(op, x, tx)
     scale = norm(op.codomain, tx) / norm(op.domain, x)
-    for f in support_set(op.domain, x).vertices:
-        if _membership_witness(op, tx, vec_scale(scale, f)) is None:
-            y, margin = _counterexample_direction(op, tx, f)
+    p_verts = support_set(op.domain, x).vertices
+    q_verts = support_set(op.codomain, tx).vertices
+    adj = _adjoint_images(op, q_verts)
+    for f in p_verts:
+        if _membership_witness(q_verts, adj, vec_scale(scale, f)) is None:
+            y, margin = _counterexample_direction(adj, f)
             if not bj_orthogonal(op.domain, x, y).orthogonal:
                 raise InternalCheckError("counterexample is not orthogonal to x")
             if bj_orthogonal(op.codomain, tx, op(y)).orthogonal:
@@ -271,16 +296,15 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     return PreservationReport(True, None, None, mode)
 
 
-def _counterexample_direction(op: Operator, tx: Vec, f: Vec) -> tuple[Vec, Fraction]:
+def _counterexample_direction(adj, f: Vec) -> tuple[Vec, Fraction]:
     """y with f(y) = 0 and g(Ty) >= 1 for every vertex g of J(Tx).
 
-    Such y exists whenever the membership of (||Tx||/||x||) f fails, up to
-    replacing y by -y; the free variables are split as y = u - w.
+    ``adj`` holds the adjoint images T^T g of those vertices.  Such y exists
+    whenever the membership of (||Tx||/||x||) f fails, up to replacing y by
+    -y; the free variables are split as y = u - w.
     """
-    n = op.domain.dim
-    q_verts = support_set(op.codomain, tx).vertices
-    adj = _adjoint_images(op, q_verts)
-    nslack = len(q_verts)
+    n = len(f)
+    nslack = len(adj)
     rows = []
     rhs = []
     rows.append(list(f) + [-c for c in f] + [Fraction(0)] * nslack)
@@ -383,39 +407,46 @@ class LevelNumberReport:
 
 
 def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> LevelNumberReport:
-    """Probe every antipodal face pair of the domain ball for level vectors."""
+    """Probe every antipodal face pair of the domain ball for level vectors.
+
+    Each point gets the verdict of `is_level_vector`.  Points with the same
+    J(x), J(Tx) and ||Tx||/||x|| pose the same LP, so within one call each
+    distinct subproblem is solved once and its certificate re-checked at
+    every point that poses it.
+    """
     if not is_polyhedral_like(op.domain):
         raise InputError("not_polyhedral", "enumeration needs a polyhedral domain")
     if samples_per_face < 0:
         raise InputError("bad_count", "samples_per_face must be >= 0")
+    faces = antipodal_representatives(op.domain)
+    _mode_pair(op)  # a float codomain is rejected as by is_level_vector
     stream = RationalStream(seed)
+    memo: dict = {}
     probes = []
     values: set[Fraction] = set()
-    for face in antipodal_representatives(op.domain):
+    for face in faces:
         points = [face.centroid()]
         if face.dim > 0:
             for _ in range(samples_per_face):
                 weights = [stream.next_positive_fraction() for _ in face.vertices]
-                total = sum(weights)
-                points.append(
-                    tuple(
-                        sum(w * v[k] for w, v in zip(weights, face.vertices)) / total
-                        for k in range(op.domain.dim)
-                    )
-                )
-        numbers = []
-        for point in points:
-            cert = is_level_vector(op, point)
-            numbers.append(cert.level_number if cert else None)
-            if cert:
-                values.add(cert.level_number)
-        probes.append(FaceProbe(face.vertices, face.dim, tuple(points), tuple(numbers)))
+                points.append(convex_combination(face.vertices, weights))
+        numbers = tuple(_enumerated_level_number(op, point, memo) for point in points)
+        values.update(k for k in numbers if k is not None)
+        probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
     bound = None
     if op.domain == op.codomain:
         bound = level_count_bound(op.domain, op)
     return LevelNumberReport(
         tuple(sorted(values)), tuple(probes), bound, True, seed, samples_per_face
     )
+
+
+def _enumerated_level_number(op: Operator, x: Vec, memo: dict) -> Optional[Fraction]:
+    tx = op(x)
+    if is_zero_vec(tx):
+        return ZERO
+    found = _exact_level(op, x, tx, memo)
+    return None if found is None else found[2]
 
 
 def level_count_bound(space: SpaceSpec, op: Operator) -> Fraction:

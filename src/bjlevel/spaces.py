@@ -113,6 +113,10 @@ def lp_space(p: Union[int, str, Fraction], dim: int) -> SpaceSpec:
     pf = parse_rational(p)
     if pf < 1:
         raise InputError("bad_exponent", f"lp exponent must satisfy p >= 1, got {pf}")
+    try:
+        float(pf)  # the norm of lp with 1 < p < inf is computed in floats
+    except OverflowError as exc:
+        raise InputError("bad_exponent", f"lp exponent {p!r} does not fit in a float") from exc
     if pf == 1 and dim > MAX_CUBE_DIM:
         raise InputError(
             "dim_too_large",
@@ -388,6 +392,13 @@ def space_to_dict(space: SpaceSpec) -> dict:
     }
 
 
+def _parse_dim(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError("bad_dim", f"dimension must be an integer, got {value!r}") from exc
+
+
 def space_from_dict(data: dict) -> SpaceSpec:
     try:
         kind = data["kind"]
@@ -395,13 +406,13 @@ def space_from_dict(data: dict) -> SpaceSpec:
         raise InputError("bad_space_file", "space object needs a 'kind' field") from exc
     if kind == "lp":
         try:
-            return lp_space(data["p"], int(data["dim"]))
+            return lp_space(data["p"], _parse_dim(data["dim"]))
         except KeyError as exc:
             raise InputError("bad_space_file", f"lp space needs field {exc}") from exc
     if kind == "polyhedral":
         try:
             verts = data["ball_vertices"]
-            dim = int(data["dim"])
+            dim = _parse_dim(data["dim"])
         except KeyError as exc:
             raise InputError("bad_space_file", f"polyhedral space needs field {exc}") from exc
         space = polyhedral_space([[parse_rational(c) for c in v] for v in verts])
@@ -420,4 +431,7 @@ def operator_from_dict(data: dict, domain: SpaceSpec, codomain: Optional[SpaceSp
         rows = data["matrix"]
     except (TypeError, KeyError) as exc:
         raise InputError("bad_operator_file", "operator object needs a 'matrix' field") from exc
-    return operator([[parse_rational(c) for c in row] for row in rows], domain, codomain)
+    matrix = [[parse_rational(c) for c in row] for row in rows]
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise InputError("ragged_matrix", "operator matrix rows have different lengths")
+    return operator(matrix, domain, codomain)

@@ -24,3 +24,23 @@ def random_operator(space: SpaceSpec, stream: RationalStream) -> Operator:
 def random_operator_battery(space: SpaceSpec, count: int, seed: int) -> list[Operator]:
     stream = RationalStream(seed)
     return [random_operator(space, stream) for _ in range(count)]
+
+
+def seeded_operator_kinds(space: SpaceSpec, seed: int) -> list[Operator]:
+    """A scaled signed permutation, a diagonal and a dense operator on ``space``.
+
+    Diagonal entries are drawn from {-2, -1, 1, 2}, so none of the three is
+    the zero operator.
+    """
+    stream = RationalStream(seed)
+    n = space.dim
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):  # Fisher-Yates shuffle on the library stream
+        j = stream.next_int(i + 1)
+        order[i], order[j] = order[j], order[i]
+    scale = Fraction(stream.next_int(3) + 1, 2)
+    signs = [(-1, 1)[stream.next_int(2)] for _ in range(n)]
+    perm = [[scale * signs[r] if c == order[r] else 0 for c in range(n)] for r in range(n)]
+    diag = [(-2, -1, 1, 2)[stream.next_int(4)] for _ in range(n)]
+    diagonal = [[diag[r] if c == r else 0 for c in range(n)] for r in range(n)]
+    return [operator(perm, space), operator(diagonal, space), random_operator(space, stream)]

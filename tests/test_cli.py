@@ -186,6 +186,32 @@ def test_input_error_exit_code(files, capsys):
     assert json.loads(out)["error"] == "dimension_mismatch"
 
 
+@pytest.mark.parametrize(
+    "space, matrix, code_name",
+    [
+        ({"kind": "lp", "p": "1", "dim": "abc"}, None, "bad_dim"),
+        ({"kind": "lp", "p": "1e400", "dim": 2}, None, "bad_exponent"),
+        ({"kind": "lp", "p": "inf", "dim": 2}, [["1", "0"], ["0"]], "ragged_matrix"),
+    ],
+    ids=["non-integer-dim", "p-overflows-float", "ragged-matrix"],
+)
+def test_malformed_files_exit_2_with_one_json_line(tmp_path, capsys, space, matrix, code_name):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(space))
+    argv = ["bj", "--space", str(space_path), "--x", "1,0", "--y", "0,1"]
+    if matrix is not None:
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps({"matrix": matrix}))
+        argv = ["level", "test", "--space", str(space_path), "--op", str(op_path), "--x", "1,0"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == code_name
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_selftest_passes(capsys):
     code, out = run(capsys, ["selftest"])
     assert code == 0

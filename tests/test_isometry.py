@@ -11,10 +11,12 @@ from bjlevel import (
     bj_orthogonal,
     certify_scalar_isometry_polyhedral,
     diagonal_operator,
+    extreme_points,
     identity_operator,
     is_level_vector,
     l2,
     linf,
+    norm,
     operator,
     preserves_bj_at,
     preserves_bj_directional,
@@ -24,7 +26,7 @@ from bjlevel import (
     zero_operator,
 )
 
-from ._util import v
+from ._util import seeded_operator_kinds, v
 
 F = Fraction
 
@@ -228,3 +230,33 @@ def test_certify_agrees_with_probe_on_battery(l1_3, linf_3):
         certified = certify_scalar_isometry_polyhedral(op).verdict == "certified"
         probe = probe_scalar_isometry_grid(op, op.domain, 500, 17)
         assert certified == (probe.verdict != "refuted")
+
+
+def _reference_certification(op):
+    """Preservation checked at every extreme point in order, no point skipped."""
+    checked = []
+    for x in extreme_points(op.domain):
+        checked.append(x)
+        report = preserves_bj_at(op, x)
+        if not report.holds:
+            return "refuted", None, (x, report.counterexample[0]), tuple(checked)
+    scales = {norm(op.codomain, op(x)) / norm(op.domain, x) for x in checked}
+    assert len(scales) == 1
+    return "certified", scales.pop(), None, tuple(checked)
+
+
+def test_certification_matches_per_point_reference(linf_3, l1_3, hexagon):
+    # One preservation check per antipodal pair must give the report of the
+    # full per-point loop: verdict, scale, witness and every visited point.
+    verdicts = []
+    for space in (linf_3, l1_3, hexagon):
+        ops = [op for seed in range(1, 5) for op in seeded_operator_kinds(space, seed)]
+        if space == hexagon:
+            ops.append(operator([["1", "-1"], ["1", "0"]], space))  # permutes the six vertices: an isometry
+        for op in ops:
+            report = certify_scalar_isometry_polyhedral(op)
+            got = (report.verdict, report.scale, report.witness, report.checked_points)
+            assert got == _reference_certification(op)
+            verdicts.append((space, report.verdict))
+    for space in (linf_3, l1_3, hexagon):
+        assert (space, "certified") in verdicts and (space, "refuted") in verdicts

@@ -26,7 +26,7 @@ from bjlevel import (
 )
 from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec_scale
 
-from ._util import v
+from ._util import seeded_operator_kinds, v
 
 F = Fraction
 
@@ -246,3 +246,27 @@ def test_l2_level_vectors_are_right_singular_vectors():
     rotation = operator([["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]], space)
     for x in [v("1,1,0"), v("1,2,3"), v("-1,0,5")]:
         assert is_level_vector(rotation, x).level_number == 1
+
+
+def test_enumeration_matches_is_level_vector(linf_3, l1_3, hexagon):
+    # Solving each distinct level subproblem once per call must leave every
+    # reported number equal to the point's own is_level_vector verdict.
+    levels = misses = 0
+    for space in (linf_3, l1_3, hexagon):
+        ops = [op for seed in range(1, 4) for op in seeded_operator_kinds(space, seed)]
+        ops.append(diagonal_operator(space, [1] + [0] * (space.dim - 1)))  # Tx = 0 on some faces
+        for seed, op in enumerate(ops):
+            report = enumerate_level_numbers(op, 3, seed)
+            found = set()
+            for probe in report.per_face:
+                for point, number in zip(probe.points, probe.level_numbers):
+                    cert = is_level_vector(op, point)
+                    if cert is None:
+                        assert number is None
+                        misses += 1
+                    else:
+                        assert number == cert.level_number
+                        found.add(cert.level_number)
+                        levels += 1
+            assert report.values == tuple(sorted(found))
+    assert levels > 0 and misses > 0
