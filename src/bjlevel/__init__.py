@@ -71,7 +71,6 @@ from .spaces import (
     dual_space,
     identity_operator,
     is_exact,
-    is_polyhedral_like,
     l1,
     l2,
     linf,

@@ -37,11 +37,11 @@ from .spaces import (
     SpaceSpec,
     arithmetic_mode,
     operator_from_dict,
-    parse_rational,
+    operator_to_dict,
+    parse_rows,
     parse_vector,
     space_from_dict,
     space_to_dict,
-    vector_to_strings,
 )
 from .support import support_set
 
@@ -80,6 +80,14 @@ def _load_operator(path: Optional[str], space: SpaceSpec) -> Operator:
     return operator_from_dict(_load_json(path), space)
 
 
+def _inputs(space: SpaceSpec, op: Optional[Operator] = None, **vectors) -> dict:
+    """The echoed inputs: space, then operator, then vectors (made strings by _jsonify)."""
+    inputs = {"space": space_to_dict(space)}
+    if op is not None:
+        inputs["op"] = operator_to_dict(op)
+    return {**inputs, **vectors}
+
+
 def _report(command: str, inputs: dict, result: dict, space: SpaceSpec, seed: Optional[int] = None) -> dict:
     return {
         "command": command,
@@ -116,8 +124,7 @@ def _cmd_bj(args) -> dict:
         "witness": list(verdict.witness) if verdict.witness else None,
         "method": verdict.method,
     }
-    inputs = {"space": space_to_dict(space), "x": vector_to_strings(x), "y": vector_to_strings(y)}
-    return _report("bj", inputs, result, space)
+    return _report("bj", _inputs(space, x=x, y=y), result, space)
 
 
 def _cmd_support(args) -> dict:
@@ -125,35 +132,30 @@ def _cmd_support(args) -> dict:
     x = _vector_arg(args.x, "x")
     sup = support_set(space, x)
     result = {"vertices": [list(v) for v in sup.vertices], "smooth": len(sup.vertices) == 1}
-    inputs = {"space": space_to_dict(space), "x": vector_to_strings(x)}
-    return _report("support", inputs, result, space)
+    return _report("support", _inputs(space, x=x), result, space)
 
 
 def _cmd_faces(args) -> dict:
     space = _load_space(args.space)
-    inputs = {"space": space_to_dict(space)}
     if args.faces_command == "census":
         census = face_census(space)
         result = {"counts": list(census.counts), "total": census.total}
-        return _report("faces census", inputs, result, space)
+        return _report("faces census", _inputs(space), result, space)
     x = _vector_arg(args.x, "x")
     face = minimal_face(space, x)
-    inputs["x"] = vector_to_strings(x)
     result = {
         "vertices": [list(v) for v in face.vertices],
         "dim": face.dim,
         "supporting": [list(f) for f in face.supporting],
     }
-    return _report("faces minimal", inputs, result, space)
+    return _report("faces minimal", _inputs(space, x=x), result, space)
 
 
 def _cmd_level(args) -> dict:
     space = _load_space(args.space)
     op = _load_operator(args.op, space)
-    inputs = {"space": space_to_dict(space), "op": {"matrix": [vector_to_strings(r) for r in op.matrix]}}
     if args.level_command == "test":
         x = _vector_arg(args.x, "x")
-        inputs["x"] = vector_to_strings(x)
         cert = is_level_vector(op, x)
         if cert is None:
             result = {"level_vector": False}
@@ -164,7 +166,7 @@ def _cmd_level(args) -> dict:
                 "f": list(cert.f) if cert.f else None,
                 "g": list(cert.g) if cert.g else None,
             }
-        return _report("level test", inputs, result, space)
+        return _report("level test", _inputs(space, op, x=x), result, space)
     report = enumerate_level_numbers(op, args.samples, args.seed)
     result = {
         "values": list(report.values),
@@ -180,7 +182,7 @@ def _cmd_level(args) -> dict:
         "bound": report.bound,
         "under_approximation": report.under_approximation,
     }
-    return _report("level enumerate", inputs, result, space, seed=args.seed)
+    return _report("level enumerate", _inputs(space, op), result, space, seed=args.seed)
 
 
 def _cmd_preserve(args) -> dict:
@@ -197,12 +199,7 @@ def _cmd_preserve(args) -> dict:
             else None
         ),
     }
-    inputs = {
-        "space": space_to_dict(space),
-        "op": {"matrix": [vector_to_strings(r) for r in op.matrix]},
-        "x": vector_to_strings(x),
-    }
-    return _report("preserve check", inputs, result, space)
+    return _report("preserve check", _inputs(space, op, x=x), result, space)
 
 
 def _isometry_result(report) -> dict:
@@ -221,7 +218,7 @@ def _isometry_result(report) -> dict:
 def _cmd_isometry(args) -> dict:
     space = _load_space(args.space)
     op = _load_operator(args.op, space)
-    inputs = {"space": space_to_dict(space), "op": {"matrix": [vector_to_strings(r) for r in op.matrix]}}
+    inputs = _inputs(space, op)
     if args.isometry_command == "certify":
         return _report("isometry certify", inputs, _isometry_result(certify_scalar_isometry_polyhedral(op)), space)
     report = probe_scalar_isometry_grid(op, space, args.samples, args.seed)
@@ -232,9 +229,9 @@ def _cmd_identity(args) -> dict:
     space = _load_space(args.space)
     op = _load_operator(args.op, space)
     data = _load_json(args.candidates) if args.candidates else None
-    if not data or "candidates" not in data:
+    if not isinstance(data, dict) or "candidates" not in data:
         raise InputError("bad_candidates", "--candidates file must contain a 'candidates' list")
-    candidates = [tuple(parse_rational(c) for c in row) for row in data["candidates"]]
+    candidates = parse_rows(data["candidates"], "bad_candidates", "candidates")
     report = scalar_identity_test(op, candidates)
     result = {
         "certified": report.certified,
@@ -248,12 +245,7 @@ def _cmd_identity(args) -> dict:
         "independent": report.independent,
         "failed": list(report.failed_conditions),
     }
-    inputs = {
-        "space": space_to_dict(space),
-        "op": {"matrix": [vector_to_strings(r) for r in op.matrix]},
-        "candidates": [vector_to_strings(c) for c in candidates],
-    }
-    return _report("identity test", inputs, result, space)
+    return _report("identity test", _inputs(space, op, candidates=candidates), result, space)
 
 
 def _cmd_adjoint(args) -> dict:
@@ -266,12 +258,7 @@ def _cmd_adjoint(args) -> dict:
         "level_number": record.level_number,
         "dual_level_number": record.dual_certificate.level_number,
     }
-    inputs = {
-        "space": space_to_dict(space),
-        "op": {"matrix": [vector_to_strings(r) for r in op.matrix]},
-        "x": vector_to_strings(x),
-    }
-    return _report("adjoint transfer", inputs, result, space)
+    return _report("adjoint transfer", _inputs(space, op, x=x), result, space)
 
 
 def _cmd_oracle(args) -> dict:
@@ -282,8 +269,7 @@ def _cmd_oracle(args) -> dict:
         verdict = bj_orthogonal_oracle(space, x, y)
         minimizer, min_value = minimize_norm_1d(space, x, y)
         result = {"orthogonal": verdict.orthogonal, "minimizer": minimizer, "min_value": min_value}
-        inputs = {"space": space_to_dict(space), "x": vector_to_strings(x), "y": vector_to_strings(y)}
-        return _report("oracle bj", inputs, result, space)
+        return _report("oracle bj", _inputs(space, x=x, y=y), result, space)
     op = _load_operator(args.op, space)
     x = _vector_arg(args.x, "x")
     report = preservation_sample_check(op, x, args.samples, args.seed)
@@ -291,12 +277,7 @@ def _cmd_oracle(args) -> dict:
         "checked": report.checked,
         "violations": [{"y": list(y), "margin": margin} for y, margin in report.violations],
     }
-    inputs = {
-        "space": space_to_dict(space),
-        "op": {"matrix": [vector_to_strings(r) for r in op.matrix]},
-        "x": vector_to_strings(x),
-    }
-    return _report("oracle preserve", inputs, result, space, seed=args.seed)
+    return _report("oracle preserve", _inputs(space, op, x=x), result, space, seed=args.seed)
 
 
 def _selftest() -> dict:

@@ -18,11 +18,12 @@ from functools import lru_cache
 from .errors import InputError
 from .linalg import Vec, affine_rank, dot, unit
 from .spaces import (
+    CACHE_SIZE,
     INF,
     SpaceSpec,
+    _facet_incidence,
     ball_vertices,
-    dual_ball_vertices,
-    is_polyhedral_like,
+    is_exact,
     norm,
     require_dim,
 )
@@ -79,11 +80,11 @@ class FaceCensus:
 
 
 def _require_polyhedral(space: SpaceSpec) -> None:
-    if not is_polyhedral_like(space):
+    if not is_exact(space):
         raise InputError("not_polyhedral", f"{space!r} is not a polyhedral space")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def face_lattice(space: SpaceSpec) -> tuple[Face, ...]:
     """All proper faces, each exactly once, sorted by (dim, vertex list)."""
     _require_polyhedral(space)
@@ -142,17 +143,14 @@ def _cross_faces(n: int) -> list[Face]:
 
 def _faces_by_intersection(space: SpaceSpec) -> list[Face]:
     verts = ball_vertices(space)
-    duals = dual_ball_vertices(space)
-    facets = [
-        frozenset(i for i, v in enumerate(verts) if dot(f, v) == 1) for f in duals
-    ]
-    closed: set[frozenset[int]] = set(facets)
+    incidence = _facet_incidence(verts)
+    closed: set[frozenset[int]] = {tight for _, tight in incidence}
     frontier = list(closed)
     while frontier:
         fresh = []
         for s in frontier:
-            for f in facets:
-                meet = s & f
+            for _, facet in incidence:
+                meet = s & facet
                 if meet and meet not in closed:
                     closed.add(meet)
                     fresh.append(meet)
@@ -160,7 +158,7 @@ def _faces_by_intersection(space: SpaceSpec) -> list[Face]:
     faces = []
     for index_set in closed:
         vs = tuple(sorted(verts[i] for i in index_set))
-        supporting = tuple(sorted(f for f in duals if all(dot(f, v) == 1 for v in vs)))
+        supporting = tuple(f for f, tight in incidence if index_set <= tight)
         faces.append(Face(vs, affine_rank(vs), supporting))
     return faces
 

@@ -27,7 +27,6 @@ from .spaces import (
     arithmetic_mode,
     float_tolerance,
     is_exact,
-    is_polyhedral_like,
     is_zero_operator,
     norm,
     on_unit_sphere,
@@ -66,7 +65,7 @@ def certify_scalar_isometry_polyhedral(op: Operator) -> IsometryReport:
     is skipped once -v has held.  ``checked_points`` still lists every
     extreme point visited, skipped ones included, in the ball's order.
     """
-    if not is_polyhedral_like(op.domain):
+    if not is_exact(op.domain):
         raise InputError("not_polyhedral", "certification needs a polyhedral domain")
     if is_zero_operator(op):
         return IsometryReport(CERTIFIED, Fraction(0), None, (), EXACT)

@@ -16,8 +16,6 @@ coefficients of the two support polytopes.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -31,7 +29,6 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     mat_vec,
-    solve_square,
     transpose,
     unit,
     vec_scale,
@@ -45,10 +42,11 @@ from .spaces import (
     FLOAT,
     Operator,
     SpaceSpec,
+    _facet_incidence,
     dual_ball_vertices,
+    float_path,
     float_tolerance,
     is_exact,
-    is_polyhedral_like,
     norm,
     norm_squared,
     polyhedral_space,
@@ -185,6 +183,7 @@ def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction, k: Fraction) -
     return f, g, k
 
 
+@float_path
 def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> Optional[LevelCertificate]:
     tol = float_tolerance()
     if op.domain.p == 2 and op.codomain.p == 2:
@@ -324,6 +323,7 @@ def _counterexample_direction(adj, f: Vec) -> tuple[Vec, Fraction]:
     return y, margin
 
 
+@float_path
 def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
     tol = float_tolerance()
     cert = _level_vector_float(op, x, tx)
@@ -414,7 +414,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     distinct subproblem is solved once and its certificate re-checked at
     every point that poses it.
     """
-    if not is_polyhedral_like(op.domain):
+    if not is_exact(op.domain):
         raise InputError("not_polyhedral", "enumeration needs a polyhedral domain")
     if samples_per_face < 0:
         raise InputError("bad_count", "samples_per_face must be >= 0")
@@ -456,7 +456,7 @@ def level_count_bound(space: SpaceSpec, op: Operator) -> Fraction:
     kernel, the faces of the kernel section of the ball are excluded and the
     single level number 0 is added back.
     """
-    if not is_polyhedral_like(space):
+    if not is_exact(space):
         raise InputError("not_polyhedral", "the bound is for polyhedral spaces")
     if op.domain != space or op.codomain != space:
         raise InputError("bad_operator", "the bound applies to operators from the space to itself")
@@ -473,23 +473,12 @@ def kernel_section_space(space: SpaceSpec, basis: list[Vec]) -> SpaceSpec:
     """The unit ball of a subspace (here: ker T) as an m-dimensional polytope.
 
     In the coordinates z of the given basis the section ball is cut out by
-    the facet functionals of the ambient ball; its vertices are enumerated
-    from m-subsets of active constraints.
+    the facet functionals of the ambient ball; its vertices are the facet
+    functionals of the polytope spanned by those constraint rows.
     """
-    m = len(basis)
     rows = sorted({tuple(dot(phi, b) for b in basis) for phi in dual_ball_vertices(space)})
-    rows = [r for r in rows if any(c != 0 for c in r)]
-    if math.comb(len(rows), m) > 500_000:
-        raise InputError("too_many_vertices", "kernel section enumeration exceeds the guard")
-    ones = (Fraction(1),) * m
-    found: set[Vec] = set()
-    for subset in itertools.combinations(rows, m):
-        z = solve_square(tuple(subset), ones)
-        if z is None or z in found:
-            continue
-        if all(dot(r, z) <= 1 for r in rows):
-            found.add(z)
-    return polyhedral_space(sorted(found))
+    rows = tuple(r for r in rows if any(c != 0 for c in r))
+    return polyhedral_space(f for f, _ in _facet_incidence(rows))
 
 
 def search_non_level_vector(op: Operator, samples: int, seed: int) -> Optional[Vec]:

@@ -22,6 +22,7 @@ from .spaces import (
     SpaceSpec,
     arithmetic_mode,
     dual_ball_vertices,
+    float_path,
     float_tolerance,
     is_exact,
     norm,
@@ -126,6 +127,7 @@ def _breakpoints(space: SpaceSpec, x: Vec, y: Vec) -> list[Fraction]:
     return sorted(candidates)
 
 
+@float_path
 def minimize_norm_1d(
     space: SpaceSpec, x: Vec, y: Vec
 ) -> tuple[Union[Fraction, float], Union[Fraction, float]]:

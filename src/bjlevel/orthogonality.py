@@ -21,6 +21,7 @@ from .spaces import (
     FLOAT,
     SpaceSpec,
     arithmetic_mode,
+    float_path,
     float_tolerance,
     norm,
     require_dim,
@@ -77,6 +78,7 @@ def _dual_exact(sup: SupportSet, y: Vec) -> OrthogonalityVerdict:
     return OrthogonalityVerdict(False, None, "dual", EXACT, margin)
 
 
+@float_path
 def _dual_float(
     space: SpaceSpec, sup: SupportSet, x: Vec, y: Vec
 ) -> OrthogonalityVerdict:
@@ -150,6 +152,7 @@ def subspace_orthogonal(
     return OrthogonalityVerdict(True, witness, "dual", EXACT, Fraction(0))
 
 
+@float_path
 def _subspace_float(
     space: SpaceSpec, sup: SupportSet, x: Vec, basis: Sequence[Vec]
 ) -> OrthogonalityVerdict:

@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Optional, Union
 
 from .errors import DimensionMismatch, InputError
@@ -38,7 +38,6 @@ from .linalg import (
     vec,
     vec_neg,
 )
-from .simplex import feasible_point
 
 INF = "inf"
 
@@ -49,6 +48,8 @@ FLOAT = "float"
 MAX_CUBE_DIM = 12
 # General polar enumeration scans n-subsets of the vertex list.
 _MAX_POLAR_SUBSETS = 500_000
+# Entries kept by each per-ball cache (facet incidence, polars, face lattices).
+CACHE_SIZE = 16
 
 
 def float_tolerance() -> float:
@@ -56,10 +57,24 @@ def float_tolerance() -> float:
     return float(os.environ.get("BJLEVEL_FLOAT_TOL", "1e-9"))
 
 
+def float_path(fn):
+    """Report a float-path computation whose values overflow, or underflow to
+    zero and are divided by, as an input error rather than a crash."""
+
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise InputError("float_range", "a value on the float path does not fit in a float") from exc
+
+    return guarded
+
+
 def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InputError("bad_rational", f"not a rational number: {text!r}") from exc
 
 
@@ -68,10 +83,6 @@ def parse_vector(text: str) -> Vec:
     if not parts or any(p == "" for p in parts):
         raise InputError("bad_vector", f"not a comma-separated rational vector: {text!r}")
     return tuple(parse_rational(p) for p in parts)
-
-
-def frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 def sgn(value: Fraction) -> int:
@@ -161,22 +172,16 @@ def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> None:
             raise InputError("bad_ball", f"ball vertices are not symmetric: missing -{v}")
     if matrix_rank(verts) != dim:
         raise InputError("bad_ball", "ball vertices do not span the space")
-    for idx, v in enumerate(verts):
-        others = [w for j, w in enumerate(verts) if j != idx]
-        # v extreme <=> v is not a convex combination of the other vertices.
-        rows = [[w[k] for w in others] for k in range(dim)]
-        rows.append([Fraction(1)] * len(others))
-        rhs = list(v) + [Fraction(1)]
-        if feasible_point(rows, rhs) is not None:
+    incidence = _facet_incidence(verts)
+    everyone = frozenset(range(len(verts)))
+    for i, v in enumerate(verts):
+        # Extreme iff no other listed point lies on every facet through v.
+        if everyone.intersection(*(tight for _, tight in incidence if i in tight)) != {i}:
             raise InputError("bad_ball", f"listed vertex {v} is not an extreme point")
 
 
 def is_exact(space: SpaceSpec) -> bool:
     return space.kind == "polyhedral" or space.p == 1 or space.p == INF
-
-
-def is_polyhedral_like(space: SpaceSpec) -> bool:
-    return is_exact(space)
 
 
 def arithmetic_mode(space: SpaceSpec) -> str:
@@ -199,10 +204,17 @@ def norm(space: SpaceSpec, x: Vec) -> Union[Fraction, float]:
         return sum((abs(c) for c in x), Fraction(0))
     if space.p == INF:
         return max(abs(c) for c in x)
-    if space.p == 2:
-        return math.sqrt(float(norm_squared(space, x)))
-    pf = float(space.p)
-    return sum(abs(float(c)) ** pf for c in x) ** (1.0 / pf)
+    try:
+        if space.p == 2:
+            value = math.sqrt(float(norm_squared(space, x)))
+        else:
+            pf = float(space.p)
+            value = sum(abs(float(c)) ** pf for c in x) ** (1.0 / pf)
+    except OverflowError as exc:
+        raise InputError("float_range", "the norm of a vector overflows a float") from exc
+    if value == 0 and not is_zero_vec(x):
+        raise InputError("float_range", "the norm of a nonzero vector underflows a float")
+    return value
 
 
 def norm_squared(space: SpaceSpec, x: Vec) -> Union[Fraction, float]:
@@ -271,30 +283,36 @@ def _hypercube_vertices(dim: int) -> tuple[Vec, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
-    """Vertices of the polar polytope, i.e. the facet functionals of the ball.
+@lru_cache(maxsize=CACHE_SIZE)
+def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]], ...]:
+    """Facet functionals f of conv(points), sorted, each with {i : f(points[i]) = 1}.
 
-    Enumerates all dim-subsets of ball vertices, solves f(v_i) = 1 and keeps
-    the solutions that are valid on every vertex (f(v) <= 1).  Each such f is
-    a vertex of the polar; every polar vertex arises this way.
+    Enumerates all n-subsets of the points, solves f(p_i) = 1 and keeps the
+    solutions that are valid on every point (f(p) <= 1).  When conv(points)
+    is full-dimensional with 0 in its interior these are exactly its facets:
+    each facet holds n linearly independent vertices.
     """
-    verts = ball_vertices(space)
-    n = space.dim
-    if math.comb(len(verts), n) > _MAX_POLAR_SUBSETS:
+    n = len(points[0])
+    if math.comb(len(points), n) > _MAX_POLAR_SUBSETS:
         raise InputError(
             "too_many_vertices",
-            f"polar enumeration over C({len(verts)},{n}) subsets exceeds the desk-scale guard",
+            f"polar enumeration over C({len(points)},{n}) subsets exceeds the desk-scale guard",
         )
     ones = (Fraction(1),) * n
-    found: set[Vec] = set()
-    for subset in itertools.combinations(verts, n):
-        f = solve_square(mat(subset), ones)
+    found: dict[Vec, frozenset[int]] = {}
+    for subset in itertools.combinations(points, n):
+        f = solve_square(subset, ones)
         if f is None or f in found:
             continue
-        if all(dot(f, v) <= 1 for v in verts):
-            found.add(f)
-    return tuple(sorted(found))
+        if all(dot(f, p) <= 1 for p in points):
+            found[f] = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
+    return tuple(sorted(found.items()))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
+    """Vertices of the polar polytope, i.e. the facet functionals of the ball."""
+    return tuple(f for f, _ in _facet_incidence(ball_vertices(space)))
 
 
 def on_unit_sphere(space: SpaceSpec, x: Vec) -> bool:
@@ -379,12 +397,12 @@ def is_zero_operator(op: Operator) -> bool:
 
 
 def vector_to_strings(x: Vec) -> list[str]:
-    return [frac_str(c) for c in x]
+    return [str(c) for c in x]
 
 
 def space_to_dict(space: SpaceSpec) -> dict:
     if space.kind == "lp":
-        return {"kind": "lp", "p": frac_str(space.p) if space.p != INF else INF, "dim": space.dim}
+        return {"kind": "lp", "p": str(space.p) if space.p != INF else INF, "dim": space.dim}
     return {
         "kind": "polyhedral",
         "dim": space.dim,
@@ -395,8 +413,15 @@ def space_to_dict(space: SpaceSpec) -> dict:
 def _parse_dim(value) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("bad_dim", f"dimension must be an integer, got {value!r}") from exc
+
+
+def parse_rows(value, code: str, field: str) -> list[Vec]:
+    """A JSON list of lists of rationals, else InputError(code)."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InputError(code, f"'{field}' must be a list of lists of rationals")
+    return [tuple(parse_rational(c) for c in row) for row in value]
 
 
 def space_from_dict(data: dict) -> SpaceSpec:
@@ -415,7 +440,7 @@ def space_from_dict(data: dict) -> SpaceSpec:
             dim = _parse_dim(data["dim"])
         except KeyError as exc:
             raise InputError("bad_space_file", f"polyhedral space needs field {exc}") from exc
-        space = polyhedral_space([[parse_rational(c) for c in v] for v in verts])
+        space = polyhedral_space(parse_rows(verts, "bad_space_file", "ball_vertices"))
         if space.dim != dim:
             raise DimensionMismatch("declared dim does not match ball vertices")
         return space
@@ -431,7 +456,7 @@ def operator_from_dict(data: dict, domain: SpaceSpec, codomain: Optional[SpaceSp
         rows = data["matrix"]
     except (TypeError, KeyError) as exc:
         raise InputError("bad_operator_file", "operator object needs a 'matrix' field") from exc
-    matrix = [[parse_rational(c) for c in row] for row in rows]
+    matrix = parse_rows(rows, "bad_operator_file", "matrix")
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise InputError("ragged_matrix", "operator matrix rows have different lengths")
     return operator(matrix, domain, codomain)

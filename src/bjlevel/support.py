@@ -23,6 +23,7 @@ from .spaces import (
     MAX_CUBE_DIM,
     SpaceSpec,
     dual_ball_vertices,
+    float_path,
     float_tolerance,
     is_exact,
     norm,
@@ -80,6 +81,7 @@ def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
     return tuple(sorted(f for f in dual_ball_vertices(space) if dot(f, x) == value))
 
 
+@float_path
 def _lp_gradient(space: SpaceSpec, x: Vec) -> tuple[float, ...]:
     if space.p == 2:
         nrm = norm(space, x)

@@ -1,9 +1,15 @@
 """CLI reports: schemas, exit codes, determinism, input echo round-trips."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bjlevel import space_from_dict
 from bjlevel.cli import main
@@ -187,22 +193,42 @@ def test_input_error_exit_code(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "space, matrix, code_name",
+    "space, matrix, x, code_name",
     [
-        ({"kind": "lp", "p": "1", "dim": "abc"}, None, "bad_dim"),
-        ({"kind": "lp", "p": "1e400", "dim": 2}, None, "bad_exponent"),
-        ({"kind": "lp", "p": "inf", "dim": 2}, [["1", "0"], ["0"]], "ragged_matrix"),
+        ({"kind": "lp", "p": "1", "dim": "abc"}, None, "1,0", "bad_dim"),
+        ({"kind": "lp", "p": "1e400", "dim": 2}, None, "1,0", "bad_exponent"),
+        ({"kind": "lp", "p": "inf", "dim": 2}, [["1", "0"], ["0"]], "1,0", "ragged_matrix"),
+        ({"kind": "lp", "p": [1], "dim": 2}, None, "1,0", "bad_rational"),
+        ({"kind": "polyhedral", "dim": 2, "ball_vertices": [[[1], 0], [0, 1]]}, None, "1,0", "bad_rational"),
+        ({"kind": "lp", "p": "inf", "dim": 2}, 5, "1,0", "bad_operator_file"),
+        ({"kind": "lp", "p": "inf", "dim": 2}, [5], "1,0", "bad_operator_file"),
+        ({"kind": "polyhedral", "dim": 2, "ball_vertices": 5}, None, "1,0", "bad_space_file"),
+        ('{"kind": "lp", "p": "1", "dim": 1e400}', None, "1,0", "bad_dim"),
+        ({"kind": "lp", "p": "1e300", "dim": 2}, None, "2,0", "float_range"),
+        ({"kind": "lp", "p": "2", "dim": 2}, None, "1e400,0", "float_range"),
     ],
-    ids=["non-integer-dim", "p-overflows-float", "ragged-matrix"],
+    ids=[
+        "non-integer-dim",
+        "p-overflows-float",
+        "ragged-matrix",
+        "p-is-a-list",
+        "vertex-coordinate-is-a-list",
+        "matrix-is-a-number",
+        "matrix-row-is-a-number",
+        "ball-vertices-is-a-number",
+        "dim-overflows-float",
+        "float-norm-overflows-at-large-p",
+        "float-norm-overflows-on-l2",
+    ],
 )
-def test_malformed_files_exit_2_with_one_json_line(tmp_path, capsys, space, matrix, code_name):
+def test_malformed_files_exit_2_with_one_json_line(tmp_path, capsys, space, matrix, x, code_name):
     space_path = tmp_path / "space.json"
-    space_path.write_text(json.dumps(space))
-    argv = ["bj", "--space", str(space_path), "--x", "1,0", "--y", "0,1"]
+    space_path.write_text(space if isinstance(space, str) else json.dumps(space))
+    argv = ["bj", "--space", str(space_path), "--x", x, "--y", "0,1"]
     if matrix is not None:
         op_path = tmp_path / "op.json"
         op_path.write_text(json.dumps({"matrix": matrix}))
-        argv = ["level", "test", "--space", str(space_path), "--op", str(op_path), "--x", "1,0"]
+        argv = ["level", "test", "--space", str(space_path), "--op", str(op_path), "--x", x]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -210,6 +236,74 @@ def test_malformed_files_exit_2_with_one_json_line(tmp_path, capsys, space, matr
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == code_name
     assert "Traceback" not in captured.out + captured.err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def mostly(good, junk=JSON_VALUES):
+    """``good`` three times in four, else ``junk``: enough examples reach the computations."""
+    return st.integers(0, 3).flatmap(lambda i: junk if i == 3 else good)
+
+
+NUMBERS = ["0", "1", "-1", "1/2", "-3/2", "2", "3", "1e300", "1e-300", "1e400", "-1e-400"]
+RATIONALS = mostly(st.sampled_from(NUMBERS), st.sampled_from(["inf", "1/0", "x"]) | JSON_VALUES)
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+SYMMETRIC_BALLS = st.lists(st.tuples(SMALL, SMALL), min_size=2, max_size=4).map(
+    lambda points: [[str(a), str(b)] for a, b in points] + [[str(-a), str(-b)] for a, b in points]
+)
+ROWS = mostly(
+    st.lists(st.lists(RATIONALS, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(st.lists(RATIONALS, max_size=3), max_size=6) | JSON_VALUES,
+)
+EXPONENTS = st.sampled_from(["1", "2", "3", "3/2", "inf", "1000", "1e300"])
+SPACES = mostly(
+    st.fixed_dictionaries({"kind": st.just("lp"), "p": mostly(EXPONENTS), "dim": mostly(st.just(2))})
+    | st.fixed_dictionaries(
+        {"kind": st.just("polyhedral"), "dim": mostly(st.just(2)), "ball_vertices": mostly(SYMMETRIC_BALLS, ROWS)}
+    ),
+    st.fixed_dictionaries({"kind": JSON_VALUES, "p": JSON_VALUES, "dim": JSON_VALUES, "ball_vertices": JSON_VALUES})
+    | JSON_VALUES,
+)
+OPERATORS = mostly(st.fixed_dictionaries({"matrix": ROWS}))
+VECTOR_TEXTS = mostly(
+    st.lists(RATIONALS, min_size=2, max_size=2).map(lambda parts: ",".join(map(str, parts))),
+    st.text(max_size=12),
+)
+
+
+@given(
+    command=st.sampled_from(["bj", "support", "level test"]),
+    space=SPACES,
+    op=OPERATORS,
+    x=VECTOR_TEXTS,
+    y=VECTOR_TEXTS,
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_any_json_input_keeps_the_cli_contract(command, space, op, x, y):
+    with tempfile.TemporaryDirectory() as tmp:
+        space_path = os.path.join(tmp, "space.json")
+        op_path = os.path.join(tmp, "op.json")
+        for path, data in ((space_path, space), (op_path, op)):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle)
+        # "--x=" keeps a leading minus sign from reading as a flag.
+        argv = [*command.split(), "--space", space_path, f"--x={x}"]
+        if command == "bj":
+            argv.append(f"--y={y}")
+        if command == "level test":
+            argv += ["--op", op_path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
 
 
 def test_selftest_passes(capsys):

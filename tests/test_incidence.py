@@ -1,0 +1,140 @@
+"""Ball validation and face supports read from one facet-incidence table.
+
+Validation decides extremality from facet incidence; the LP definition (v is
+extreme iff v is not a convex combination of the other listed points) stays
+here as the oracle.  Face supports are checked against direct evaluation of
+every dual vertex on the face's vertices.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from bjlevel import (
+    InputError,
+    ball_vertices,
+    face_lattice,
+    l1,
+    linf,
+    polar_vertices,
+    polyhedral_space,
+)
+from bjlevel.linalg import dot, matrix_rank
+from bjlevel.simplex import feasible_point
+
+F = Fraction
+
+
+def first_non_extreme_by_lp(verts):
+    """First listed point in conv(other listed points), by one LP per point."""
+    for idx, v in enumerate(verts):
+        others = [w for j, w in enumerate(verts) if j != idx]
+        rows = [[w[k] for w in others] for k in range(len(v))]
+        rows.append([F(1)] * len(others))
+        if feasible_point(rows, list(v) + [F(1)]) is not None:
+            return v
+    return None
+
+
+def validation_verdict(verts):
+    """None when the ball is accepted, else the vertex the error names."""
+    try:
+        polyhedral_space(verts)
+    except InputError as exc:
+        assert exc.code == "bad_ball"
+        for v in verts:
+            if str(exc) == f"listed vertex {v} is not an extreme point":
+                return v
+        raise AssertionError(f"unexpected rejection: {exc}")
+    return None
+
+
+def cube_cross_vertices():
+    cube = [tuple(F(s) for s in signs) for signs in itertools.product((1, -1), repeat=3)]
+    cross = [tuple(F(2 * s) if j == i else F(0) for j in range(3)) for i in range(3) for s in (1, -1)]
+    return cube + cross
+
+
+def sphere_ball(rng, dim, pairs):
+    """+-p for rational points p on the Euclidean unit sphere; all extreme."""
+    while True:
+        chosen = set()
+        while len(chosen) < pairs:
+            t = [F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(dim - 1)]
+            s = sum((c * c for c in t), F(0))
+            p = tuple(2 * c / (s + 1) for c in t) + ((s - 1) / (s + 1),)
+            if tuple(-c for c in p) not in chosen:
+                chosen.add(p)
+        points = sorted(chosen)
+        if matrix_rank(points) == dim:
+            return points + [tuple(-c for c in p) for p in points]
+
+
+def planted_ball(seed, dim, kind):
+    """A seeded ball with one non-extreme pair +-p inserted at random places."""
+    rng = random.Random(seed)
+    verts = sphere_ball(rng, dim, dim + 1)
+    faces = face_lattice(polyhedral_space(verts))
+    if kind == "edge":
+        edge = rng.choice([f for f in faces if f.dim == 1])
+        p = tuple((a + b) / 2 for a, b in zip(*edge.vertices))
+    elif kind == "facet":
+        p = rng.choice([f for f in faces if f.dim == dim - 1]).centroid()
+    else:
+        p = tuple(c / 2 for c in rng.choice(verts))
+    for point in (p, tuple(-c for c in p)):
+        verts.insert(rng.randrange(len(verts) + 1), point)
+    return verts, p
+
+
+def test_cube_cross_ball_is_accepted_as_lp_decides():
+    verts = cube_cross_vertices()
+    assert first_non_extreme_by_lp(verts) is None
+    assert validation_verdict(verts) is None
+
+
+def test_cube_cross_ball_with_non_extreme_cube_is_rejected_as_lp_decides():
+    # With 3 * cross the cube vertices (l1 norm 3) lie on the octahedron's faces.
+    verts = cube_cross_vertices()[:8] + [tuple(3 * c / 2 for c in w) for w in cube_cross_vertices()[8:]]
+    expected = first_non_extreme_by_lp(verts)
+    assert expected == verts[0]
+    assert validation_verdict(verts) == expected
+
+
+@pytest.mark.parametrize("space", [l1(3), linf(3)], ids=["l1_3", "linf_3"])
+def test_lp_balls_as_vertex_lists_are_accepted(space):
+    verts = list(ball_vertices(space))
+    assert first_non_extreme_by_lp(verts) is None
+    assert validation_verdict(verts) is None
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("kind", ["edge", "facet", "half-vertex"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_planted_non_extreme_pair_is_named_as_lp_decides(seed, dim, kind):
+    verts, p = planted_ball(seed, dim, kind)
+    expected = first_non_extreme_by_lp(verts)
+    assert expected in (p, tuple(-c for c in p))
+    assert validation_verdict(verts) == expected
+
+
+SUPPORT_BALLS = {
+    "cube-cross": cube_cross_vertices,
+    "l1_3": lambda: ball_vertices(l1(3)),
+    "linf_3": lambda: ball_vertices(linf(3)),
+    "sphere-3d-seed-1": lambda: sphere_ball(random.Random(1), 3, 4),
+    "sphere-3d-seed-2": lambda: sphere_ball(random.Random(2), 3, 4),
+    "sphere-4d-seed-1": lambda: sphere_ball(random.Random(1), 4, 5),
+    "sphere-4d-seed-2": lambda: sphere_ball(random.Random(2), 4, 5),
+}
+
+
+@pytest.mark.parametrize("name", SUPPORT_BALLS)
+def test_face_supports_are_the_dual_vertices_tight_on_the_face(name):
+    space = polyhedral_space(SUPPORT_BALLS[name]())
+    duals = polar_vertices(space)
+    for face in face_lattice(space):
+        expected = tuple(sorted(f for f in duals if all(dot(f, v) == 1 for v in face.vertices)))
+        assert face.supporting == expected
