@@ -48,7 +48,6 @@ from .levels import (
 from .oracle import (
     RationalStream,
     SampleCheckReport,
-    SampleStream,
     minimize_norm_1d,
     preservation_sample_check,
     sample_sphere,

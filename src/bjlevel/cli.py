@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import InputError, InternalCheckError
@@ -64,7 +64,9 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise InputError("file_not_found", f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no read permission
+        raise InputError("unreadable_file", f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, an integer past int's digit limit
         raise InputError("bad_json", f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -78,14 +80,6 @@ def _load_operator(path: Optional[str], space: SpaceSpec) -> Operator:
     if path is None:
         raise InputError("missing_operator", "--op is required")
     return operator_from_dict(_load_json(path), space)
-
-
-def _inputs(space: SpaceSpec, op: Optional[Operator] = None, **vectors) -> dict:
-    """The echoed inputs: space, then operator, then vectors (made strings by _jsonify)."""
-    inputs = {"space": space_to_dict(space)}
-    if op is not None:
-        inputs["op"] = operator_to_dict(op)
-    return {**inputs, **vectors}
 
 
 def _report(command: str, inputs: dict, result: dict, space: SpaceSpec, seed: Optional[int] = None) -> dict:
@@ -114,128 +108,59 @@ def _vector_arg(text: Optional[str], name: str) -> tuple:
     return parse_vector(text)
 
 
-def _cmd_bj(args) -> dict:
-    space = _load_space(args.space)
-    x = _vector_arg(args.x, "x")
-    y = _vector_arg(args.y, "y")
-    verdict = bj_orthogonal(space, x, y)
-    result = {
-        "orthogonal": verdict.orthogonal,
-        "witness": list(verdict.witness) if verdict.witness else None,
-        "method": verdict.method,
+def _load_candidates(path: Optional[str]) -> list:
+    data = _load_json(path) if path else None
+    if not isinstance(data, dict) or "candidates" not in data:
+        raise InputError("bad_candidates", "--candidates file must contain a 'candidates' list")
+    return parse_rows(data["candidates"], "bad_candidates", "candidates")
+
+
+def _pick(record, *names: str) -> dict:
+    return {name: getattr(record, name) for name in names}
+
+
+def _pair(pair, first: str, second: str) -> Optional[dict]:
+    return {first: pair[0], second: pair[1]} if pair else None
+
+
+def _support(a) -> dict:
+    vertices = support_set(a.space, a.x).vertices
+    return {"vertices": vertices, "smooth": len(vertices) == 1}
+
+
+def _level_test(a) -> dict:
+    cert = is_level_vector(a.op, a.x)
+    if cert is None:
+        return {"level_vector": False}
+    return {"level_vector": True, **_pick(cert, "level_number", "f", "g")}
+
+
+def _level_enumerate(a) -> dict:
+    report = enumerate_level_numbers(a.op, a.samples, a.seed)
+    return {
+        "values": report.values,
+        "per_face": [_pick(p, "face_vertices", "face_dim", "points", "level_numbers") for p in report.per_face],
+        **_pick(report, "bound", "under_approximation"),
     }
-    return _report("bj", _inputs(space, x=x, y=y), result, space)
 
 
-def _cmd_support(args) -> dict:
-    space = _load_space(args.space)
-    x = _vector_arg(args.x, "x")
-    sup = support_set(space, x)
-    result = {"vertices": [list(v) for v in sup.vertices], "smooth": len(sup.vertices) == 1}
-    return _report("support", _inputs(space, x=x), result, space)
-
-
-def _cmd_faces(args) -> dict:
-    space = _load_space(args.space)
-    if args.faces_command == "census":
-        census = face_census(space)
-        result = {"counts": list(census.counts), "total": census.total}
-        return _report("faces census", _inputs(space), result, space)
-    x = _vector_arg(args.x, "x")
-    face = minimal_face(space, x)
-    result = {
-        "vertices": [list(v) for v in face.vertices],
-        "dim": face.dim,
-        "supporting": [list(f) for f in face.supporting],
-    }
-    return _report("faces minimal", _inputs(space, x=x), result, space)
-
-
-def _cmd_level(args) -> dict:
-    space = _load_space(args.space)
-    op = _load_operator(args.op, space)
-    if args.level_command == "test":
-        x = _vector_arg(args.x, "x")
-        cert = is_level_vector(op, x)
-        if cert is None:
-            result = {"level_vector": False}
-        else:
-            result = {
-                "level_vector": True,
-                "level_number": cert.level_number,
-                "f": list(cert.f) if cert.f else None,
-                "g": list(cert.g) if cert.g else None,
-            }
-        return _report("level test", _inputs(space, op, x=x), result, space)
-    report = enumerate_level_numbers(op, args.samples, args.seed)
-    result = {
-        "values": list(report.values),
-        "per_face": [
-            {
-                "face_vertices": [list(v) for v in probe.face_vertices],
-                "face_dim": probe.face_dim,
-                "points": [list(p) for p in probe.points],
-                "level_numbers": list(probe.level_numbers),
-            }
-            for probe in report.per_face
-        ],
-        "bound": report.bound,
-        "under_approximation": report.under_approximation,
-    }
-    return _report("level enumerate", _inputs(space, op), result, space, seed=args.seed)
-
-
-def _cmd_preserve(args) -> dict:
-    space = _load_space(args.space)
-    op = _load_operator(args.op, space)
-    x = _vector_arg(args.x, "x")
-    report = preserves_bj_at(op, x)
-    result = {
-        "holds": report.holds,
-        "failing_functional": list(report.failing_functional) if report.failing_functional else None,
-        "counterexample": (
-            {"y": list(report.counterexample[0]), "margin": report.counterexample[1]}
-            if report.counterexample
-            else None
-        ),
-    }
-    return _report("preserve check", _inputs(space, op, x=x), result, space)
+def _preserve_check(a) -> dict:
+    report = preserves_bj_at(a.op, a.x)
+    return {**_pick(report, "holds", "failing_functional"), "counterexample": _pair(report.counterexample, "y", "margin")}
 
 
 def _isometry_result(report) -> dict:
     return {
-        "verdict": report.verdict,
-        "scale": report.scale,
-        "witness": (
-            {"x": list(report.witness[0]), "y": list(report.witness[1])}
-            if report.witness
-            else None
-        ),
-        "checked_points": [list(p) for p in report.checked_points],
+        **_pick(report, "verdict", "scale"),
+        "witness": _pair(report.witness, "x", "y"),
+        "checked_points": report.checked_points,
     }
 
 
-def _cmd_isometry(args) -> dict:
-    space = _load_space(args.space)
-    op = _load_operator(args.op, space)
-    inputs = _inputs(space, op)
-    if args.isometry_command == "certify":
-        return _report("isometry certify", inputs, _isometry_result(certify_scalar_isometry_polyhedral(op)), space)
-    report = probe_scalar_isometry_grid(op, space, args.samples, args.seed)
-    return _report("isometry probe", inputs, _isometry_result(report), space, seed=args.seed)
-
-
-def _cmd_identity(args) -> dict:
-    space = _load_space(args.space)
-    op = _load_operator(args.op, space)
-    data = _load_json(args.candidates) if args.candidates else None
-    if not isinstance(data, dict) or "candidates" not in data:
-        raise InputError("bad_candidates", "--candidates file must contain a 'candidates' list")
-    candidates = parse_rows(data["candidates"], "bad_candidates", "candidates")
-    report = scalar_identity_test(op, candidates)
-    result = {
-        "certified": report.certified,
-        "eigenvalue": report.eigenvalue,
+def _identity_test(a) -> dict:
+    report = scalar_identity_test(a.op, a.candidates)
+    return {
+        **_pick(report, "certified", "eigenvalue"),
         "conditions": {
             "i": report.eigenvectors,
             "ii": report.smooth_nonkernel,
@@ -243,41 +168,79 @@ def _cmd_identity(args) -> dict:
             "iv": report.not_orthogonal,
         },
         "independent": report.independent,
-        "failed": list(report.failed_conditions),
+        "failed": report.failed_conditions,
     }
-    return _report("identity test", _inputs(space, op, candidates=candidates), result, space)
 
 
-def _cmd_adjoint(args) -> dict:
+def _adjoint_transfer(a) -> dict:
+    record = adjoint_level_transfer(a.op, a.x)
+    return {**_pick(record, "psi", "level_number"), "dual_level_number": record.dual_certificate.level_number}
+
+
+def _oracle_bj(a) -> dict:
+    verdict = bj_orthogonal_oracle(a.space, a.x, a.y)
+    return {"orthogonal": verdict.orthogonal, **_pair(minimize_norm_1d(a.space, a.x, a.y), "minimizer", "min_value")}
+
+
+def _oracle_preserve(a) -> dict:
+    report = preservation_sample_check(a.op, a.x, a.samples, a.seed)
+    return {"checked": report.checked, "violations": [_pair(v, "y", "margin") for v in report.violations]}
+
+
+# The inputs a command can read besides --space, in load order: the flags each
+# adds and its loader ("samples" adds --samples and --seed, passed on as parsed).
+_INPUTS = {
+    "op": ({"--op": {"help": "operator JSON file"}}, lambda args, space: _load_operator(args.op, space)),
+    "x": ({"--x": {"help": "comma-separated rational vector"}}, lambda args, space: _vector_arg(args.x, "x")),
+    "y": ({"--y": {"help": "comma-separated rational vector"}}, lambda args, space: _vector_arg(args.y, "y")),
+    "samples": ({"--samples": {"type": int, "default": 5}, "--seed": {"type": int, "default": 0}}, None),
+    "candidates": (
+        {"--candidates": {"help": "JSON file with a 'candidates' list"}},
+        lambda args, space: _load_candidates(args.candidates),
+    ),
+}
+
+
+class Command(NamedTuple):
+    """A subcommand: the _INPUTS it reads, and its result from the arguments with those inputs loaded."""
+
+    reads: tuple[str, ...]
+    build: Callable[[argparse.Namespace], dict]
+
+
+# Keyed by the report's "command"; a two-word key is a nested subcommand.
+COMMANDS = {
+    "bj": Command(("x", "y"), lambda a: _pick(bj_orthogonal(a.space, a.x, a.y), "orthogonal", "witness", "method")),
+    "support": Command(("x",), _support),
+    "faces census": Command((), lambda a: _pick(face_census(a.space), "counts", "total")),
+    "faces minimal": Command(("x",), lambda a: _pick(minimal_face(a.space, a.x), "vertices", "dim", "supporting")),
+    "level test": Command(("op", "x"), _level_test),
+    "level enumerate": Command(("op", "samples"), _level_enumerate),
+    "preserve check": Command(("op", "x"), _preserve_check),
+    "isometry certify": Command(("op",), lambda a: _isometry_result(certify_scalar_isometry_polyhedral(a.op))),
+    "isometry probe": Command(
+        ("op", "samples"), lambda a: _isometry_result(probe_scalar_isometry_grid(a.op, a.space, a.samples, a.seed))
+    ),
+    "identity test": Command(("op", "candidates"), _identity_test),
+    "adjoint transfer": Command(("op", "x"), _adjoint_transfer),
+    "oracle bj": Command(("x", "y"), _oracle_bj),
+    "oracle preserve": Command(("op", "x", "samples"), _oracle_preserve),
+}
+
+
+def _run(name: str, args: argparse.Namespace) -> dict:
+    """Load the inputs (space first, then _INPUTS order), build the result, report it."""
+    command = COMMANDS[name]
     space = _load_space(args.space)
-    op = _load_operator(args.op, space)
-    x = _vector_arg(args.x, "x")
-    record = adjoint_level_transfer(op, x)
-    result = {
-        "psi": list(record.psi),
-        "level_number": record.level_number,
-        "dual_level_number": record.dual_certificate.level_number,
-    }
-    return _report("adjoint transfer", _inputs(space, op, x=x), result, space)
-
-
-def _cmd_oracle(args) -> dict:
-    space = _load_space(args.space)
-    if args.oracle_command == "bj":
-        x = _vector_arg(args.x, "x")
-        y = _vector_arg(args.y, "y")
-        verdict = bj_orthogonal_oracle(space, x, y)
-        minimizer, min_value = minimize_norm_1d(space, x, y)
-        result = {"orthogonal": verdict.orthogonal, "minimizer": minimizer, "min_value": min_value}
-        return _report("oracle bj", _inputs(space, x=x, y=y), result, space)
-    op = _load_operator(args.op, space)
-    x = _vector_arg(args.x, "x")
-    report = preservation_sample_check(op, x, args.samples, args.seed)
-    result = {
-        "checked": report.checked,
-        "violations": [{"y": list(y), "margin": margin} for y, margin in report.violations],
-    }
-    return _report("oracle preserve", _inputs(space, op, x=x), result, space, seed=args.seed)
+    inputs: dict[str, Any] = {"space": space}
+    for key, (_, load) in _INPUTS.items():
+        if key in command.reads and load:
+            inputs[key] = load(args, space)
+    result = command.build(argparse.Namespace(**{**vars(args), **inputs}))
+    echo = {**inputs, "space": space_to_dict(space)}
+    if "op" in inputs:
+        echo["op"] = operator_to_dict(inputs["op"])
+    return _report(name, echo, result, space, args.seed if "samples" in command.reads else None)
 
 
 def _selftest() -> dict:
@@ -366,79 +329,52 @@ def _selftest() -> dict:
     return {"passed": total - len(failures), "failed": len(failures), "failures": failures}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into InputError("usage"), reported as one JSON line."""
+
+    def error(self, message: str):
+        raise InputError("usage", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bjlevel", description=__doc__)
+    parser = _Parser(prog="bjlevel", description=__doc__)
     parser.add_argument("--format", choices=["json", "text"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, op_flag=False, x_flag=False, y_flag=False, sampled=False):
+    groups = {}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.partition(" ")
+        if leaf and group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest=f"{group}_command", required=True)
+        p = groups[group].add_parser(leaf) if leaf else sub.add_parser(group)
+        p.set_defaults(name=name)
         p.add_argument("--space", help="space JSON file")
-        if op_flag:
-            p.add_argument("--op", help="operator JSON file")
-        if x_flag:
-            p.add_argument("--x", help="comma-separated rational vector")
-        if y_flag:
-            p.add_argument("--y", help="comma-separated rational vector")
-        if sampled:
-            p.add_argument("--samples", type=int, default=5)
-            p.add_argument("--seed", type=int, default=0)
-
-    common(sub.add_parser("bj"), x_flag=True, y_flag=True)
-    common(sub.add_parser("support"), x_flag=True)
-
-    faces = sub.add_parser("faces").add_subparsers(dest="faces_command", required=True)
-    common(faces.add_parser("census"))
-    common(faces.add_parser("minimal"), x_flag=True)
-
-    level = sub.add_parser("level").add_subparsers(dest="level_command", required=True)
-    common(level.add_parser("test"), op_flag=True, x_flag=True)
-    common(level.add_parser("enumerate"), op_flag=True, sampled=True)
-
-    preserve = sub.add_parser("preserve").add_subparsers(dest="preserve_command", required=True)
-    common(preserve.add_parser("check"), op_flag=True, x_flag=True)
-
-    isometry = sub.add_parser("isometry").add_subparsers(dest="isometry_command", required=True)
-    common(isometry.add_parser("certify"), op_flag=True)
-    common(isometry.add_parser("probe"), op_flag=True, sampled=True)
-
-    identity = sub.add_parser("identity").add_subparsers(dest="identity_command", required=True)
-    ident_test = identity.add_parser("test")
-    common(ident_test, op_flag=True)
-    ident_test.add_argument("--candidates", help="JSON file with a 'candidates' list")
-
-    adjoint_cmd = sub.add_parser("adjoint").add_subparsers(dest="adjoint_command", required=True)
-    common(adjoint_cmd.add_parser("transfer"), op_flag=True, x_flag=True)
-
-    oracle_cmd = sub.add_parser("oracle").add_subparsers(dest="oracle_command", required=True)
-    common(oracle_cmd.add_parser("bj"), x_flag=True, y_flag=True)
-    common(oracle_cmd.add_parser("preserve"), op_flag=True, x_flag=True, sampled=True)
-
+        for key, (flags, _) in _INPUTS.items():
+            if key in command.reads:
+                for flag, options in flags.items():
+                    p.add_argument(flag, **options)
     sub.add_parser("selftest")
     return parser
 
 
-_HANDLERS = {
-    "bj": _cmd_bj,
-    "support": _cmd_support,
-    "faces": _cmd_faces,
-    "level": _cmd_level,
-    "preserve": _cmd_preserve,
-    "isometry": _cmd_isometry,
-    "identity": _cmd_identity,
-    "adjoint": _cmd_adjoint,
-    "oracle": _cmd_oracle,
-}
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Read ``--x -1,0`` as ``--x=-1,0``: argparse takes a value that starts
+    with "-" for a flag, so a vector flag always takes the next word."""
+    out: list[str] = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in ("--x", "--y") else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "selftest":
-        result = _selftest()
-        sys.stdout.write(json.dumps({"command": "selftest", "result": result, "tool_version": __version__}) + "\n")
-        return 0 if result["failed"] == 0 else 3
     try:
-        report = _HANDLERS[args.command](args)
+        args = build_parser().parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
+        if args.command == "selftest":
+            result = _selftest()
+            sys.stdout.write(json.dumps({"command": "selftest", "result": result, "tool_version": __version__}) + "\n")
+            return 0 if result["failed"] == 0 else 3
+        report = _run(args.name, args)
     except InputError as exc:
         sys.stdout.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return 2

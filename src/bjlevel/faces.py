@@ -123,22 +123,10 @@ def _cube_faces(n: int) -> list[Face]:
 
 
 def _cross_faces(n: int) -> list[Face]:
-    one = Fraction(1)
-    faces = []
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        supp = [i for i, s in enumerate(pattern) if s != 0]
-        if not supp:
-            continue
-        verts = tuple(sorted(unit(n, i, pattern[i]) for i in supp))
-        free = [i for i, s in enumerate(pattern) if s == 0]
-        supporting = []
-        for signs in itertools.product((one, -one), repeat=len(free)):
-            f = [Fraction(s) for s in pattern]
-            for pos, s in zip(free, signs):
-                f[pos] = s
-            supporting.append(tuple(f))
-        faces.append(Face(verts, len(supp) - 1, tuple(sorted(supporting))))
-    return faces
+    """The cross-polytope is the polar of the cube: a k-face of the cube with
+    vertex set V and supporting set S gives the (n-1-k)-face with vertex set S
+    and supporting set V."""
+    return [Face(tuple(sorted(c.supporting)), n - 1 - c.dim, c.vertices) for c in _cube_faces(n)]
 
 
 def _faces_by_intersection(space: SpaceSpec) -> list[Face]:

@@ -28,10 +28,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit(n: int, i: int, sign: int = 1) -> Vec:
     return tuple(Fraction(sign) if j == i else ZERO for j in range(n))
 

@@ -69,18 +69,6 @@ class RationalStream:
                 return v
 
 
-@dataclass(frozen=True)
-class SampleStream:
-    """A reproducible batch of unit vectors on a sphere."""
-
-    space: SpaceSpec
-    count: int
-    seed: int
-
-    def vectors(self) -> tuple[Vec, ...]:
-        return tuple(sample_sphere(self.space, self.count, self.seed))
-
-
 def sample_sphere(space: SpaceSpec, n: int, seed: int) -> list[Vec]:
     """n rational-coordinate unit vectors; exactly unit on exact paths,
     within 1e-12 of unit norm on float paths."""

@@ -50,6 +50,9 @@ MAX_CUBE_DIM = 12
 _MAX_POLAR_SUBSETS = 500_000
 # Entries kept by each per-ball cache (facet incidence, polars, face lattices).
 CACHE_SIZE = 16
+# Digits allowed in the numerator and in the denominator of a parsed rational,
+# with an exponent counted as that many digits: "1e999" passes, "1e1000" does not.
+MAX_RATIONAL_DIGITS = 1000
 
 
 def float_tolerance() -> float:
@@ -73,9 +76,22 @@ def float_path(fn):
 
 def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     try:
-        return Fraction(text)
+        if _written_digits(text) <= MAX_RATIONAL_DIGITS:
+            return Fraction(text)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InputError("bad_rational", f"not a rational number: {text!r}") from exc
+    raise InputError("bad_rational", f"more than {MAX_RATIONAL_DIGITS} digits in a numerator or denominator: {text!r}")
+
+
+def _written_digits(text: Union[str, int, Fraction]) -> int:
+    """An upper bound on the digits of the numerator and of the denominator of
+    Fraction(text); for a string, found without building either integer."""
+    if isinstance(text, str):
+        mantissa, _, exponent = text.lower().partition("e")
+        shift = abs(int(exponent)) if exponent else 0
+        return max(sum(c.isdigit() for c in part) for part in mantissa.split("/")) + shift
+    value = Fraction(text)
+    return len(str(max(abs(value.numerator), value.denominator)))
 
 
 def parse_vector(text: str) -> Vec:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bjlevel import space_from_dict
-from bjlevel.cli import main
+from bjlevel.cli import COMMANDS, main
 
 F = Fraction
 
@@ -193,6 +193,59 @@ def test_input_error_exit_code(files, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["bj", "--space", "{l1_2}", "--x", "-1,0", "--y", "0,1"],
+            ["bj", "--space", "{l1_2}", "--x=-1,0", "--y=0,1"],
+        ),
+        (
+            ["oracle", "bj", "--space", "{l1_2}", "--x", "-1/2,1", "--y", "-1,0"],
+            ["oracle", "bj", "--space", "{l1_2}", "--x=-1/2,1", "--y=-1,0"],
+        ),
+        (["nosuch"], "usage"),
+        ([], "usage"),
+        (["level"], "usage"),
+        (["bj", "--space", "{l1_2}", "--x", "1,0", "--y", "0,1", "--bogus"], "usage"),
+        (["level", "enumerate", "--space", "{l1_2}", "--op", "{op}", "--samples", "abc"], "usage"),
+        (["--format", "xml", "faces", "census", "--space", "{l1_2}"], "usage"),
+        (["faces", "minimal", "--space", "{l1_2}", "--x"], "usage"),
+        (["bj", "--space", "{dir}", "--x", "1,0", "--y", "0,1"], "unreadable_file"),
+    ],
+    ids=[
+        "vector-with-leading-minus",
+        "both-vectors-with-leading-minus",
+        "unknown-subcommand",
+        "no-subcommand",
+        "missing-sub-subcommand",
+        "unknown-flag",
+        "samples-not-an-integer",
+        "unknown-format",
+        "flag-without-value",
+        "space-is-a-directory",
+    ],
+)
+def test_every_call_prints_one_json_line(tmp_path, capsys, argv, expected):
+    """Usage errors keep the contract (exit 2, one JSON line, nothing on
+    stderr), and ``--x -1,0`` reports what ``--x=-1,0`` does."""
+    (tmp_path / "l1_2.json").write_text(json.dumps({"kind": "lp", "p": "1", "dim": 2}))
+    (tmp_path / "op.json").write_text(json.dumps({"matrix": [["2", "0"], ["0", "1"]]}))
+    paths = {"l1_2": tmp_path / "l1_2.json", "op": tmp_path / "op.json", "dir": tmp_path}
+    code = main([word.format(**paths) for word in argv])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and captured.err == ""
+    report = json.loads(lines[0])
+    if isinstance(expected, list):
+        assert code == 0
+        assert main([word.format(**paths) for word in expected]) == 0
+        assert capsys.readouterr().out == captured.out
+    else:
+        assert code == 2
+        assert report["error"] == expected
+
+
+@pytest.mark.parametrize(
     "space, matrix, x, code_name",
     [
         ({"kind": "lp", "p": "1", "dim": "abc"}, None, "1,0", "bad_dim"),
@@ -206,6 +259,9 @@ def test_input_error_exit_code(files, capsys):
         ('{"kind": "lp", "p": "1", "dim": 1e400}', None, "1,0", "bad_dim"),
         ({"kind": "lp", "p": "1e300", "dim": 2}, None, "2,0", "float_range"),
         ({"kind": "lp", "p": "2", "dim": 2}, None, "1e400,0", "float_range"),
+        ({"kind": "lp", "p": "1", "dim": 2}, None, "1e999999999,1", "bad_rational"),
+        ({"kind": "lp", "p": "1", "dim": 2}, None, "1e5000,1", "bad_rational"),
+        ('{"kind": "lp", "p": 1' + "0" * 5000 + ', "dim": 2}', None, "1,0", "bad_json"),
     ],
     ids=[
         "non-integer-dim",
@@ -219,12 +275,15 @@ def test_input_error_exit_code(files, capsys):
         "dim-overflows-float",
         "float-norm-overflows-at-large-p",
         "float-norm-overflows-on-l2",
+        "exponent-too-large-to-build",
+        "numerator-too-long-to-echo",
+        "integer-past-json-digit-limit",
     ],
 )
 def test_malformed_files_exit_2_with_one_json_line(tmp_path, capsys, space, matrix, x, code_name):
     space_path = tmp_path / "space.json"
     space_path.write_text(space if isinstance(space, str) else json.dumps(space))
-    argv = ["bj", "--space", str(space_path), "--x", x, "--y", "0,1"]
+    argv = ["bj", "--space", str(space_path), f"--x={x}", "--y", "0,1"]
     if matrix is not None:
         op_path = tmp_path / "op.json"
         op_path.write_text(json.dumps({"matrix": matrix}))
@@ -276,27 +335,36 @@ VECTOR_TEXTS = mostly(
 )
 
 
+CANDIDATES = mostly(st.fixed_dictionaries({"candidates": ROWS}))
+SAMPLES = mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "abc", ""]))
+
+
 @given(
-    command=st.sampled_from(["bj", "support", "level test"]),
+    command=st.sampled_from(sorted(COMMANDS)),
     space=SPACES,
     op=OPERATORS,
+    candidates=CANDIDATES,
     x=VECTOR_TEXTS,
     y=VECTOR_TEXTS,
+    samples=SAMPLES,
+    attached=st.booleans(),
 )
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_any_json_input_keeps_the_cli_contract(command, space, op, x, y):
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_any_json_input_keeps_the_cli_contract(command, space, op, candidates, x, y, samples, attached):
+    reads = COMMANDS[command].reads
     with tempfile.TemporaryDirectory() as tmp:
-        space_path = os.path.join(tmp, "space.json")
-        op_path = os.path.join(tmp, "op.json")
-        for path, data in ((space_path, space), (op_path, op)):
+        argv = command.split()
+        for name, data in (("space", space), ("op", op), ("candidates", candidates)):
+            path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(data, handle)
-        # "--x=" keeps a leading minus sign from reading as a flag.
-        argv = [*command.split(), "--space", space_path, f"--x={x}"]
-        if command == "bj":
-            argv.append(f"--y={y}")
-        if command == "level test":
-            argv += ["--op", op_path]
+            if name == "space" or name in reads:
+                argv += [f"--{name}", path]
+        for name, text in (("x", x), ("y", y)):
+            if name in reads:
+                argv += [f"--{name}={text}"] if attached else [f"--{name}", text]
+        if "samples" in reads:
+            argv += ["--samples", samples]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)

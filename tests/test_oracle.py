@@ -6,7 +6,6 @@ import pytest
 
 from bjlevel import (
     RationalStream,
-    SampleStream,
     diagonal_operator,
     identity_operator,
     minimize_norm_1d,
@@ -82,7 +81,6 @@ def test_sample_determinism(l1_3, l2_3):
     for space in (l1_3, l2_3):
         assert sample_sphere(space, 10, 4) == sample_sphere(space, 10, 4)
         assert sample_sphere(space, 10, 4) != sample_sphere(space, 10, 5)
-    assert SampleStream(l1_3, 6, 2).vectors() == tuple(sample_sphere(l1_3, 6, 2))
 
 
 def test_preservation_check_finds_violation(l1_3):
