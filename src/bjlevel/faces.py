@@ -117,7 +117,7 @@ def _cube_faces(n: int) -> list[Face]:
             for pos, s in zip(free, signs):
                 v[pos] = s
             verts.append(tuple(v))
-        supporting = tuple(unit(n, i, pattern[i]) for i in frozen)
+        supporting = tuple(sorted(unit(n, i, pattern[i]) for i in frozen))
         faces.append(Face(tuple(sorted(verts)), len(free), supporting))
     return faces
 

@@ -303,10 +303,15 @@ def _hypercube_vertices(dim: int) -> tuple[Vec, ...]:
 def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]], ...]:
     """Facet functionals f of conv(points), sorted, each with {i : f(points[i]) = 1}.
 
-    Enumerates all n-subsets of the points, solves f(p_i) = 1 and keeps the
+    Enumerates n-subsets of the points, solves f(p_i) = 1 and keeps the
     solutions that are valid on every point (f(p) <= 1).  When conv(points)
     is full-dimensional with 0 in its interior these are exactly its facets:
     each facet holds n linearly independent vertices.
+
+    The points must be symmetric (-p listed as often as p), so facets come in
+    pairs f, -f.  A subset S is solved only when its mirror -S is not
+    lexicographically smaller, and each facet found also gives -f, tight on
+    the antipodes of f's tight points.
     """
     n = len(points[0])
     if math.comb(len(points), n) > _MAX_POLAR_SUBSETS:
@@ -314,15 +319,35 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
             "too_many_vertices",
             f"polar enumeration over C({len(points)},{n}) subsets exceeds the desk-scale guard",
         )
+    antipode = _antipodes(points)
     ones = (Fraction(1),) * n
     found: dict[Vec, frozenset[int]] = {}
-    for subset in itertools.combinations(points, n):
-        f = solve_square(subset, ones)
+    for subset in itertools.combinations(range(len(points)), n):
+        if tuple(sorted(antipode[i] for i in subset)) < subset:
+            continue  # the mirror subset is solved instead
+        f = solve_square([points[i] for i in subset], ones)
         if f is None or f in found:
             continue
         if all(dot(f, p) <= 1 for p in points):
-            found[f] = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
+            tight = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
+            found[f] = tight
+            found[vec_neg(f)] = frozenset(antipode[i] for i in tight)
     return tuple(sorted(found.items()))
+
+
+def _antipodes(points: tuple[Vec, ...]) -> list[int]:
+    """An involution i -> j of the indices with points[j] = -points[i]."""
+    positions: dict[Vec, list[int]] = {}
+    for i, p in enumerate(points):
+        positions.setdefault(p, []).append(i)
+    antipode = list(range(len(points)))
+    for p, indices in positions.items():
+        mirrors = positions.get(vec_neg(p), [])
+        if len(mirrors) != len(indices):
+            raise InputError("bad_ball", f"ball vertices are not symmetric: missing -{p}")
+        for i, j in zip(indices, mirrors):
+            antipode[i] = j
+    return antipode
 
 
 @lru_cache(maxsize=CACHE_SIZE)

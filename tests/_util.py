@@ -1,8 +1,18 @@
 """Shared helpers for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 from bjlevel import Operator, RationalStream, SpaceSpec, operator
+
+HEXAGON_VERTICES = [
+    ("1", "0"),
+    ("-1", "0"),
+    ("0", "1"),
+    ("0", "-1"),
+    ("1", "1"),
+    ("-1", "-1"),
+]
 
 
 def fr(text) -> Fraction:
@@ -11,6 +21,13 @@ def fr(text) -> Fraction:
 
 def v(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part) for part in text.split(","))
+
+
+def cube_cross_vertices() -> list[tuple[Fraction, ...]]:
+    """The 14 vertices of the cube [-1, 1]^3 and of twice the cross-polytope."""
+    cube = [tuple(Fraction(s) for s in signs) for signs in itertools.product((1, -1), repeat=3)]
+    cross = [tuple(Fraction(2 * s) if j == i else Fraction(0) for j in range(3)) for i in range(3) for s in (1, -1)]
+    return cube + cross
 
 
 def random_operator(space: SpaceSpec, stream: RationalStream) -> Operator:

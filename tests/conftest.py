@@ -4,6 +4,8 @@ import pytest
 
 from bjlevel import l1, l2, linf, lp_space, polyhedral_space
 
+from ._util import HEXAGON_VERTICES
+
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\w+?)_")
 _criterion_outcomes: dict[str, str] = {}
 
@@ -25,15 +27,6 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", "acceptance criteria")
     for label in sorted(_criterion_outcomes, key=lambda s: (len(s), s)):
         terminalreporter.write_line(f"criterion {label}: {_criterion_outcomes[label]}")
-
-HEXAGON_VERTICES = [
-    ("1", "0"),
-    ("-1", "0"),
-    ("0", "1"),
-    ("0", "-1"),
-    ("1", "1"),
-    ("-1", "-1"),
-]
 
 
 @pytest.fixture(scope="session")

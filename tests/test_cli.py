@@ -304,67 +304,89 @@ JSON_VALUES = st.recursive(
 )
 
 
-def mostly(good, junk=JSON_VALUES):
-    """``good`` three times in four, else ``junk``: enough examples reach the computations."""
-    return st.integers(0, 3).flatmap(lambda i: junk if i == 3 else good)
-
-
-NUMBERS = ["0", "1", "-1", "1/2", "-3/2", "2", "3", "1e300", "1e-300", "1e400", "-1e-400"]
-RATIONALS = mostly(st.sampled_from(NUMBERS), st.sampled_from(["inf", "1/0", "x"]) | JSON_VALUES)
+RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2", "3"])
+# Rationals that overflow or underflow on the float path, and non-rationals.
+JUNK_RATIONALS = st.sampled_from(["1e300", "1e-300", "1e400", "-1e-400", "inf", "1/0", "x"]) | JSON_VALUES
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 SYMMETRIC_BALLS = st.lists(st.tuples(SMALL, SMALL), min_size=2, max_size=4).map(
     lambda points: [[str(a), str(b)] for a, b in points] + [[str(-a), str(-b)] for a, b in points]
 )
-ROWS = mostly(
-    st.lists(st.lists(RATIONALS, min_size=2, max_size=2), min_size=2, max_size=2),
-    st.lists(st.lists(RATIONALS, max_size=3), max_size=6) | JSON_VALUES,
+# The l1^2 ball, a hexagon and an octagon, all with vertices +-e1 and +-e2.
+BALLS = st.sampled_from(
+    [
+        [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+        [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"]],
+        [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"], ["3/4", "3/4"], ["-3/4", "-3/4"], ["3/4", "-3/4"], ["-3/4", "3/4"]],
+    ]
 )
-EXPONENTS = st.sampled_from(["1", "2", "3", "3/2", "inf", "1000", "1e300"])
-SPACES = mostly(
-    st.fixed_dictionaries({"kind": st.just("lp"), "p": mostly(EXPONENTS), "dim": mostly(st.just(2))})
-    | st.fixed_dictionaries(
-        {"kind": st.just("polyhedral"), "dim": mostly(st.just(2)), "ball_vertices": mostly(SYMMETRIC_BALLS, ROWS)}
+MATRICES = st.tuples(RATIONALS, RATIONALS).map(lambda d: [[d[0], "0"], ["0", d[1]]]) | st.lists(
+    st.lists(RATIONALS, min_size=2, max_size=2), min_size=2, max_size=2
+)
+JUNK_MATRICES = st.lists(st.lists(RATIONALS | JUNK_RATIONALS, min_size=2, max_size=2), min_size=2, max_size=2)
+JUNK_ROWS = st.lists(st.lists(RATIONALS | JUNK_RATIONALS, max_size=3), max_size=6) | JSON_VALUES
+EXPONENTS = st.sampled_from(["1", "inf"]) | st.sampled_from(["2", "3", "3/2", "1000"])
+JUNK_EXPONENTS = st.sampled_from(["1e300", "1/2", "0", "-inf"]) | JSON_VALUES
+# Unit vectors of every valid space here.
+UNITS = st.sampled_from(["1,0", "0,1", "-1,0", "0,-1"])
+VECTORS = (
+    UNITS
+    | st.sampled_from(["1,1", "1/2,1/2", "1,-1/2"])
+    | st.lists(RATIONALS, min_size=2, max_size=2).map(",".join)
+)
+JUNK_VECTORS = st.lists(RATIONALS | JUNK_RATIONALS, min_size=1, max_size=3).map(
+    lambda parts: ",".join(map(str, parts))
+) | st.text(max_size=12)
+# Every input the command table reads: a valid value, and a malformed one that
+# takes the place of the valid value in at most one input per example.
+INPUTS = {
+    "space": (
+        st.fixed_dictionaries({"kind": st.just("lp"), "p": EXPONENTS, "dim": st.just(2)})
+        | st.fixed_dictionaries({"kind": st.just("polyhedral"), "dim": st.just(2), "ball_vertices": BALLS}),
+        st.fixed_dictionaries({"kind": st.just("lp"), "p": JUNK_EXPONENTS, "dim": st.just(2)})
+        | st.fixed_dictionaries({"kind": st.just("lp"), "p": EXPONENTS, "dim": JSON_VALUES})
+        | st.fixed_dictionaries(
+            {"kind": st.just("polyhedral"), "dim": st.just(2) | JSON_VALUES, "ball_vertices": SYMMETRIC_BALLS | JUNK_ROWS}
+        )
+        | st.fixed_dictionaries({"kind": JSON_VALUES, "p": JSON_VALUES, "dim": JSON_VALUES, "ball_vertices": JSON_VALUES})
+        | JSON_VALUES,
     ),
-    st.fixed_dictionaries({"kind": JSON_VALUES, "p": JSON_VALUES, "dim": JSON_VALUES, "ball_vertices": JSON_VALUES})
-    | JSON_VALUES,
-)
-OPERATORS = mostly(st.fixed_dictionaries({"matrix": ROWS}))
-VECTOR_TEXTS = mostly(
-    st.lists(RATIONALS, min_size=2, max_size=2).map(lambda parts: ",".join(map(str, parts))),
-    st.text(max_size=12),
-)
-
-
-CANDIDATES = mostly(st.fixed_dictionaries({"candidates": ROWS}))
-SAMPLES = mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "abc", ""]))
+    "op": (
+        st.fixed_dictionaries({"matrix": MATRICES}),
+        st.fixed_dictionaries({"matrix": JUNK_MATRICES | JUNK_ROWS}) | JSON_VALUES,
+    ),
+    "candidates": (
+        st.fixed_dictionaries({"candidates": st.lists(UNITS.map(lambda text: text.split(",")), min_size=2, max_size=2)}),
+        st.fixed_dictionaries({"candidates": JUNK_ROWS}) | JSON_VALUES,
+    ),
+    "x": (VECTORS, JUNK_VECTORS),
+    "y": (VECTORS, JUNK_VECTORS),
+    "samples": (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "abc", ""])),
+}
 
 
 @given(
     command=st.sampled_from(sorted(COMMANDS)),
-    space=SPACES,
-    op=OPERATORS,
-    candidates=CANDIDATES,
-    x=VECTOR_TEXTS,
-    y=VECTOR_TEXTS,
-    samples=SAMPLES,
+    corrupted=st.sampled_from([None, *INPUTS]),
     attached=st.booleans(),
+    data=st.data(),
 )
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_any_json_input_keeps_the_cli_contract(command, space, op, candidates, x, y, samples, attached):
+def test_any_json_input_keeps_the_cli_contract(command, corrupted, attached, data):
     reads = COMMANDS[command].reads
+    value = {name: data.draw(junk if name == corrupted else good, label=name) for name, (good, junk) in INPUTS.items()}
     with tempfile.TemporaryDirectory() as tmp:
         argv = command.split()
-        for name, data in (("space", space), ("op", op), ("candidates", candidates)):
+        for name in ("space", "op", "candidates"):
             path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(data, handle)
+                json.dump(value[name], handle)
             if name == "space" or name in reads:
                 argv += [f"--{name}", path]
-        for name, text in (("x", x), ("y", y)):
+        for name in ("x", "y"):
             if name in reads:
-                argv += [f"--{name}={text}"] if attached else [f"--{name}", text]
+                argv += [f"--{name}={value[name]}"] if attached else [f"--{name}", value[name]]
         if "samples" in reads:
-            argv += ["--samples", samples]
+            argv += ["--samples", value["samples"]]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)

@@ -19,7 +19,7 @@ from bjlevel import (
     support_set,
 )
 
-from ._util import v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, v
 
 F = Fraction
 
@@ -142,7 +142,21 @@ def test_interior_samples_have_face_as_minimal_face(l1_3, linf_2, hexagon):
     for space in (l1_3, linf_2, hexagon):
         for face in face_lattice(space):
             for u in _interior_samples(face, stream):
-                assert minimal_face(space, u).vertices == face.vertices
+                assert minimal_face(space, u) == face
+
+
+@pytest.mark.parametrize(
+    "space",
+    [l1(n) for n in range(2, 6)]
+    + [linf(n) for n in range(2, 6)]
+    + [polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices())],
+    ids=[f"l1_{n}" for n in range(2, 6)] + [f"linf_{n}" for n in range(2, 6)] + ["hexagon", "cube-cross"],
+)
+def test_negation_is_an_involution_on_the_lattice(space):
+    lattice = set(face_lattice(space))
+    for face in lattice:
+        assert face.negated().negated() == face
+        assert face.negated() in lattice
 
 
 def test_face_supporting_functionals_attain_one(l1_3, linf_3, hexagon):

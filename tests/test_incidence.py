@@ -3,7 +3,8 @@
 Validation decides extremality from facet incidence; the LP definition (v is
 extreme iff v is not a convex combination of the other listed points) stays
 here as the oracle.  Face supports are checked against direct evaluation of
-every dual vertex on the face's vertices.
+every dual vertex on the face's vertices.  The table itself, which solves one
+subset per antipodal pair, is checked against a scan of every n-subset.
 """
 
 import itertools
@@ -15,14 +16,18 @@ import pytest
 from bjlevel import (
     InputError,
     ball_vertices,
+    dual_ball_vertices,
     face_lattice,
     l1,
     linf,
     polar_vertices,
     polyhedral_space,
 )
-from bjlevel.linalg import dot, matrix_rank
+from bjlevel.linalg import dot, kernel_basis, matrix_rank, solve_square
 from bjlevel.simplex import feasible_point
+from bjlevel.spaces import _facet_incidence
+
+from ._util import cube_cross_vertices
 
 F = Fraction
 
@@ -49,12 +54,6 @@ def validation_verdict(verts):
                 return v
         raise AssertionError(f"unexpected rejection: {exc}")
     return None
-
-
-def cube_cross_vertices():
-    cube = [tuple(F(s) for s in signs) for signs in itertools.product((1, -1), repeat=3)]
-    cross = [tuple(F(2 * s) if j == i else F(0) for j in range(3)) for i in range(3) for s in (1, -1)]
-    return cube + cross
 
 
 def sphere_ball(rng, dim, pairs):
@@ -138,3 +137,69 @@ def test_face_supports_are_the_dual_vertices_tight_on_the_face(name):
     for face in face_lattice(space):
         expected = tuple(sorted(f for f in duals if all(dot(f, v) == 1 for v in face.vertices)))
         assert face.supporting == expected
+
+
+def full_scan(points):
+    """Facets with their tight index sets, by solving every n-subset."""
+    n = len(points[0])
+    found = {}
+    for subset in itertools.combinations(points, n):
+        f = solve_square(subset, (F(1),) * n)
+        if f is not None and f not in found and all(dot(f, p) <= 1 for p in points):
+            found[f] = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
+    return tuple(sorted(found.items()))
+
+
+def section_rows(space, diagonal):
+    """The constraint rows of the kernel section of diag(diagonal) on space."""
+    n = len(diagonal)
+    basis = kernel_basis(tuple(tuple(F(d) if i == j else F(0) for j in range(n)) for i, d in enumerate(diagonal)))
+    rows = sorted({tuple(dot(phi, b) for b in basis) for phi in dual_ball_vertices(space)})
+    return [r for r in rows if any(c != 0 for c in r)]
+
+
+INCIDENCE_INPUTS = {
+    **{
+        f"sphere-{dim}d-{2 * pairs}-seed-{seed}": lambda dim=dim, pairs=pairs, seed=seed: sphere_ball(
+            random.Random(seed), dim, pairs
+        )
+        for dim, pairs, seed in [(2, 4, 1), (2, 14, 2), (3, 4, 3), (3, 8, 4), (3, 14, 5), (4, 5, 6), (4, 6, 7), (4, 8, 8)]
+    },
+    **{f"l1_{n}": (lambda n=n: ball_vertices(l1(n))) for n in range(1, 6)},
+    **{f"linf_{n}": (lambda n=n: ball_vertices(linf(n))) for n in range(1, 5)},
+    "cube-cross": cube_cross_vertices,
+    "planted-edge-pair-3d": lambda: planted_ball(1, 3, "edge")[0],
+    "planted-edge-pair-4d": lambda: planted_ball(2, 4, "edge")[0],
+    "section-linf_3-diag110": lambda: section_rows(linf(3), [1, 1, 0]),
+    "section-linf_3-diag100": lambda: section_rows(linf(3), [1, 0, 0]),
+    "section-l1_4-diag1100": lambda: section_rows(l1(4), [1, 1, 0, 0]),
+    "section-cube-cross-diag100": lambda: section_rows(polyhedral_space(cube_cross_vertices()), [1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", INCIDENCE_INPUTS)
+def test_symmetric_scan_equals_the_full_scan(name):
+    points = tuple(INCIDENCE_INPUTS[name]())
+    assert _facet_incidence.__wrapped__(points) == full_scan(points)
+
+
+@pytest.mark.parametrize("seed, dim", [(1, 3), (2, 4)])
+def test_planted_edge_pair_is_listed_in_the_incidence(seed, dim):
+    verts, p = planted_ball(seed, dim, "edge")
+    incidence = _facet_incidence.__wrapped__(tuple(verts))
+    for point in (p, tuple(-c for c in p)):
+        assert any(verts.index(point) in tight for _, tight in incidence)
+
+
+def test_duplicated_pair_is_listed_twice_as_the_full_scan_lists_it():
+    points = tuple(ball_vertices(l1(3))) + ((F(1), F(0), F(0)), (F(-1), F(0), F(0)))
+    incidence = _facet_incidence.__wrapped__(points)
+    assert incidence == full_scan(points)
+    assert all((0 in tight) == (6 in tight) and (1 in tight) == (7 in tight) for _, tight in incidence)
+
+
+def test_asymmetric_unvalidated_ball_is_a_bad_ball():
+    space = polyhedral_space([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], validate=False)
+    with pytest.raises(InputError) as info:
+        polar_vertices(space)
+    assert info.value.code == "bad_ball"
