@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .linalg import Vec, affine_rank, dot, unit
+from .linalg import Vec, affine_rank, dot
 from .spaces import (
     CACHE_SIZE,
     INF,
@@ -33,7 +33,7 @@ _MAX_LATTICE_DIM_GENERAL = 6
 _MAX_LATTICE_DIM_CLOSED_FORM = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A proper face of the unit ball.
 
@@ -73,7 +73,7 @@ def convex_combination(vertices: tuple[Vec, ...], weights) -> Vec:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceCensus:
     counts: tuple[int, ...]  # |F_k| for k = 0 .. n-1
     total: int
@@ -103,30 +103,60 @@ def face_lattice(space: SpaceSpec) -> tuple[Face, ...]:
     return tuple(sorted(faces, key=lambda f: (f.dim, f.vertices)))
 
 
-def _cube_faces(n: int) -> list[Face]:
-    one = Fraction(1)
+# The coordinates of hypercube and cross-polytope vertices.  Every lattice
+# vector is built from these three objects, so equal entries compare by
+# identity when faces are sorted and compared.
+_SIGN_FRACTIONS = {s: Fraction(s) for s in (-1, 0, 1)}
+
+
+def _sign_pattern_faces(n: int) -> list[tuple[list, int, list]]:
+    """Every proper face of the cube [-1, 1]^n as (vertices, dim, supporting).
+
+    A face is a sign pattern in {-1, 0, 1}^n other than 0: its vertices agree
+    with the pattern off its zeros, and its supporting functionals are the
+    signed unit vectors on its nonzeros.  Both lists hold integer vectors,
+    sorted.
+    """
     faces = []
     for pattern in itertools.product((-1, 0, 1), repeat=n):
-        frozen = [i for i, s in enumerate(pattern) if s != 0]
-        if not frozen:
-            continue  # the whole ball, not a proper face
         free = [i for i, s in enumerate(pattern) if s == 0]
+        if len(free) == n:
+            continue  # the whole ball, not a proper face
         verts = []
-        for signs in itertools.product((one, -one), repeat=len(free)):
-            v = [Fraction(s) for s in pattern]
+        for signs in itertools.product((1, -1), repeat=len(free)):
+            v = list(pattern)
             for pos, s in zip(free, signs):
                 v[pos] = s
             verts.append(tuple(v))
-        supporting = tuple(sorted(unit(n, i, pattern[i]) for i in frozen))
-        faces.append(Face(tuple(sorted(verts)), len(free), supporting))
+        supporting = [tuple(s if j == i else 0 for j in range(n)) for i, s in enumerate(pattern) if s]
+        faces.append((sorted(verts), len(free), sorted(supporting)))
     return faces
+
+
+def _cube_faces(n: int) -> list[Face]:
+    return _exact_faces(_sign_pattern_faces(n))
 
 
 def _cross_faces(n: int) -> list[Face]:
     """The cross-polytope is the polar of the cube: a k-face of the cube with
     vertex set V and supporting set S gives the (n-1-k)-face with vertex set S
     and supporting set V."""
-    return [Face(tuple(sorted(c.supporting)), n - 1 - c.dim, c.vertices) for c in _cube_faces(n)]
+    return _exact_faces([(supporting, n - 1 - dim, verts) for verts, dim, supporting in _sign_pattern_faces(n)])
+
+
+def _exact_faces(records) -> list[Face]:
+    """Faces from integer (vertices, dim, supporting) records, sorted by (dim,
+    vertices) on the integers, with one Fraction vector per integer vector."""
+    exact: dict[tuple[int, ...], Vec] = {}
+
+    def vectors(integer_vectors) -> tuple[Vec, ...]:
+        for v in integer_vectors:
+            if v not in exact:
+                exact[v] = tuple(_SIGN_FRACTIONS[c] for c in v)
+        return tuple(exact[v] for v in integer_vectors)
+
+    records = sorted(records, key=lambda r: (r[1], r[0]))
+    return [Face(vectors(verts), dim, vectors(supporting)) for verts, dim, supporting in records]
 
 
 def _faces_by_intersection(space: SpaceSpec) -> list[Face]:

@@ -41,7 +41,7 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsometryReport:
     """Verdict on whether T is a scalar multiple of an isometry.
 
@@ -132,7 +132,7 @@ def _refutation_pair(op: Operator, x: Vec) -> Optional[tuple[Vec, Vec]]:
     return (x, report.counterexample[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarIdentityReport:
     """Diagnostics for the scalar-multiple-of-identity test.
 
@@ -215,7 +215,7 @@ def scalar_identity_test(op: Operator, candidates: list[Vec]) -> ScalarIdentityR
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
     """Level-vector transfer from T at x to the adjoint at psi in J(Tx/||Tx||)."""
 

@@ -57,7 +57,7 @@ from .support import functional_in_support, support_set
 Scalar = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelCertificate:
     """Witness that x is a level vector of T.
 
@@ -73,13 +73,13 @@ class LevelCertificate:
     mode: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectionalPreservation:
     holds: bool
     witness: Optional[tuple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreservationReport:
     """Whether T preserves Birkhoff-James orthogonality at a point.
 
@@ -370,7 +370,7 @@ def kernel_condition(op: Operator, x: Vec) -> bool:
     return subspace_orthogonal(op.domain, x, basis).orthogonal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceProbe:
     """Level-vector findings on one antipodal face pair."""
 
@@ -388,7 +388,7 @@ class FaceProbe:
         return tuple(k for k in self.level_numbers if k is not None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelNumberReport:
     """An under-approximation of the level-number set L(T) by face sampling.
 

@@ -2,7 +2,8 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  Sizes
 stay at desk scale (dimension <= 12), so plain Gauss-Jordan elimination is
-both the simplest and the fastest adequate tool.
+the tool for ranks and kernels.  Square solves, which the facet scan makes by
+the thousand, take integer systems and eliminate without fractions.
 """
 
 from __future__ import annotations
@@ -96,16 +97,41 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def solve_square(m: Mat, b: Vec) -> Optional[Vec]:
-    """Solve m x = b for square m; None when m is singular."""
+def solve_square(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
+    """Solve m x = b for a square integer matrix m and an integer vector b.
+
+    Returns ``(num, den)`` with x = num / den and den > 0, or None when m is
+    singular.  Fraction-free Gauss-Jordan elimination (Bareiss 1968): every
+    entry after step k is a (k+1)-minor of [m | b], so each division by the
+    previous pivot is exact and no rational is ever built.  After the last
+    step every diagonal entry equals the last pivot, which is +-det(m), and
+    the right-hand column holds that pivot times x.  ``num`` and ``den`` need
+    not be coprime.
+    """
     n = len(m)
-    if n == 0:
-        return ()
-    augmented = [list(row) + [bi] for row, bi in zip(m, b, strict=True)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        return None
-    return tuple(reduced[i][n] for i in range(n))
+    rows = [[*row, bi] for row, bi in zip(m, b, strict=True)]
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return None
+            rows[k], rows[swap] = rows[swap], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for i in range(n):
+            if i != k:
+                row = rows[i]
+                a = row[k]
+                # Columns <= k are no longer read: column k is zero off the
+                # pivot row, and the diagonal is the pivot throughout.
+                row[k + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pivot
+    num = tuple(row[n] for row in rows)
+    if prev < 0:
+        return tuple(-x for x in num), -prev
+    return num, prev
 
 
 def kernel_basis(m: Mat) -> list[Vec]:

@@ -162,7 +162,7 @@ def minimize_norm_1d(
     return t_star, value(t_star)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleCheckReport:
     """Direct-search check of local Birkhoff-James preservation at x."""
 

@@ -31,7 +31,7 @@ from .support import SupportSet, support_set
 Scalar = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrthogonalityVerdict:
     """Outcome of a Birkhoff-James orthogonality test.
 

@@ -21,7 +21,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LPResult:
     status: str
     x: Optional[tuple[Fraction, ...]]

@@ -46,8 +46,11 @@ FLOAT = "float"
 
 # Hypercube vertex sets grow as 2^n; reject anything past this.
 MAX_CUBE_DIM = 12
-# General polar enumeration scans n-subsets of the vertex list.
-_MAX_POLAR_SUBSETS = 500_000
+# General polar enumeration scans n-subsets of the vertex list.  On a 2.0 GHz
+# Xeon core a subset takes up to about 80 us of CPU time for n = 3..6 when
+# denominators are small, so such an accepted list finishes in under 10 s;
+# 13- to 24-digit denominators cost up to twice that.
+_MAX_POLAR_SUBSETS = 100_000
 # Entries kept by each per-ball cache (facet incidence, polars, face lattices).
 CACHE_SIZE = 16
 # Digits allowed in the numerator and in the denominator of a parsed rational,
@@ -105,7 +108,7 @@ def sgn(value: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceSpec:
     """A finite-dimensional real normed space.
 
@@ -312,27 +315,44 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
     pairs f, -f.  A subset S is solved only when its mirror -S is not
     lexicographically smaller, and each facet found also gives -f, tight on
     the antipodes of f's tight points.
+
+    Each point p is scaled once to the integer vector q = s p, with s > 0
+    the lcm of its denominators, so f(p_i) = 1 reads f . q_i = s_i, and each
+    subset is solved by fraction-free integer elimination.  A solution is
+    tested for validity over Fractions.
     """
     n = len(points[0])
-    if math.comb(len(points), n) > _MAX_POLAR_SUBSETS:
+    subsets = math.comb(len(points), n)
+    if subsets > _MAX_POLAR_SUBSETS:
         raise InputError(
             "too_many_vertices",
-            f"polar enumeration over C({len(points)},{n}) subsets exceeds the desk-scale guard",
+            f"polar enumeration over C({len(points)},{n}) = {subsets:,} subsets exceeds the "
+            f"desk-scale guard of {_MAX_POLAR_SUBSETS:,} subsets (about 10 s of CPU time)",
         )
     antipode = _antipodes(points)
-    ones = (Fraction(1),) * n
+    rows, scales = zip(*map(_integer_point, points))
     found: dict[Vec, frozenset[int]] = {}
     for subset in itertools.combinations(range(len(points)), n):
         if tuple(sorted(antipode[i] for i in subset)) < subset:
             continue  # the mirror subset is solved instead
-        f = solve_square([points[i] for i in subset], ones)
-        if f is None or f in found:
+        solution = solve_square([rows[i] for i in subset], [scales[i] for i in subset])
+        if solution is None:
+            continue
+        num, den = solution
+        f = tuple(Fraction(x, den) for x in num)
+        if f in found:
             continue
         if all(dot(f, p) <= 1 for p in points):
             tight = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
             found[f] = tight
             found[vec_neg(f)] = frozenset(antipode[i] for i in tight)
     return tuple(sorted(found.items()))
+
+
+def _integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
+    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators."""
+    s = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (s // c.denominator) for c in p), s
 
 
 def _antipodes(points: tuple[Vec, ...]) -> list[int]:
@@ -363,7 +383,7 @@ def on_unit_sphere(space: SpaceSpec, x: Vec) -> bool:
     return abs(value - 1.0) <= 10 * float_tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operator:
     """A linear map between two spaces, stored as a dense rational matrix.
 

@@ -34,7 +34,7 @@ from .spaces import (
 Functional = tuple  # Fractions in exact mode, floats in float mode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SupportSet:
     """The polytope J(x) of supporting functionals at a base point.
 

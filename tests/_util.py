@@ -23,6 +23,25 @@ def v(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(part) for part in text.split(","))
 
 
+def fraction_solve(rows, rhs):
+    """Solve rows x = rhs by Gauss-Jordan elimination over Fractions; None
+    when the square matrix is singular.  The reference for the library's
+    integer solver."""
+    n = len(rows)
+    work = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if pivot is None:
+            return None
+        work[k], work[pivot] = work[pivot], work[k]
+        work[k] = [c / work[k][k] for c in work[k]]
+        for i in range(n):
+            if i != k and work[i][k] != 0:
+                factor = work[i][k]
+                work[i] = [c - factor * d for c, d in zip(work[i], work[k])]
+    return tuple(row[n] for row in work)
+
+
 def cube_cross_vertices() -> list[tuple[Fraction, ...]]:
     """The 14 vertices of the cube [-1, 1]^3 and of twice the cross-polytope."""
     cube = [tuple(Fraction(s) for s in signs) for signs in itertools.product((1, -1), repeat=3)]

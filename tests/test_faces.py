@@ -1,10 +1,12 @@
 """Face lattices, censuses, minimal faces and relative interiors."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from bjlevel import (
+    Face,
     InputError,
     RationalStream,
     extreme_points,
@@ -157,6 +159,34 @@ def test_negation_is_an_involution_on_the_lattice(space):
     for face in lattice:
         assert face.negated().negated() == face
         assert face.negated() in lattice
+
+
+def fraction_cube_faces(n):
+    """The cube lattice built coordinate by coordinate over Fractions."""
+    one = F(1)
+    faces = []
+    for pattern in itertools.product((-1, 0, 1), repeat=n):
+        frozen = [i for i, s in enumerate(pattern) if s != 0]
+        if not frozen:
+            continue
+        free = [i for i, s in enumerate(pattern) if s == 0]
+        verts = []
+        for signs in itertools.product((one, -one), repeat=len(free)):
+            v = [F(s) for s in pattern]
+            for pos, s in zip(free, signs):
+                v[pos] = s
+            verts.append(tuple(v))
+        supporting = tuple(sorted(tuple(F(pattern[i]) if j == i else F(0) for j in range(n)) for i in frozen))
+        faces.append(Face(tuple(sorted(verts)), len(free), supporting))
+    return faces
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sign_pattern_lattices_equal_the_fraction_construction(n):
+    cube = fraction_cube_faces(n)
+    cross = [Face(tuple(sorted(c.supporting)), n - 1 - c.dim, c.vertices) for c in cube]
+    for space, faces in ((linf(n), cube), (l1(n), cross)):
+        assert face_lattice(space) == tuple(sorted(faces, key=lambda f: (f.dim, f.vertices)))
 
 
 def test_face_supporting_functionals_attain_one(l1_3, linf_3, hexagon):

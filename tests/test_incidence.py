@@ -4,11 +4,14 @@ Validation decides extremality from facet incidence; the LP definition (v is
 extreme iff v is not a convex combination of the other listed points) stays
 here as the oracle.  Face supports are checked against direct evaluation of
 every dual vertex on the face's vertices.  The table itself, which solves one
-subset per antipodal pair, is checked against a scan of every n-subset.
+subset per antipodal pair in integers, is checked against a scan of every
+n-subset over Fractions, also on points with denominators of 10^6 and more.
 """
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,11 +26,11 @@ from bjlevel import (
     polar_vertices,
     polyhedral_space,
 )
-from bjlevel.linalg import dot, kernel_basis, matrix_rank, solve_square
+from bjlevel.linalg import dot, kernel_basis, matrix_rank
 from bjlevel.simplex import feasible_point
-from bjlevel.spaces import _facet_incidence
+from bjlevel.spaces import _MAX_POLAR_SUBSETS, _facet_incidence
 
-from ._util import cube_cross_vertices
+from ._util import cube_cross_vertices, fraction_solve
 
 F = Fraction
 
@@ -56,12 +59,15 @@ def validation_verdict(verts):
     return None
 
 
-def sphere_ball(rng, dim, pairs):
-    """+-p for rational points p on the Euclidean unit sphere; all extreme."""
+def sphere_ball(rng, dim, pairs, scale=1):
+    """+-p for rational points p on the Euclidean unit sphere; all extreme.
+
+    The points are inverse stereographic images of points t whose coordinates
+    have numerators in [-6 scale, 6 scale] and denominators in [1, 2 scale]."""
     while True:
         chosen = set()
         while len(chosen) < pairs:
-            t = [F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(dim - 1)]
+            t = [F(rng.randint(-6 * scale, 6 * scale), rng.randint(1, 2 * scale)) for _ in range(dim - 1)]
             s = sum((c * c for c in t), F(0))
             p = tuple(2 * c / (s + 1) for c in t) + ((s - 1) / (s + 1),)
             if tuple(-c for c in p) not in chosen:
@@ -144,7 +150,7 @@ def full_scan(points):
     n = len(points[0])
     found = {}
     for subset in itertools.combinations(points, n):
-        f = solve_square(subset, (F(1),) * n)
+        f = fraction_solve(subset, (F(1),) * n)
         if f is not None and f not in found and all(dot(f, p) <= 1 for p in points):
             found[f] = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
     return tuple(sorted(found.items()))
@@ -183,6 +189,13 @@ def test_symmetric_scan_equals_the_full_scan(name):
     assert _facet_incidence.__wrapped__(points) == full_scan(points)
 
 
+@pytest.mark.parametrize("seed, dim, pairs", [(9, 3, 8), (10, 4, 5)])
+def test_large_denominator_scan_equals_the_full_scan(seed, dim, pairs):
+    points = tuple(sphere_ball(random.Random(seed), dim, pairs, scale=500))
+    assert max(c.denominator for p in points for c in p) >= 10**6
+    assert _facet_incidence.__wrapped__(points) == full_scan(points)
+
+
 @pytest.mark.parametrize("seed, dim", [(1, 3), (2, 4)])
 def test_planted_edge_pair_is_listed_in_the_incidence(seed, dim):
     verts, p = planted_ball(seed, dim, "edge")
@@ -203,3 +216,15 @@ def test_asymmetric_unvalidated_ball_is_a_bad_ball():
     with pytest.raises(InputError) as info:
         polar_vertices(space)
     assert info.value.code == "bad_ball"
+
+
+def test_list_just_past_the_subset_guard_is_rejected_at_once():
+    pairs = next(k for k in range(2, 1000) if math.comb(2 * k, 3) > _MAX_POLAR_SUBSETS)
+    verts = sphere_ball(random.Random(11), 3, pairs)
+    assert math.comb(len(verts) - 2, 3) <= _MAX_POLAR_SUBSETS  # one pair fewer passes
+    start = time.process_time()
+    with pytest.raises(InputError) as info:
+        polyhedral_space(verts)
+    assert time.process_time() - start < 1
+    assert info.value.code == "too_many_vertices"
+    assert f"C({len(verts)},3) = {math.comb(len(verts), 3):,} subsets" in str(info.value)

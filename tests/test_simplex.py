@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from bjlevel import RationalStream
-from bjlevel.linalg import solve_square
 from bjlevel.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_standard_lp
+
+from ._util import fraction_solve
 
 F = Fraction
 
@@ -64,7 +65,7 @@ def _brute_force_best(rows, rhs, cost):
     best = None
     for cols in itertools.combinations(range(n), m):
         square = tuple(tuple(row[c] for c in cols) for row in rows)
-        sol = solve_square(square, tuple(rhs))
+        sol = fraction_solve(square, rhs)
         if sol is None or any(c < 0 for c in sol):
             continue
         value = sum(cost[c] * s for c, s in zip(cols, sol))

@@ -1,5 +1,7 @@
 """Norms, duals, polars and operators on the core space representations."""
 
+import pickle
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from bjlevel import (
     diagonal_operator,
     dual_ball_vertices,
     dual_space,
+    face_lattice,
     l1,
     l2,
     linf,
@@ -23,12 +26,13 @@ from bjlevel import (
     operator,
     polar_vertices,
     polyhedral_space,
+    preserves_bj_at,
     space_from_dict,
     space_to_dict,
 )
 from bjlevel.simplex import OPTIMAL, solve_standard_lp
 
-from ._util import v
+from ._util import HEXAGON_VERTICES, v
 
 F = Fraction
 
@@ -178,3 +182,14 @@ def test_lp_guards():
 def test_space_dict_round_trip(hexagon, l1_3):
     for space in (hexagon, l1_3, lp_space(F(7, 3), 4)):
         assert space_from_dict(space_to_dict(space)) == space
+
+
+def test_result_objects_round_trip_through_pickle_and_deepcopy():
+    space = polyhedral_space(HEXAGON_VERTICES)
+    face = face_lattice(space)[-1]
+    report = preserves_bj_at(operator([[1, 2], [0, 1]], space), (F(1), F(0)))
+    assert not report.holds
+    for value in (space, face, report, linf(3)):
+        for copy in (pickle.loads(pickle.dumps(value)), deepcopy(value)):
+            assert copy == value and type(copy) is type(value)
+    assert polar_vertices(pickle.loads(pickle.dumps(space))) == polar_vertices(space)
