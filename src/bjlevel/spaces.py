@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Union
 
 from .errors import DimensionMismatch, InputError
@@ -47,10 +48,12 @@ FLOAT = "float"
 # Hypercube vertex sets grow as 2^n; reject anything past this.
 MAX_CUBE_DIM = 12
 # General polar enumeration scans n-subsets of the vertex list.  On a 2.0 GHz
-# Xeon core a subset takes up to about 80 us of CPU time for n = 3..6 when
-# denominators are small, so such an accepted list finishes in under 10 s;
-# 13- to 24-digit denominators cost up to twice that.
-_MAX_POLAR_SUBSETS = 100_000
+# Xeon core a subset of a list just under this guard takes 11 to 29 us of CPU
+# time for n = 3..6 with denominators up to 10^3, and 13 to 68 us with 14- to
+# 29-digit ones, so an accepted list with n <= 6 finishes in about 10 s or
+# less (the slowest, 24 points in 6-D with 29-digit denominators, in 8.4 to
+# 9.1 s).  Lists in 7-D and 8-D cost more per subset and can take 15-20 s.
+_MAX_POLAR_SUBSETS = 225_000
 # Entries kept by each per-ball cache (facet incidence, polars, face lattices).
 CACHE_SIZE = 16
 # Digits allowed in the numerator and in the denominator of a parsed rational,
@@ -169,13 +172,21 @@ def linf(dim: int) -> SpaceSpec:
 
 
 def polyhedral_space(vertices: Iterable[Iterable], validate: bool = True) -> SpaceSpec:
-    verts = tuple(vec(v) for v in vertices)
+    shared: dict[Fraction, Fraction] = {}
+    verts = tuple(_shared(vec(v), shared) for v in vertices)
     if not verts:
         raise InputError("bad_ball", "polyhedral space needs at least one ball vertex")
     dim = len(verts[0])
     if validate:
         _validate_ball_vertices(verts, dim)
     return SpaceSpec("polyhedral", dim, None, verts)
+
+
+def _shared(values: Iterable[Fraction], pool: dict[Fraction, Fraction]) -> Vec:
+    """The values as a vector, each replaced by the equal Fraction already in
+    ``pool`` (or added to it): vertex and facet lists repeat coordinates, and
+    spaces and facet tables are kept, so equal entries share one object."""
+    return tuple(pool.setdefault(c, c) for c in values)
 
 
 def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> None:
@@ -318,8 +329,14 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
 
     Each point p is scaled once to the integer vector q = s p, with s > 0
     the lcm of its denominators, so f(p_i) = 1 reads f . q_i = s_i, and each
-    subset is solved by fraction-free integer elimination.  A solution is
-    tested for validity over Fractions.
+    subset is solved by fraction-free integer elimination into f = num / den
+    with den > 0.  Validity and incidence are decided in integers too, on one
+    point of each antipodal pair: with t = num . q, f is valid iff
+    |t| <= den s there, tight on q iff t = den s and on -q iff t = -den s.
+    Only a valid solution is reduced to coprime (num, den), the key on which
+    repeats of a facet reached from other subsets are dropped, and Fractions
+    are built only for the facets kept, with equal coefficients sharing one
+    Fraction.
     """
     n = len(points[0])
     subsets = math.comb(len(points), n)
@@ -331,7 +348,9 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
         )
     antipode = _antipodes(points)
     rows, scales = zip(*map(_integer_point, points))
-    found: dict[Vec, frozenset[int]] = {}
+    half = [(i, rows[i], scales[i]) for i in range(len(points)) if i <= antipode[i]]
+    found: dict[tuple[tuple[int, ...], int], tuple[Vec, frozenset[int]]] = {}
+    shared: dict[Fraction, Fraction] = {}
     for subset in itertools.combinations(range(len(points)), n):
         if tuple(sorted(antipode[i] for i in subset)) < subset:
             continue  # the mirror subset is solved instead
@@ -339,14 +358,26 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
         if solution is None:
             continue
         num, den = solution
-        f = tuple(Fraction(x, den) for x in num)
-        if f in found:
-            continue
-        if all(dot(f, p) <= 1 for p in points):
-            tight = frozenset(i for i, p in enumerate(points) if dot(f, p) == 1)
-            found[f] = tight
-            found[vec_neg(f)] = frozenset(antipode[i] for i in tight)
-    return tuple(sorted(found.items()))
+        tight = []
+        for i, q, s in half:
+            t = sum(map(mul, num, q))
+            bound = den * s
+            if t > bound or t < -bound:
+                break
+            if t == bound:
+                tight.append(i)
+            elif t == -bound:
+                tight.append(antipode[i])
+        else:
+            g = math.gcd(den, *num)
+            num, den = tuple(x // g for x in num), den // g
+            if (num, den) in found:
+                continue
+            f = _shared((Fraction(x, den) for x in num), shared)
+            neg = _shared(vec_neg(f), shared)
+            found[num, den] = (f, frozenset(tight))
+            found[tuple(-x for x in num), den] = (neg, frozenset(antipode[i] for i in tight))
+    return tuple(sorted(found.values(), key=itemgetter(0)))
 
 
 def _integer_point(p: Vec) -> tuple[tuple[int, ...], int]:

@@ -42,10 +42,11 @@ def fraction_solve(rows, rhs):
     return tuple(row[n] for row in work)
 
 
-def cube_cross_vertices() -> list[tuple[Fraction, ...]]:
-    """The 14 vertices of the cube [-1, 1]^3 and of twice the cross-polytope."""
-    cube = [tuple(Fraction(s) for s in signs) for signs in itertools.product((1, -1), repeat=3)]
-    cross = [tuple(Fraction(2 * s) if j == i else Fraction(0) for j in range(3)) for i in range(3) for s in (1, -1)]
+def cube_cross_vertices(dim: int = 3) -> list[tuple[Fraction, ...]]:
+    """The vertices of the cube [-1, 1]^dim and of twice the cross-polytope
+    (14 for dim = 3, 24 for dim = 4)."""
+    cube = [tuple(Fraction(s) for s in signs) for signs in itertools.product((1, -1), repeat=dim)]
+    cross = [tuple(Fraction(2 * s) if j == i else Fraction(0) for j in range(dim)) for i in range(dim) for s in (1, -1)]
     return cube + cross
 
 

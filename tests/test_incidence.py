@@ -4,8 +4,9 @@ Validation decides extremality from facet incidence; the LP definition (v is
 extreme iff v is not a convex combination of the other listed points) stays
 here as the oracle.  Face supports are checked against direct evaluation of
 every dual vertex on the face's vertices.  The table itself, which solves one
-subset per antipodal pair in integers, is checked against a scan of every
-n-subset over Fractions, also on points with denominators of 10^6 and more.
+subset per antipodal pair and tests each solution in integers, is checked
+against a scan of every n-subset over Fractions, also on points with
+denominators of 10^6 and more and on points 10^-40 off a facet.
 """
 
 import itertools
@@ -26,9 +27,9 @@ from bjlevel import (
     polar_vertices,
     polyhedral_space,
 )
-from bjlevel.linalg import dot, kernel_basis, matrix_rank
+from bjlevel.linalg import dot, kernel_basis, matrix_rank, solve_square
 from bjlevel.simplex import feasible_point
-from bjlevel.spaces import _MAX_POLAR_SUBSETS, _facet_incidence
+from bjlevel.spaces import _MAX_POLAR_SUBSETS, _facet_incidence, _integer_point
 
 from ._util import cube_cross_vertices, fraction_solve
 
@@ -194,6 +195,71 @@ def test_large_denominator_scan_equals_the_full_scan(seed, dim, pairs):
     points = tuple(sphere_ball(random.Random(seed), dim, pairs, scale=500))
     assert max(c.denominator for p in points for c in p) >= 10**6
     assert _facet_incidence.__wrapped__(points) == full_scan(points)
+
+
+def planted_far_pair(seed, dim, where):
+    """A sphere ball, one of its facets f, and +-p planted at the end of the
+    list, where p has denominators of 40 digits or more and lies on f, just
+    inside f's centroid or just outside it."""
+    rng = random.Random(seed)
+    verts = sphere_ball(rng, dim, dim + 2)
+    f, tight = rng.choice(_facet_incidence.__wrapped__(tuple(verts)))
+    corners = [verts[i] for i in sorted(tight)]
+    if where == "on":
+        weights = [F(rng.randint(1, 10**40)) for _ in corners]
+        p = tuple(sum(w * c[k] for w, c in zip(weights, corners)) / sum(weights) for k in range(dim))
+    else:
+        factor = 1 + F(1, 10**40) if where == "outside" else 1 - F(1, 10**40)
+        p = tuple(factor * sum(c[k] for c in corners) / len(corners) for k in range(dim))
+    return verts + [p, tuple(-c for c in p)], f
+
+
+@pytest.mark.parametrize("where", ["on", "inside", "outside"])
+@pytest.mark.parametrize("seed, dim", [(12, 3), (13, 4)])
+def test_integer_validity_and_incidence_are_exact(seed, dim, where):
+    verts, f = planted_far_pair(seed, dim, where)
+    assert max(c.denominator for c in verts[-1]) >= 10**40
+    incidence = _facet_incidence.__wrapped__(tuple(verts))
+    assert incidence == full_scan(verts)
+    facets = dict(incidence)
+    planted = {len(verts) - 2, len(verts) - 1}
+    if where == "on":
+        assert len(verts) - 2 in facets[f]
+    elif where == "inside":
+        assert f in facets and not any(planted & tight for tight in facets.values())
+    else:
+        assert f not in facets
+
+
+@pytest.mark.parametrize(
+    "points, determinants",
+    [(ball_vertices(linf(4)), 2), (cube_cross_vertices(4), 1)],
+    ids=["linf_4", "cube-cross-4d"],
+)
+def test_facet_reached_by_many_subsets_is_listed_once(points, determinants):
+    """Every facet holds more than n points, so several subsets solve to it;
+    on linf^4 their determinants differ, so the unreduced solutions do."""
+    points = tuple(points)
+    incidence = _facet_incidence.__wrapped__(points)
+    assert incidence == full_scan(points)
+    assert len({f for f, _ in incidence}) == len(incidence)
+    rows, scales = zip(*map(_integer_point, points))
+    for _, tight in incidence:
+        solutions = [
+            solve_square([rows[i] for i in subset], [scales[i] for i in subset])
+            for subset in itertools.combinations(sorted(tight), len(points[0]))
+        ]
+        solutions = [x for x in solutions if x is not None]
+        assert len(solutions) > 1
+        assert len({den for _, den in solutions}) == determinants
+
+
+@pytest.mark.parametrize("name", ["cube-cross", "sphere-3d-seed-1"])
+def test_equal_vertex_and_facet_entries_share_one_fraction(name):
+    space = polyhedral_space(SUPPORT_BALLS[name]())
+    for vectors in (space.ball_vertices, polar_vertices(space)):
+        entries = [c for v in vectors for c in v]
+        assert len({id(c) for c in entries}) == len(set(entries)) < len(entries)
 
 
 @pytest.mark.parametrize("seed, dim", [(1, 3), (2, 4)])
