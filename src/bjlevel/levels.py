@@ -31,6 +31,7 @@ from .linalg import (
     mat_vec,
     transpose,
     unit,
+    vec,
     vec_scale,
     vec_sub,
 )
@@ -113,14 +114,9 @@ def _adjoint_images(op: Operator, functionals) -> list[Vec]:
     return [mat_vec(tmat, q) for q in functionals]
 
 
-def _rationalize(x: Vec) -> Vec:
-    # Floats convert exactly (binary expansion), keeping the pipeline rational.
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in x)
-
-
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     """A level certificate for x, or None when x is not a level vector."""
-    x = _rationalize(x)
+    x = vec(x)  # floats convert exactly, keeping the pipeline rational
     require_dim(op.domain, x)
     if is_zero_vec(x):
         raise InputError("zero_vector", "x must be nonzero")
@@ -224,7 +220,7 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     Holds exactly when some g in J(Tx) pulls back to (||Tx||/||x||) f under
     the adjoint; the witness g is returned.
     """
-    x = _rationalize(x)
+    x = vec(x)
     require_dim(op.domain, x)
     if is_zero_vec(x):
         raise InputError("zero_vector", "x must be nonzero")
@@ -270,7 +266,7 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     and re-verified through `bj_orthogonal` before being reported.  J(Tx)
     and its adjoint images are computed once and shared by every vertex f.
     """
-    x = _rationalize(x)
+    x = vec(x)
     require_dim(op.domain, x)
     if is_zero_vec(x):
         raise InputError("zero_vector", "x must be nonzero")

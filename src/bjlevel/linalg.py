@@ -16,10 +16,13 @@ Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
+    """The values as a vector: a Fraction is kept as the same object, and
+    anything else (int, float, string) is converted exactly."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

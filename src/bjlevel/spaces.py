@@ -21,14 +21,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from operator import itemgetter, mul
+from operator import is_, itemgetter, mul
 from typing import Iterable, Optional, Union
 
 from .errors import DimensionMismatch, InputError
 from .linalg import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
     Mat,
     Vec,
-    dot,
     is_zero_vec,
     mat,
     mat_vec,
@@ -47,13 +49,12 @@ FLOAT = "float"
 
 # Hypercube vertex sets grow as 2^n; reject anything past this.
 MAX_CUBE_DIM = 12
-# General polar enumeration scans n-subsets of the vertex list.  On a 2.0 GHz
-# Xeon core a subset of a list just under this guard takes 11 to 29 us of CPU
-# time for n = 3..6 with denominators up to 10^3, and 13 to 68 us with 14- to
-# 29-digit ones, so an accepted list with n <= 6 finishes in about 10 s or
-# less (the slowest, 24 points in 6-D with 29-digit denominators, in 8.4 to
-# 9.1 s).  Lists in 7-D and 8-D cost more per subset and can take 15-20 s.
+# General polar enumeration scans the n-subsets of a list of V points, solves
+# an n x n system for each by elimination (about n^3 steps) and tests the
+# solution on up to V/2 points.  So C(V, n) is capped, and so is C(V, n) n^3,
+# which binds from n = 6 on (see _max_polar_subsets).
 _MAX_POLAR_SUBSETS = 225_000
+_MAX_POLAR_COST = 30_000_000
 # Entries kept by each per-ball cache (facet incidence, polars, face lattices).
 CACHE_SIZE = 16
 # Digits allowed in the numerator and in the denominator of a parsed rational,
@@ -182,11 +183,14 @@ def polyhedral_space(vertices: Iterable[Iterable], validate: bool = True) -> Spa
     return SpaceSpec("polyhedral", dim, None, verts)
 
 
-def _shared(values: Iterable[Fraction], pool: dict[Fraction, Fraction]) -> Vec:
-    """The values as a vector, each replaced by the equal Fraction already in
-    ``pool`` (or added to it): vertex and facet lists repeat coordinates, and
-    spaces and facet tables are kept, so equal entries share one object."""
-    return tuple(pool.setdefault(c, c) for c in values)
+def _shared(values: Vec, pool: dict[Fraction, Fraction]) -> Vec:
+    """The vector with each entry replaced by the equal Fraction already in
+    ``pool`` (or added to it): vertex and facet lists and matrices repeat
+    entries, and spaces, facet tables and operators are kept, so equal
+    entries share one object.  When every entry already is the pooled object
+    the vector itself is returned."""
+    out = tuple(pool.setdefault(c, c) for c in values)
+    return values if all(map(is_, out, values)) else out
 
 
 def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> None:
@@ -229,7 +233,7 @@ def norm(space: SpaceSpec, x: Vec) -> Union[Fraction, float]:
     """The norm of x: a Fraction on exact paths, a float on lp float paths."""
     require_dim(space, x)
     if space.kind == "polyhedral":
-        return max(dot(f, x) for f in dual_ball_vertices(space))
+        return _norm_and_face(space, x)[0]
     if space.p == 1:
         return sum((abs(c) for c in x), Fraction(0))
     if space.p == INF:
@@ -297,20 +301,20 @@ def dual_ball_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     raise InputError("not_polyhedral", f"{space!r} has no polyhedral dual ball")
 
 
+# The two vertex lists below are kept for the life of the process, so every
+# entry is one of the shared Fractions 0, 1 and -1.
 @lru_cache(maxsize=None)
 def _cross_polytope_vertices(dim: int) -> tuple[Vec, ...]:
-    return tuple(unit(dim, i, s) for i in range(dim) for s in (1, -1))
+    return tuple(
+        tuple(s if j == i else ZERO for j in range(dim)) for i in range(dim) for s in (ONE, MINUS_ONE)
+    )
 
 
 @lru_cache(maxsize=None)
 def _hypercube_vertices(dim: int) -> tuple[Vec, ...]:
     if dim > MAX_CUBE_DIM:
         raise InputError("dim_too_large", f"2^{dim} hypercube vertices exceed the desk-scale guard")
-    one = Fraction(1)
-    return tuple(
-        tuple(Fraction(s) for s in signs)
-        for signs in itertools.product((one, -one), repeat=dim)
-    )
+    return tuple(itertools.product((ONE, MINUS_ONE), repeat=dim))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -339,12 +343,12 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
     Fraction.
     """
     n = len(points[0])
-    subsets = math.comb(len(points), n)
-    if subsets > _MAX_POLAR_SUBSETS:
+    subsets, limit = math.comb(len(points), n), _max_polar_subsets(n)
+    if subsets > limit:
         raise InputError(
             "too_many_vertices",
             f"polar enumeration over C({len(points)},{n}) = {subsets:,} subsets exceeds the "
-            f"desk-scale guard of {_MAX_POLAR_SUBSETS:,} subsets (about 10 s of CPU time)",
+            f"desk-scale guard of {limit:,} subsets in {n}-D (about 10 s of CPU time)",
         )
     antipode = _antipodes(points)
     rows, scales = zip(*map(_integer_point, points))
@@ -373,11 +377,23 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
             num, den = tuple(x // g for x in num), den // g
             if (num, den) in found:
                 continue
-            f = _shared((Fraction(x, den) for x in num), shared)
+            f = _shared(tuple(Fraction(x, den) for x in num), shared)
             neg = _shared(vec_neg(f), shared)
             found[num, den] = (f, frozenset(tight))
             found[tuple(-x for x in num), den] = (neg, frozenset(antipode[i] for i in tight))
     return tuple(sorted(found.values(), key=itemgetter(0)))
+
+
+def _max_polar_subsets(n: int) -> int:
+    """The most n-subsets the facet scan takes on, so that a list finishes in
+    about 10 s of CPU time or less.
+
+    Timed on a 2.0 GHz Xeon core on sphere lists with 26- to 31-digit
+    denominators, a subset takes about 0.27-0.41 n^3 us for n = 4..9 (17-18
+    us for n = 3).  The largest lists accepted, in 2-D to 8-D, take 3.7 to 9.3 s
+    (2.4 to 5.3 s with denominators up to 10^3).
+    """
+    return min(_MAX_POLAR_SUBSETS, _MAX_POLAR_COST // n**3)
 
 
 def _integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
@@ -405,6 +421,30 @@ def _antipodes(points: tuple[Vec, ...]) -> list[int]:
 def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     """Vertices of the polar polytope, i.e. the facet functionals of the ball."""
     return tuple(f for f, _ in _facet_incidence(ball_vertices(space)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _polar_rows(space: SpaceSpec) -> tuple[tuple[Vec, ...], int, tuple[tuple[int, ...], ...]]:
+    """The polar facets f of a polyhedral space, the lcm D of all their
+    denominators, and each facet's integer row D f."""
+    facets = polar_vertices(space)
+    d = math.lcm(*(c.denominator for f in facets for c in f))
+    return facets, d, tuple(tuple(c.numerator * (d // c.denominator) for c in f) for f in facets)
+
+
+def _norm_and_face(space: SpaceSpec, x: Vec) -> tuple[Fraction, tuple[Vec, ...]]:
+    """||x|| and the vertex list of J(x) on a polyhedral space, in integers.
+
+    With q = s x integral (non-Fraction entries of x converted exactly), each
+    facet reads f(x) = t_f / (D s) with t_f = (D f) . q.  The norm is the
+    largest of these and J(x) is the facets that attain it, in polar order,
+    which is sorted.
+    """
+    facets, d, rows = _polar_rows(space)
+    q, s = _integer_point(vec(x))
+    values = [sum(map(mul, row, q)) for row in rows]
+    top = max(values)
+    return Fraction(top, d * s), tuple(f for f, t in zip(facets, values) if t == top)
 
 
 def on_unit_sphere(space: SpaceSpec, x: Vec) -> bool:
@@ -442,7 +482,8 @@ class Operator:
 
 
 def operator(rows: Iterable[Iterable], domain: SpaceSpec, codomain: Optional[SpaceSpec] = None) -> Operator:
-    matrix = mat(rows)
+    shared: dict[Fraction, Fraction] = {}
+    matrix = tuple(_shared(row, shared) for row in mat(rows))
     if matrix and any(len(row) != domain.dim for row in matrix):
         raise DimensionMismatch(f"matrix rows must have length {domain.dim} (domain dimension)")
     if codomain is None:

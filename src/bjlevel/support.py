@@ -15,14 +15,13 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
-from .linalg import Vec, dot, is_zero_vec, unit
+from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec, unit
 from .spaces import (
     EXACT,
     FLOAT,
-    INF,
     MAX_CUBE_DIM,
     SpaceSpec,
-    dual_ball_vertices,
+    _norm_and_face,
     float_path,
     float_tolerance,
     is_exact,
@@ -59,26 +58,24 @@ def support_set(space: SpaceSpec, x: Vec) -> SupportSet:
 
 
 def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
-    value = norm(space, x)
-    if space.kind == "lp" and space.p == 1:
-        # Dual cube: signs are pinned on the support of x, free elsewhere.
+    if space.kind == "polyhedral":
+        return _norm_and_face(space, x)[1]
+    if space.p == 1:
+        # Dual cube: signs are pinned on the support of x, free elsewhere;
+        # every entry is one of the shared Fractions 1 and -1.
         zeros = [i for i, c in enumerate(x) if c == 0]
         if len(zeros) > MAX_CUBE_DIM:
             raise InputError("dim_too_large", "2^(#zeros) support vertices exceed the guard")
-        one = Fraction(1)
-        base = [Fraction(sgn(c)) for c in x]
+        base = [(ZERO, ONE, MINUS_ONE)[sgn(c)] for c in x]
         out = []
-        for signs in itertools.product((one, -one), repeat=len(zeros)):
+        for signs in itertools.product((ONE, MINUS_ONE), repeat=len(zeros)):
             f = list(base)
             for pos, s in zip(zeros, signs):
                 f[pos] = s
             out.append(tuple(f))
         return tuple(sorted(out))
-    if space.kind == "lp" and space.p == INF:
-        return tuple(
-            sorted(unit(space.dim, i, sgn(c)) for i, c in enumerate(x) if abs(c) == value)
-        )
-    return tuple(sorted(f for f in dual_ball_vertices(space) if dot(f, x) == value))
+    value = norm(space, x)
+    return tuple(sorted(unit(space.dim, i, sgn(c)) for i, c in enumerate(x) if abs(c) == value))
 
 
 @float_path

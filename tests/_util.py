@@ -3,7 +3,8 @@
 import itertools
 from fractions import Fraction
 
-from bjlevel import Operator, RationalStream, SpaceSpec, operator
+from bjlevel import Operator, RationalStream, SpaceSpec, operator, polar_vertices
+from bjlevel.linalg import dot, matrix_rank
 
 HEXAGON_VERTICES = [
     ("1", "0"),
@@ -48,6 +49,48 @@ def cube_cross_vertices(dim: int = 3) -> list[tuple[Fraction, ...]]:
     cube = [tuple(Fraction(s) for s in signs) for signs in itertools.product((1, -1), repeat=dim)]
     cross = [tuple(Fraction(2 * s) if j == i else Fraction(0) for j in range(dim)) for i in range(dim) for s in (1, -1)]
     return cube + cross
+
+
+def sphere_ball(rng, dim, pairs, scale=1):
+    """+-p for rational points p on the Euclidean unit sphere; all extreme.
+
+    The points are inverse stereographic images of points t whose coordinates
+    have numerators in [-6 scale, 6 scale] and denominators in [1, 2 scale]."""
+    while True:
+        chosen = set()
+        while len(chosen) < pairs:
+            t = [Fraction(rng.randint(-6 * scale, 6 * scale), rng.randint(1, 2 * scale)) for _ in range(dim - 1)]
+            s = sum((c * c for c in t), Fraction(0))
+            p = tuple(2 * c / (s + 1) for c in t) + ((s - 1) / (s + 1),)
+            if tuple(-c for c in p) not in chosen:
+                chosen.add(p)
+        points = sorted(chosen)
+        if matrix_rank(points) == dim:
+            return points + [tuple(-c for c in p) for p in points]
+
+
+def probe_points(space: SpaceSpec, rng, digits: int = 40):
+    """Three lists of points of a polyhedral space, each point scaled by a
+    rational with a ``digits``-digit denominator: the ball's vertices, the
+    centroid of each facet's vertices (a point inside that facet), and as
+    many generic points as there are vertices."""
+
+    def big(low: int) -> Fraction:
+        return Fraction(rng.randint(low, 10**digits), rng.randint(10 ** (digits - 1), 10**digits))
+
+    def scaled(p):
+        r = big(1)
+        return tuple(r * c for c in p)
+
+    verts = space.ball_vertices
+    centroids = []
+    for f in polar_vertices(space):
+        tight = [p for p in verts if dot(f, p) == 1]
+        centroids.append(tuple(sum(c) / len(tight) for c in zip(*tight)))
+    vertex_points = [scaled(p) for p in verts]
+    interior_points = [scaled(p) for p in centroids]
+    generic = [tuple(big(-(10**digits)) for _ in range(space.dim)) for _ in verts]
+    return vertex_points, interior_points, generic
 
 
 def random_operator(space: SpaceSpec, stream: RationalStream) -> Operator:

@@ -27,11 +27,12 @@ from bjlevel import (
     polar_vertices,
     polyhedral_space,
 )
-from bjlevel.linalg import dot, kernel_basis, matrix_rank, solve_square
+from bjlevel.linalg import dot, kernel_basis, solve_square
 from bjlevel.simplex import feasible_point
-from bjlevel.spaces import _MAX_POLAR_SUBSETS, _facet_incidence, _integer_point
+from bjlevel import spaces
+from bjlevel.spaces import _facet_incidence, _integer_point, _max_polar_subsets
 
-from ._util import cube_cross_vertices, fraction_solve
+from ._util import cube_cross_vertices, fraction_solve, sphere_ball
 
 F = Fraction
 
@@ -58,24 +59,6 @@ def validation_verdict(verts):
                 return v
         raise AssertionError(f"unexpected rejection: {exc}")
     return None
-
-
-def sphere_ball(rng, dim, pairs, scale=1):
-    """+-p for rational points p on the Euclidean unit sphere; all extreme.
-
-    The points are inverse stereographic images of points t whose coordinates
-    have numerators in [-6 scale, 6 scale] and denominators in [1, 2 scale]."""
-    while True:
-        chosen = set()
-        while len(chosen) < pairs:
-            t = [F(rng.randint(-6 * scale, 6 * scale), rng.randint(1, 2 * scale)) for _ in range(dim - 1)]
-            s = sum((c * c for c in t), F(0))
-            p = tuple(2 * c / (s + 1) for c in t) + ((s - 1) / (s + 1),)
-            if tuple(-c for c in p) not in chosen:
-                chosen.add(p)
-        points = sorted(chosen)
-        if matrix_rank(points) == dim:
-            return points + [tuple(-c for c in p) for p in points]
 
 
 def planted_ball(seed, dim, kind):
@@ -285,12 +268,43 @@ def test_asymmetric_unvalidated_ball_is_a_bad_ball():
 
 
 def test_list_just_past_the_subset_guard_is_rejected_at_once():
-    pairs = next(k for k in range(2, 1000) if math.comb(2 * k, 3) > _MAX_POLAR_SUBSETS)
+    pairs = next(k for k in range(2, 1000) if math.comb(2 * k, 3) > _max_polar_subsets(3))
     verts = sphere_ball(random.Random(11), 3, pairs)
-    assert math.comb(len(verts) - 2, 3) <= _MAX_POLAR_SUBSETS  # one pair fewer passes
+    assert math.comb(len(verts) - 2, 3) <= _max_polar_subsets(3)  # one pair fewer passes
     start = time.process_time()
     with pytest.raises(InputError) as info:
         polyhedral_space(verts)
     assert time.process_time() - start < 1
     assert info.value.code == "too_many_vertices"
     assert f"C({len(verts)},3) = {math.comb(len(verts), 3):,} subsets" in str(info.value)
+
+
+@pytest.mark.parametrize("dim", [7, 8, 9])
+def test_subset_guard_tightens_with_the_dimension(dim):
+    limit = _max_polar_subsets(dim)
+    pairs = next(k for k in range(dim, 1000) if math.comb(2 * k, dim) > limit)
+    assert math.comb(2 * pairs - 2, dim) <= limit < math.comb(2 * pairs, dim) <= 225_000
+    verts = sphere_ball(random.Random(dim), dim, pairs)
+    start = time.process_time()
+    with pytest.raises(InputError) as info:
+        polyhedral_space(verts)
+    assert time.process_time() - start < 1
+    assert info.value.code == "too_many_vertices"
+    assert f"C({len(verts)},{dim}) = {math.comb(len(verts), dim):,} subsets" in str(info.value)
+    assert f"guard of {limit:,} subsets in {dim}-D" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["sphere-2d-8-seed-1", "l1_3", "cube-cross", "l1_4", "sphere-4d-10-seed-6"])
+def test_subset_guard_passes_its_bound_and_rejects_past_it(name, monkeypatch):
+    points = tuple(INCIDENCE_INPUTS[name]())
+    n = len(points[0])
+    subsets = math.comb(len(points), n)
+    monkeypatch.setattr(spaces, "_MAX_POLAR_SUBSETS", subsets)
+    monkeypatch.setattr(spaces, "_MAX_POLAR_COST", subsets * n**3)
+    assert _facet_incidence.__wrapped__(points) == full_scan(points)
+    for cap, value in (("_MAX_POLAR_SUBSETS", subsets - 1), ("_MAX_POLAR_COST", subsets * n**3 - 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(spaces, cap, value)
+            with pytest.raises(InputError) as info:
+                _facet_incidence.__wrapped__(points)
+        assert info.value.code == "too_many_vertices"

@@ -1,6 +1,8 @@
 """Norms, duals, polars and operators on the core space representations."""
 
+import itertools
 import pickle
+import random
 from copy import deepcopy
 from fractions import Fraction
 
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from bjlevel import (
     InputError,
+    Operator,
     RationalStream,
     adjoint,
     ball_vertices,
     diagonal_operator,
     dual_ball_vertices,
+    dual_norm,
     dual_space,
     face_lattice,
     l1,
@@ -30,9 +34,11 @@ from bjlevel import (
     space_from_dict,
     space_to_dict,
 )
+from bjlevel.linalg import dot, unit, vec
 from bjlevel.simplex import OPTIMAL, solve_standard_lp
+from bjlevel.spaces import _shared
 
-from ._util import HEXAGON_VERTICES, v
+from ._util import HEXAGON_VERTICES, probe_points, sphere_ball, v
 
 F = Fraction
 
@@ -193,3 +199,66 @@ def test_result_objects_round_trip_through_pickle_and_deepcopy():
         for copy in (pickle.loads(pickle.dumps(value)), deepcopy(value)):
             assert copy == value and type(copy) is type(value)
     assert polar_vertices(pickle.loads(pickle.dumps(space))) == polar_vertices(space)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_integer_polyhedral_norm_equals_the_fraction_definition(dim):
+    rng = random.Random(dim)
+    space = polyhedral_space(sphere_ball(rng, dim, dim + 1))
+    duals = (dual_space(space),) if dim < 5 else ()  # the 5-D dual's 52 vertices are past the scan's guard
+    for s in (space, *duals):
+        facets = polar_vertices(s)
+        for points in probe_points(s, rng):
+            for x in points:
+                value = norm(s, x)
+                assert type(value) is F and value == max(dot(f, x) for f in facets)
+    if duals:
+        assert all(dual_norm(space, f) == 1 for f in polar_vertices(space))
+
+
+def test_polyhedral_norm_converts_int_and_float_entries_exactly():
+    space = polyhedral_space(sphere_ball(random.Random(7), 3, 5))
+    facets = polar_vertices(space)
+    for x in [(1, 0, -2), (0.1, -0.75, 3.0), (1, F(1, 3), 0.5), (0, 0, 0)]:
+        exact = tuple(F(c) for c in x)
+        value = norm(space, x)
+        assert type(value) is F and value == norm(space, exact) == max(dot(f, exact) for f in facets)
+
+
+def test_vec_keeps_fraction_entries_and_converts_others_exactly():
+    a, b = F(1, 3), F(-7, 2)
+    out = vec((a, 2, 0.1, "5/4", b))
+    assert out[0] is a and out[4] is b
+    assert out[1:4] == (F(2), F(0.1), F(5, 4)) and all(type(c) is F for c in out)
+
+
+def test_polyhedral_space_keeps_the_first_of_equal_caller_fractions():
+    verts = [tuple(F(c) for c in vert) for vert in HEXAGON_VERTICES]
+    space = polyhedral_space(verts)
+    first: dict = {}
+    for given, kept in zip(verts, space.ball_vertices):
+        assert kept == given
+        assert all(k is first.setdefault(c, c) for c, k in zip(given, kept))
+    row = (F(1, 3), F(2, 3))
+    assert _shared(row, {}) is row and _shared(row, {F(1, 3): F(1, 3)}) is not row
+
+
+def test_operator_pools_equal_entries_and_keeps_equality_and_hash(l1_3):
+    rows = [[F(1, 2), F(0), F(1, 2)], [F(0), F(1, 2), F(3)], [F(3), F(0), F(0)]]
+    op = operator(rows, l1_3)
+    entries = [c for row in op.matrix for c in row]
+    assert len({id(c) for c in entries}) == len(set(entries)) == 3
+    assert op.matrix[0][0] is rows[0][0] and op.matrix[0][1] is rows[0][1]
+    plain = Operator(tuple(tuple(row) for row in rows), l1_3, l1_3)
+    assert op == plain and hash(op) == hash(plain)
+    assert op == operator([["1/2", 0, 0.5], [0, "1/2", 3], [3, 0, 0]], l1_3)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_cube_and_cross_polytope_lists_share_three_fractions(dim):
+    cube, cross = ball_vertices(linf(dim)), ball_vertices(l1(dim))
+    assert cube == dual_ball_vertices(l1(dim)) == tuple(
+        tuple(F(s) for s in signs) for signs in itertools.product((1, -1), repeat=dim)
+    )
+    assert cross == dual_ball_vertices(linf(dim)) == tuple(unit(dim, i, s) for i in range(dim) for s in (1, -1))
+    assert len({id(c) for vert in cube + cross for c in vert}) == (3 if dim > 1 else 2)

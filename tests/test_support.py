@@ -1,5 +1,7 @@
 """Supporting-functional sets: examples, smoothness, homogeneity."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +10,19 @@ from bjlevel import (
     InputError,
     RationalStream,
     dual_norm,
+    dual_space,
     eval_range,
     is_smooth,
+    l1,
     norm,
+    polar_vertices,
+    polyhedral_space,
     support_set,
 )
+from bjlevel.linalg import dot
+from bjlevel.support import functional_in_support
 
-from ._util import v
+from ._util import probe_points, sphere_ball, v
 
 F = Fraction
 
@@ -121,3 +129,46 @@ def test_support_vertices_irredundant(l1_3, linf_3, hexagon):
             verts = support_set(space, x).vertices
             assert len(set(verts)) == len(verts)
             assert set(verts) <= duals
+
+
+def tight_facets(space, x):
+    """J(x) by definition: the polar facets f with f(x) = max over the polar."""
+    facets = polar_vertices(space)
+    value = max(dot(f, x) for f in facets)
+    return tuple(sorted(f for f in facets if dot(f, x) == value))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_integer_support_sets_are_the_tight_facets(dim):
+    rng = random.Random(20 + dim)
+    space = polyhedral_space(sphere_ball(rng, dim, dim + 1))
+    duals = (dual_space(space),) if dim < 5 else ()  # the 5-D dual's 52 vertices are past the scan's guard
+    for s in (space, *duals):
+        vertices, interiors, generic = probe_points(s, rng)
+        for x in vertices + interiors + generic:
+            sup = support_set(s, x).vertices
+            assert sup == tight_facets(s, x)
+            # Membership reads the dual norm, so it needs the dual's facets.
+            assert not duals or all(functional_in_support(s, x, f) for f in sup)
+        assert all(len(support_set(s, x).vertices) >= dim for x in vertices)
+        assert all(len(support_set(s, x).vertices) == 1 for x in interiors)
+
+
+def test_support_sets_take_int_and_float_entries():
+    space = polyhedral_space(sphere_ball(random.Random(8), 3, 5))
+    for x in [(1, 0, -2), (0.1, -0.75, 3.0), (1, F(1, 3), 0.5)]:
+        exact = tuple(F(c) for c in x)
+        assert support_set(space, x).vertices == support_set(space, exact).vertices == tight_facets(space, exact)
+
+
+def test_l1_support_vertices_are_pinned_sign_patterns_with_shared_entries():
+    for x in [v("1,0,0"), v("0,-2,0,3"), v("0,0,0,0,1/2"), v("-1,1")]:
+        n = len(x)
+        expected = tuple(
+            f
+            for f in itertools.product((F(1), F(-1)), repeat=n)
+            if all(fc == (c > 0) - (c < 0) for fc, c in zip(f, x) if c != 0)
+        )
+        sup = support_set(l1(n), x).vertices
+        assert sup == tuple(sorted(expected))
+        assert len({id(c) for f in sup for c in f}) == 2
