@@ -11,7 +11,8 @@ where the scale is pinned by evaluating both sides at x.  Local preservation
 of Birkhoff-James orthogonality at x is the same condition quantified over
 every f in J(x), i.e. the polytope containment (||Tx||/||x||) J(x) inside
 (adjoint T)(J(Tx)).  Both are decided by small exact LPs over the vertex
-coefficients of the two support polytopes.
+coefficients of the two support polytopes; when J(Tx) is one functional the
+level test is a dual-norm evaluation instead (see `_solve_level`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .spaces import (
     Operator,
     SpaceSpec,
     _facet_incidence,
+    _shared,
     dual_ball_vertices,
+    dual_norm,
     float_path,
     float_tolerance,
     is_exact,
@@ -134,9 +137,9 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
 def _exact_level(op: Operator, x: Vec, tx: Vec, memo: dict) -> Optional[tuple]:
     """(f, g, level number) certifying x as a level vector of T, or None.
 
-    Exact mode, Tx nonzero.  The LP depends only on the vertices of J(x), the
-    vertices of J(Tx) and the scale ||Tx||/||x|| (the adjoint images are fixed
-    by J(Tx) and T), so its answer is kept in ``memo`` under those three
+    Exact mode, Tx nonzero.  The answer depends only on the vertices of J(x),
+    the vertices of J(Tx) and the scale ||Tx||/||x|| (the adjoint images are
+    fixed by J(Tx) and T), so it is kept in ``memo`` under those three
     values; a caller probing many points passes one dict to solve each
     distinct subproblem once.  Every certificate is re-checked at x.
     """
@@ -154,9 +157,20 @@ def _exact_level(op: Operator, x: Vec, tx: Vec, memo: dict) -> Optional[tuple]:
 
 
 def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction, k: Fraction) -> Optional[tuple]:
+    """(f, g, k) with f in conv(p_verts) = J(x), g in conv(q_verts) = J(Tx)
+    and T^T g = scale f, or None.
+
+    When J(Tx) is one functional q (Tx is a smooth point), no LP is needed.
+    Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
+    attains the norm at x: f(x) = q(Tx) / scale = ||Tx|| / scale = ||x||.
+    A functional with f(x) = ||x|| lies in J(x) exactly when ||f||_* = 1, so
+    x is a level vector iff ||T^T q||_* = scale, and (f, q, k) is then the
+    only certificate, the one the LP would return.
+    """
     adj = _adjoint_images(op, q_verts)
-    if len(p_verts) == 1 and len(q_verts) == 1:
-        return (p_verts[0], q_verts[0], k) if adj[0] == vec_scale(scale, p_verts[0]) else None
+    if len(q_verts) == 1:
+        f = tuple(c / scale for c in adj[0])
+        return (f, q_verts[0], k) if dual_norm(op.domain, f) == 1 else None
 
     np_, nq = len(p_verts), len(q_verts)
     rows = []
@@ -406,7 +420,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     """Probe every antipodal face pair of the domain ball for level vectors.
 
     Each point gets the verdict of `is_level_vector`.  Points with the same
-    J(x), J(Tx) and ||Tx||/||x|| pose the same LP, so within one call each
+    J(x), J(Tx) and ||Tx||/||x|| pose the same problem, so within one call each
     distinct subproblem is solved once and its certificate re-checked at
     every point that poses it.
     """
@@ -418,15 +432,20 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     _mode_pair(op)  # a float codomain is rejected as by is_level_vector
     stream = RationalStream(seed)
     memo: dict = {}
+    # Equal coordinates and level numbers of the report share one Fraction,
+    # and equal tuples of level numbers one tuple.
+    pool = {ZERO: ZERO}
+    number_rows: dict = {}
     probes = []
     values: set[Fraction] = set()
     for face in faces:
-        points = [face.centroid()]
+        points = [_shared(face.centroid(), pool)]
         if face.dim > 0:
             for _ in range(samples_per_face):
                 weights = [stream.next_positive_fraction() for _ in face.vertices]
-                points.append(convex_combination(face.vertices, weights))
-        numbers = tuple(_enumerated_level_number(op, point, memo) for point in points)
+                points.append(_shared(convex_combination(face.vertices, weights), pool))
+        numbers = tuple(_enumerated_level_number(op, point, memo, pool) for point in points)
+        numbers = number_rows.setdefault(numbers, numbers)
         values.update(k for k in numbers if k is not None)
         probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
     bound = None
@@ -437,12 +456,12 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     )
 
 
-def _enumerated_level_number(op: Operator, x: Vec, memo: dict) -> Optional[Fraction]:
+def _enumerated_level_number(op: Operator, x: Vec, memo: dict, pool: dict) -> Optional[Fraction]:
     tx = op(x)
     if is_zero_vec(tx):
         return ZERO
     found = _exact_level(op, x, tx, memo)
-    return None if found is None else found[2]
+    return None if found is None else pool.setdefault(found[2], found[2])
 
 
 def level_count_bound(space: SpaceSpec, op: Operator) -> Fraction:
@@ -456,8 +475,10 @@ def level_count_bound(space: SpaceSpec, op: Operator) -> Fraction:
         raise InputError("not_polyhedral", "the bound is for polyhedral spaces")
     if op.domain != space or op.codomain != space:
         raise InputError("bad_operator", "the bound applies to operators from the space to itself")
-    total = face_census(space).total
     basis = kernel_basis(op.matrix)
+    if len(basis) == space.dim:
+        return Fraction(1)  # T = 0: the kernel section is the whole ball, and L(T) = {0}
+    total = face_census(space).total
     if not basis:
         return Fraction(total, 2)
     section = kernel_section_space(space, basis)

@@ -60,6 +60,11 @@ CACHE_SIZE = 16
 # Digits allowed in the numerator and in the denominator of a parsed rational,
 # with an exponent counted as that many digits: "1e999" passes, "1e1000" does not.
 MAX_RATIONAL_DIGITS = 1000
+# The integers -16..16 as Fractions kept for the life of the process (0 and
+# +-1 are linalg's shared constants).  They seed the pools of
+# `polyhedral_space` and `operator`, so small entries of every kept ball and
+# matrix are one object.
+_SMALL_INTEGERS = {Fraction(i): Fraction(i) for i in range(-16, 17)} | {c: c for c in (ZERO, ONE, MINUS_ONE)}
 
 
 def float_tolerance() -> float:
@@ -173,7 +178,7 @@ def linf(dim: int) -> SpaceSpec:
 
 
 def polyhedral_space(vertices: Iterable[Iterable], validate: bool = True) -> SpaceSpec:
-    shared: dict[Fraction, Fraction] = {}
+    shared = dict(_SMALL_INTEGERS)
     verts = tuple(_shared(vec(v), shared) for v in vertices)
     if not verts:
         raise InputError("bad_ball", "polyhedral space needs at least one ball vertex")
@@ -276,6 +281,23 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
 
 
 def dual_norm(space: SpaceSpec, f: Vec) -> Union[Fraction, float]:
+    """||f||_*, the largest value of f on the unit ball.
+
+    On exact spaces it is found on the ball's own vertices, without building
+    the dual space: max |f_i| on l1, sum |f_i| on l-inf, and on a polyhedral
+    ball the largest f . v over its vertices v, in integers: with q = s f
+    integral and each vertex read as the integer row D v (D the lcm of all
+    vertex denominators), f . v = (D v) . q / (D s).
+    """
+    require_dim(space, f)
+    if space.kind == "polyhedral":
+        d, rows = _ball_rows(space)
+        q, s = _integer_point(vec(f))
+        return Fraction(max(sum(map(mul, row, q)) for row in rows), d * s)
+    if space.p == 1:
+        return max(abs(c) for c in f)
+    if space.p == INF:
+        return sum((abs(c) for c in f), ZERO)
     return norm(dual_space(space), f)
 
 
@@ -419,8 +441,18 @@ def _antipodes(points: tuple[Vec, ...]) -> list[int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
-    """Vertices of the polar polytope, i.e. the facet functionals of the ball."""
+    """Vertices of the polar polytope, i.e. the facet functionals of the ball,
+    sorted; on l1 and l-inf they are the closed-form dual vertices."""
+    if space.p == 1 or space.p == INF:
+        return tuple(sorted(dual_ball_vertices(space)))
     return tuple(f for f, _ in _facet_incidence(ball_vertices(space)))
+
+
+def _integer_rows(points: tuple[Vec, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D, the lcm of all the points' denominators, and each point's integer
+    row D p."""
+    d = math.lcm(*(c.denominator for p in points for c in p))
+    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in p) for p in points)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -428,8 +460,14 @@ def _polar_rows(space: SpaceSpec) -> tuple[tuple[Vec, ...], int, tuple[tuple[int
     """The polar facets f of a polyhedral space, the lcm D of all their
     denominators, and each facet's integer row D f."""
     facets = polar_vertices(space)
-    d = math.lcm(*(c.denominator for f in facets for c in f))
-    return facets, d, tuple(tuple(c.numerator * (d // c.denominator) for c in f) for f in facets)
+    return (facets, *_integer_rows(facets))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _ball_rows(space: SpaceSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm D of the ball vertices' denominators of a polyhedral space,
+    and each vertex's integer row D v."""
+    return _integer_rows(space.ball_vertices)
 
 
 def _norm_and_face(space: SpaceSpec, x: Vec) -> tuple[Fraction, tuple[Vec, ...]]:
@@ -482,7 +520,7 @@ class Operator:
 
 
 def operator(rows: Iterable[Iterable], domain: SpaceSpec, codomain: Optional[SpaceSpec] = None) -> Operator:
-    shared: dict[Fraction, Fraction] = {}
+    shared = dict(_SMALL_INTEGERS)
     matrix = tuple(_shared(row, shared) for row in mat(rows))
     if matrix and any(len(row) != domain.dim for row in matrix):
         raise DimensionMismatch(f"matrix rows must have length {domain.dim} (domain dimension)")

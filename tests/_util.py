@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from bjlevel import Operator, RationalStream, SpaceSpec, operator, polar_vertices
+from bjlevel import Operator, RationalStream, SpaceSpec, ball_vertices, operator, polar_vertices
 from bjlevel.linalg import dot, matrix_rank
 
 HEXAGON_VERTICES = [
@@ -82,7 +82,7 @@ def probe_points(space: SpaceSpec, rng, digits: int = 40):
         r = big(1)
         return tuple(r * c for c in p)
 
-    verts = space.ball_vertices
+    verts = ball_vertices(space)
     centroids = []
     for f in polar_vertices(space):
         tight = [p for p in verts if dot(f, p) == 1]

@@ -1,19 +1,33 @@
 """Differential checks: every LP-backed decision against an independent route."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from bjlevel import (
     RationalStream,
+    ball_vertices,
     bj_orthogonal,
+    dual_norm,
+    dual_space,
     is_level_vector,
+    l1,
+    linf,
+    norm,
+    norm_squared,
+    operator,
+    polyhedral_space,
     preservation_sample_check,
     preserves_bj_at,
     preserves_bj_directional,
     subspace_orthogonal,
     support_set,
 )
+from bjlevel.linalg import dot, mat_vec, transpose
+from bjlevel.simplex import feasible_point
 
-from ._util import random_operator
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, random_operator, sphere_ball
 
 F = Fraction
 
@@ -74,3 +88,81 @@ def test_interior_functional_can_be_needed(l1_3):
     cert = is_level_vector(op, x)
     assert cert is not None
     assert cert.f not in sup.vertices
+
+
+SMOOTH_IMAGE_BALLS = {
+    **{f"l1^{n}": (lambda n=n: l1(n)) for n in range(2, 6)},
+    **{f"linf^{n}": (lambda n=n: linf(n)) for n in range(2, 6)},
+    "hexagon": lambda: polyhedral_space(HEXAGON_VERTICES),
+    "cube-cross": lambda: polyhedral_space(cube_cross_vertices(3)),
+    "sphere-2d": lambda: polyhedral_space(sphere_ball(random.Random(2), 2, 4)),
+    "sphere-3d": lambda: polyhedral_space(sphere_ball(random.Random(3), 3, 5)),
+}
+
+
+def lp_level(op, x):
+    """(f, g, k) from the level LP over the vertex coefficients of J(x) and
+    J(Tx), posed as the library posed it for every point before the closed
+    form: Tᵀ(sum mu_j q_j) = scale sum lambda_i p_i, sum lambda = sum mu = 1."""
+    tx = op(x)
+    scale = norm(op.codomain, tx) / norm(op.domain, x)
+    p_verts = support_set(op.domain, x).vertices
+    q_verts = support_set(op.codomain, tx).vertices
+    adj = [mat_vec(transpose(op.matrix), q) for q in q_verts]
+    np_, nq = len(p_verts), len(q_verts)
+    rows = [[-scale * p[c] for p in p_verts] + [a[c] for a in adj] for c in range(op.domain.dim)]
+    rows.append([F(1)] * np_ + [F(0)] * nq)
+    rows.append([F(0)] * np_ + [F(1)] * nq)
+    point = feasible_point(rows, [F(0)] * op.domain.dim + [F(1), F(1)])
+    if point is None:
+        return None
+    lam, mu = point[:np_], point[np_:]
+    f = tuple(sum(l * p[c] for l, p in zip(lam, p_verts)) for c in range(op.domain.dim))
+    g = tuple(sum(m * q[c] for m, q in zip(mu, q_verts)) for c in range(op.codomain.dim))
+    return f, g, norm_squared(op.codomain, tx) / norm_squared(op.domain, x)
+
+
+def smooth_image_operators(space, seed):
+    """A dense, a diagonal and a rank-deficient operator (the dense one with
+    its last column zeroed), seeded."""
+    stream = RationalStream(seed)
+    n = space.dim
+    dense = random_operator(space, stream)
+    diag = [stream.next_int(4) + 1 for _ in range(n)]
+    deficient = [row[:-1] + (F(0),) for row in random_operator(space, stream).matrix]
+    return [
+        dense,
+        operator([[F(diag[r], 2) if c == r else 0 for c in range(n)] for r in range(n)], space),
+        operator(deficient, space),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_IMAGE_BALLS))
+def test_closed_form_level_test_on_a_smooth_image_matches_the_lp(name):
+    # With J(Tx) = {q} the level test is ||Tᵀq / scale||_* = 1, solved with no
+    # LP; verdict and certificate must be the ones the LP gives.
+    space = SMOOTH_IMAGE_BALLS[name]()
+    rng = random.Random(name)
+    points = [x for kind in probe_points(space, rng, digits=6) for x in kind]
+    verdicts = set()
+    for op in smooth_image_operators(space, sum(map(ord, name))):
+        for x in points:
+            tx = op(x)
+            if all(c == 0 for c in tx) or len(support_set(space, tx).vertices) != 1:
+                continue
+            cert = is_level_vector(op, x)
+            got = None if cert is None else (cert.f, cert.g, cert.level_number)
+            assert got == lp_level(op, x)
+            verdicts.add(got is not None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_IMAGE_BALLS))
+def test_dual_norm_is_the_largest_value_on_the_ball_vertices(name):
+    space = SMOOTH_IMAGE_BALLS[name]()
+    stream = RationalStream(len(name))
+    polar = dual_space(space)  # l1 <-> linf, or the polar polytope
+    for _ in range(25):
+        f = stream.next_nonzero_vector(space.dim)
+        value = dual_norm(space, f)
+        assert value == max(dot(f, v) for v in ball_vertices(space)) == norm(polar, f)

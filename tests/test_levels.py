@@ -1,5 +1,6 @@
 """Level vectors, directional preservation, enumeration and the face bound."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,19 +15,23 @@ from bjlevel import (
     is_level_vector,
     kernel_condition,
     kernel_section_space,
+    l1,
     l2,
     level_count_bound,
     level_number,
+    linf,
     norm,
     operator,
+    polyhedral_space,
     preserves_bj_at,
     preserves_bj_directional,
     search_non_level_vector,
     bj_orthogonal,
+    zero_operator,
 )
 from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec_scale
 
-from ._util import seeded_operator_kinds, v
+from ._util import cube_cross_vertices, seeded_operator_kinds, v
 
 F = Fraction
 
@@ -195,6 +200,21 @@ def test_zero_operator_bound_is_one(linf_2):
     from bjlevel import zero_operator
 
     assert level_count_bound(linf_2, zero_operator(linf_2)) == 1
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    [lambda: l1(5), lambda: linf(4), lambda: polyhedral_space(cube_cross_vertices(3))],
+    ids=["l1^5", "linf^4", "cube-cross"],
+)
+def test_zero_operator_bound_skips_the_kernel_section(make_space):
+    # ker T is the whole ball, so no section is scanned: the C(32, 5)-subset
+    # scan of l1^5's dual cube took seconds.
+    space = make_space()
+    op = zero_operator(space)
+    start = time.process_time()
+    assert level_count_bound(space, op) == 1
+    assert time.process_time() - start < 0.1
 
 
 def test_bound_with_skew_kernel(linf_3):

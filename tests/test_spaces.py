@@ -1,6 +1,7 @@
 """Norms, duals, polars and operators on the core space representations."""
 
 import itertools
+import math
 import pickle
 import random
 from copy import deepcopy
@@ -34,9 +35,9 @@ from bjlevel import (
     space_from_dict,
     space_to_dict,
 )
-from bjlevel.linalg import dot, unit, vec
+from bjlevel.linalg import MINUS_ONE, ONE, ZERO, dot, unit, vec
 from bjlevel.simplex import OPTIMAL, solve_standard_lp
-from bjlevel.spaces import _shared
+from bjlevel.spaces import _ball_rows, _facet_incidence, _shared
 
 from ._util import HEXAGON_VERTICES, probe_points, sphere_ball, v
 
@@ -216,6 +217,30 @@ def test_integer_polyhedral_norm_equals_the_fraction_definition(dim):
         assert all(dual_norm(space, f) == 1 for f in polar_vertices(space))
 
 
+def test_polyhedral_dual_norm_reads_an_integer_table_of_the_ball_vertices():
+    space = polyhedral_space(sphere_ball(random.Random(9), 3, 5))
+    d, rows = _ball_rows(space)
+    assert d == math.lcm(*(c.denominator for p in space.ball_vertices for c in p))
+    assert all(type(c) is int for row in rows for c in row)
+    assert rows == tuple(tuple(d * c for c in p) for p in space.ball_vertices)
+    hits = _ball_rows.cache_info().hits
+    f = (F(1, 3), 2, 0.5)
+    assert dual_norm(space, f) == max(dot(vec(f), p) for p in space.ball_vertices)
+    assert _ball_rows.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_l1_and_linf_polars_are_the_closed_form_dual_vertices(dim):
+    for space in (l1(dim), linf(dim)):
+        scanned = tuple(f for f, _ in _facet_incidence.__wrapped__(ball_vertices(space)))
+        assert polar_vertices(space) == scanned == tuple(sorted(dual_ball_vertices(space)))
+
+
+def test_polar_of_l1_10_is_its_1024_sign_vectors():
+    polar = polar_vertices(l1(10))
+    assert len(polar) == 1024 and polar == tuple(sorted(itertools.product((MINUS_ONE, ONE), repeat=10)))
+
+
 def test_polyhedral_norm_converts_int_and_float_entries_exactly():
     space = polyhedral_space(sphere_ball(random.Random(7), 3, 5))
     facets = polar_vertices(space)
@@ -235,10 +260,13 @@ def test_vec_keeps_fraction_entries_and_converts_others_exactly():
 def test_polyhedral_space_keeps_the_first_of_equal_caller_fractions():
     verts = [tuple(F(c) for c in vert) for vert in HEXAGON_VERTICES]
     space = polyhedral_space(verts)
-    first: dict = {}
+    first: dict = {ZERO: ZERO, ONE: ONE, MINUS_ONE: MINUS_ONE}  # small integers are process-wide
     for given, kept in zip(verts, space.ball_vertices):
         assert kept == given
         assert all(k is first.setdefault(c, c) for c, k in zip(given, kept))
+    halves = [tuple(c / 2 for c in vert) for vert in verts]
+    kept = polyhedral_space(halves).ball_vertices
+    assert kept[0][0] is kept[4][0] is halves[0][0] and kept[0][1] is ZERO
     row = (F(1, 3), F(2, 3))
     assert _shared(row, {}) is row and _shared(row, {F(1, 3): F(1, 3)}) is not row
 
@@ -248,7 +276,7 @@ def test_operator_pools_equal_entries_and_keeps_equality_and_hash(l1_3):
     op = operator(rows, l1_3)
     entries = [c for row in op.matrix for c in row]
     assert len({id(c) for c in entries}) == len(set(entries)) == 3
-    assert op.matrix[0][0] is rows[0][0] and op.matrix[0][1] is rows[0][1]
+    assert op.matrix[0][0] is rows[0][0] and op.matrix[0][1] is ZERO
     plain = Operator(tuple(tuple(row) for row in rows), l1_3, l1_3)
     assert op == plain and hash(op) == hash(plain)
     assert op == operator([["1/2", 0, 0.5], [0, "1/2", 3], [3, 0, 0]], l1_3)
