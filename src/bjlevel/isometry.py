@@ -21,11 +21,11 @@ from .linalg import Vec, is_zero_vec, vec_neg
 from .orthogonality import bj_orthogonal
 from .spaces import (
     EXACT,
+    FLOAT_TOL,
     Operator,
     SpaceSpec,
     adjoint,
     arithmetic_mode,
-    float_tolerance,
     is_exact,
     is_zero_operator,
     norm,
@@ -103,7 +103,6 @@ def probe_scalar_isometry_grid(
     mode = arithmetic_mode(space)
     if is_zero_operator(op):
         return IsometryReport(CERTIFIED, Fraction(0), None, (), mode)
-    tol = float_tolerance()
     checked: list[Vec] = []
     ratios: list[Scalar] = []
     for x in sample_sphere(space, n, seed):
@@ -116,7 +115,7 @@ def probe_scalar_isometry_grid(
     if mode == EXACT:
         drifted = len(set(ratios)) > 1
     else:
-        drifted = max(ratios) - min(ratios) > tol * max(1.0, float(max(ratios)))
+        drifted = max(ratios) - min(ratios) > FLOAT_TOL * max(1.0, float(max(ratios)))
     if drifted:
         return IsometryReport(REFUTED, None, None, tuple(checked), mode)
     return IsometryReport(INCONCLUSIVE, ratios[0], None, tuple(checked), mode)

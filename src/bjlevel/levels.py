@@ -26,6 +26,7 @@ from .faces import antipodal_representatives, convex_combination, face_census
 from .linalg import (
     ZERO,
     Vec,
+    combination,
     dot,
     is_zero_vec,
     kernel_basis,
@@ -38,10 +39,11 @@ from .linalg import (
 )
 from .oracle import RationalStream, sample_sphere
 from .orthogonality import bj_orthogonal, subspace_orthogonal
-from .simplex import feasible_point
+from .simplex import convex_weights, feasible_point
 from .spaces import (
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     Operator,
     SpaceSpec,
     _facet_incidence,
@@ -49,7 +51,6 @@ from .spaces import (
     dual_ball_vertices,
     dual_norm,
     float_path,
-    float_tolerance,
     is_exact,
     norm,
     norm_squared,
@@ -117,12 +118,19 @@ def _adjoint_images(op: Operator, functionals) -> list[Vec]:
     return [mat_vec(tmat, q) for q in functionals]
 
 
-def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
-    """A level certificate for x, or None when x is not a level vector."""
-    x = vec(x)  # floats convert exactly, keeping the pipeline rational
+def _nonzero_point(op: Operator, x: Vec) -> Vec:
+    """x as an exact vector of T's domain (floats convert exactly, keeping the
+    pipeline rational); a wrong dimension or x = 0 is an input error."""
+    x = vec(x)
     require_dim(op.domain, x)
     if is_zero_vec(x):
         raise InputError("zero_vector", "x must be nonzero")
+    return x
+
+
+def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
+    """A level certificate for x, or None when x is not a level vector."""
+    x = _nonzero_point(op, x)
     mode = _mode_pair(op)
     tx = op(x)
     if is_zero_vec(tx):
@@ -148,17 +156,16 @@ def _exact_level(op: Operator, x: Vec, tx: Vec, memo: dict) -> Optional[tuple]:
     q_verts = support_set(op.codomain, tx).vertices
     key = (p_verts, q_verts, scale)
     if key not in memo:
-        k = norm_squared(op.codomain, tx) / norm_squared(op.domain, x)
-        memo[key] = _solve_level(op, p_verts, q_verts, scale, k)
+        memo[key] = _solve_level(op, p_verts, q_verts, scale)
     found = memo[key]
     if found is not None and _adjoint_images(op, [found[1]])[0] != vec_scale(scale, found[0]):
         raise InternalCheckError("level certificate fails its defining equation")
     return found
 
 
-def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction, k: Fraction) -> Optional[tuple]:
+def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction) -> Optional[tuple]:
     """(f, g, k) with f in conv(p_verts) = J(x), g in conv(q_verts) = J(Tx)
-    and T^T g = scale f, or None.
+    and T^T g = scale f, or None; the level number is k = scale^2.
 
     When J(Tx) is one functional q (Tx is a smooth point), no LP is needed.
     Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
@@ -167,42 +174,36 @@ def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction, k: Fraction) -
     x is a level vector iff ||T^T q||_* = scale, and (f, q, k) is then the
     only certificate, the one the LP would return.
     """
+    k = scale * scale
     adj = _adjoint_images(op, q_verts)
     if len(q_verts) == 1:
         f = tuple(c / scale for c in adj[0])
         return (f, q_verts[0], k) if dual_norm(op.domain, f) == 1 else None
-
-    np_, nq = len(p_verts), len(q_verts)
-    rows = []
-    rhs = []
-    for coord in range(op.domain.dim):
-        rows.append(
-            [-scale * p[coord] for p in p_verts] + [a[coord] for a in adj]
-        )
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * np_ + [Fraction(0)] * nq)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * np_ + [Fraction(1)] * nq)
-    rhs.append(Fraction(1))
-    point = feasible_point(rows, rhs)
-    if point is None:
+    negated = [vec_scale(-scale, p) for p in p_verts]
+    weights = convex_weights([negated, adj], (ZERO,) * op.domain.dim)
+    if weights is None:
         return None
-    lam, mu = point[:np_], point[np_:]
-    f = tuple(sum(l * p[c] for l, p in zip(lam, p_verts)) for c in range(op.domain.dim))
-    g = tuple(sum(m * q[c] for m, q in zip(mu, q_verts)) for c in range(op.codomain.dim))
-    return f, g, k
+    lam, mu = weights
+    return combination(lam, p_verts), combination(mu, q_verts), k
+
+
+def _float_pullback(op: Operator, g) -> list[float]:
+    """T^T g in floats."""
+    return [
+        sum(float(op.matrix[r][k]) * g[r] for r in range(op.codomain.dim))
+        for k in range(op.domain.dim)
+    ]
 
 
 @float_path
 def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> Optional[LevelCertificate]:
-    tol = float_tolerance()
     if op.domain.p == 2 and op.codomain.p == 2:
         # Right-singular-vector test, exact on rational input: M^T M x = k x.
         # Inputs that arrived as floats (e.g. functionals produced by a
         # normalization) carry dyadic rounding, absorbed by the tolerance.
         k = norm_squared(op.codomain, tx) / norm_squared(op.domain, x)
         residual = vec_sub(mat_vec(transpose(op.matrix), tx), vec_scale(k, x))
-        if any(abs(r) > tol * max(1, abs(k)) for r in residual):
+        if any(abs(r) > FLOAT_TOL * max(1, abs(k)) for r in residual):
             return None
         f = support_set(op.domain, x).vertices[0]
         g = support_set(op.codomain, tx).vertices[0]
@@ -210,11 +211,8 @@ def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> Optional[LevelCertific
     scale = float(norm(op.codomain, tx)) / float(norm(op.domain, x))
     f = support_set(op.domain, x).vertices[0]
     g = support_set(op.codomain, tx).vertices[0]
-    image = [
-        sum(float(op.matrix[r][k]) * g[r] for r in range(op.codomain.dim))
-        for k in range(op.domain.dim)
-    ]
-    if all(abs(i - scale * fc) <= tol * max(1.0, scale) for i, fc in zip(image, f)):
+    image = _float_pullback(op, g)
+    if all(abs(i - scale * fc) <= FLOAT_TOL * max(1.0, scale) for i, fc in zip(image, f)):
         k = float(norm_squared(op.codomain, tx)) / float(norm_squared(op.domain, x))
         return LevelCertificate(x, f, g, k, FLOAT)
     return None
@@ -234,10 +232,7 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     Holds exactly when some g in J(Tx) pulls back to (||Tx||/||x||) f under
     the adjoint; the witness g is returned.
     """
-    x = vec(x)
-    require_dim(op.domain, x)
-    if is_zero_vec(x):
-        raise InputError("zero_vector", "x must be nonzero")
+    x = _nonzero_point(op, x)
     if not functional_in_support(op.domain, x, f):
         raise InputError("not_supporting", "f is not a supporting functional of x")
     mode = _mode_pair(op)
@@ -260,15 +255,8 @@ def _membership_witness(q_verts, adj, target: Vec) -> Optional[tuple]:
     """
     if len(q_verts) == 1:
         return q_verts[0] if adj[0] == target else None
-    rows = [[a[k] for a in adj] for k in range(len(target))]
-    rows.append([Fraction(1)] * len(q_verts))
-    rhs = list(target) + [Fraction(1)]
-    mu = feasible_point(rows, rhs)
-    if mu is None:
-        return None
-    return tuple(
-        sum(m * q[k] for m, q in zip(mu, q_verts)) for k in range(len(q_verts[0]))
-    )
+    weights = convex_weights([adj], target)
+    return None if weights is None else combination(weights[0], q_verts)
 
 
 def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
@@ -280,10 +268,7 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     and re-verified through `bj_orthogonal` before being reported.  J(Tx)
     and its adjoint images are computed once and shared by every vertex f.
     """
-    x = vec(x)
-    require_dim(op.domain, x)
-    if is_zero_vec(x):
-        raise InputError("zero_vector", "x must be nonzero")
+    x = _nonzero_point(op, x)
     mode = _mode_pair(op)
     tx = op(x)
     if is_zero_vec(tx):
@@ -335,7 +320,6 @@ def _counterexample_direction(adj, f: Vec) -> tuple[Vec, Fraction]:
 
 @float_path
 def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
-    tol = float_tolerance()
     cert = _level_vector_float(op, x, tx)
     if cert is not None:
         return PreservationReport(True, None, None, FLOAT)
@@ -343,10 +327,7 @@ def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
     # on which the image functional does not vanish.
     f = support_set(op.domain, x).vertices[0]
     g = support_set(op.codomain, tx).vertices[0]
-    d = [
-        sum(float(op.matrix[r][k]) * g[r] for r in range(op.codomain.dim))
-        for k in range(op.domain.dim)
-    ]
+    d = _float_pullback(op, g)
     best_y, best_val = None, 0.0
     for j in range(op.domain.dim):
         if op.domain.p == 2:
@@ -362,16 +343,14 @@ def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
         val = abs(sum(dc * float(yc) for dc, yc in zip(d, y)))
         if val > best_val:
             best_y, best_val = y, val
-    if best_y is None or best_val <= tol:
+    if best_y is None or best_val <= FLOAT_TOL:
         return PreservationReport(False, f, None, FLOAT)
     return PreservationReport(False, f, (best_y, best_val), FLOAT)
 
 
 def kernel_condition(op: Operator, x: Vec) -> bool:
     """Necessary condition for level vectors: Tx = 0 or ker T inside x-orthogonal set."""
-    require_dim(op.domain, x)
-    if is_zero_vec(x):
-        raise InputError("zero_vector", "x must be nonzero")
+    x = _nonzero_point(op, x)
     if is_zero_vec(op(x)):
         return True
     basis = kernel_basis(op.matrix)

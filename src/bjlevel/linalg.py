@@ -56,6 +56,11 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
 
 
+def combination(weights: Sequence[Fraction], vectors: Sequence[Vec]) -> Vec:
+    """sum(w_i v_i) over the paired weights and vectors."""
+    return tuple(sum(w * v[k] for w, v in zip(weights, vectors)) for k in range(len(vectors[0])))
+
+
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 

@@ -17,13 +17,13 @@ from .errors import InputError
 from .linalg import Vec, dot, is_zero_vec, kernel_basis, vec_add, vec_scale
 from .spaces import (
     EXACT,
+    FLOAT_TOL,
     INF,
     Operator,
     SpaceSpec,
     arithmetic_mode,
     dual_ball_vertices,
     float_path,
-    float_tolerance,
     is_exact,
     norm,
     require_dim,
@@ -186,7 +186,6 @@ def preservation_sample_check(op: Operator, x: Vec, n: int, seed: int) -> Sample
     stream = RationalStream(seed)
     sup = support_set(domain, x)
     tx = op(x)
-    tol = float_tolerance()
     violations: list[tuple[Vec, Union[Fraction, float]]] = []
     for _ in range(n):
         if mode == EXACT:
@@ -214,7 +213,7 @@ def preservation_sample_check(op: Operator, x: Vec, n: int, seed: int) -> Sample
         ntx = norm(codomain, tx)
         margin = ntx - min_value
         if (mode == EXACT and margin > 0) or (
-            mode != EXACT and margin > tol * max(1.0, float(ntx))
+            mode != EXACT and margin > FLOAT_TOL * max(1.0, float(ntx))
         ):
             violations.append((y, margin))
     return SampleCheckReport(n, tuple(violations), seed, mode)

@@ -13,16 +13,16 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .linalg import Vec, dot, is_zero_vec, matrix_rank
+from .linalg import ZERO, Vec, combination, dot, is_zero_vec, matrix_rank
 from .oracle import minimize_norm_1d
-from .simplex import feasible_point
+from .simplex import convex_weights
 from .spaces import (
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     SpaceSpec,
     arithmetic_mode,
     float_path,
-    float_tolerance,
     norm,
     require_dim,
 )
@@ -82,7 +82,6 @@ def _dual_exact(sup: SupportSet, y: Vec) -> OrthogonalityVerdict:
 def _dual_float(
     space: SpaceSpec, sup: SupportSet, x: Vec, y: Vec
 ) -> OrthogonalityVerdict:
-    tol = float_tolerance()
     if space.p == 2:
         # Pairings stay exact on rational input even though the norm does not.
         s = sum((xc * yc for xc, yc in zip(x, y)), Fraction(0))
@@ -92,10 +91,10 @@ def _dual_float(
         f = sup.vertices[0]
         value = sum(fc * float(yc) for fc, yc in zip(f, y))
         scale = max(1.0, float(norm(space, y)))
-        orthogonal = abs(value) <= tol * scale
+        orthogonal = abs(value) <= FLOAT_TOL * scale
         margin = abs(value)
     warning = None
-    if not orthogonal and margin <= 10 * tol * max(1.0, float(norm(space, y))):
+    if not orthogonal and margin <= 10 * FLOAT_TOL * max(1.0, float(norm(space, y))):
         warning = "decision margin within 10x float tolerance"
     witness = sup.vertices[0] if orthogonal else None
     return OrthogonalityVerdict(orthogonal, witness, "dual", FLOAT, margin, warning)
@@ -113,8 +112,7 @@ def bj_orthogonal_oracle(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdi
     gap = nx - min_value
     if mode == EXACT:
         return OrthogonalityVerdict(gap == 0, None, "oracle", mode, gap)
-    tol = float_tolerance()
-    return OrthogonalityVerdict(gap <= tol * max(1.0, float(nx)), None, "oracle", mode, gap)
+    return OrthogonalityVerdict(gap <= FLOAT_TOL * max(1.0, float(nx)), None, "oracle", mode, gap)
 
 
 def subspace_orthogonal(
@@ -140,30 +138,24 @@ def subspace_orthogonal(
     if sup.mode == FLOAT:
         return _subspace_float(space, sup, x, basis)
     verts = sup.vertices
-    rows = [[dot(f, b) for f in verts] for b in basis]
-    rows.append([Fraction(1)] * len(verts))
-    rhs = [Fraction(0)] * len(basis) + [Fraction(1)]
-    coeffs = feasible_point(rows, rhs)
-    if coeffs is None:
+    columns = [tuple(dot(f, b) for b in basis) for f in verts]
+    weights = convex_weights([columns], (ZERO,) * len(basis))
+    if weights is None:
         return OrthogonalityVerdict(False, None, "dual", EXACT)
-    witness = tuple(
-        sum(c * f[k] for c, f in zip(coeffs, verts)) for k in range(space.dim)
-    )
-    return OrthogonalityVerdict(True, witness, "dual", EXACT, Fraction(0))
+    return OrthogonalityVerdict(True, combination(weights[0], verts), "dual", EXACT, Fraction(0))
 
 
 @float_path
 def _subspace_float(
     space: SpaceSpec, sup: SupportSet, x: Vec, basis: Sequence[Vec]
 ) -> OrthogonalityVerdict:
-    tol = float_tolerance()
     if space.p == 2:
         ok = all(sum((xc * bc for xc, bc in zip(x, b)), Fraction(0)) == 0 for b in basis)
     else:
         f = sup.vertices[0]
         ok = all(
             abs(sum(fc * float(bc) for fc, bc in zip(f, b)))
-            <= tol * max(1.0, float(norm(space, b)))
+            <= FLOAT_TOL * max(1.0, float(norm(space, b)))
             for b in basis
         )
     witness = sup.vertices[0] if ok else None

@@ -148,3 +148,26 @@ def feasible_point(
     """A point with a_eq x = b_eq, x >= 0, or None when the system is infeasible."""
     res = solve_standard_lp(a_eq, b_eq)
     return res.x if res.status == OPTIMAL else None
+
+
+def convex_weights(
+    blocks: Sequence[Sequence[Sequence[Fraction]]], target: Sequence[Fraction]
+) -> Optional[list[tuple[Fraction, ...]]]:
+    """Convex weights w_b on each block's columns with sum_b sum_i w_b[i] c_b[i]
+    = target, one tuple per block, or None when there are none.
+
+    Posed as A x = b, x >= 0 with one row per coordinate of ``target``, then
+    one row per block fixing its weights' sum to 1; the columns follow the
+    blocks in order.
+    """
+    rows = [[c[k] for block in blocks for c in block] for k in range(len(target))]
+    for i in range(len(blocks)):
+        rows.append([ONE if j == i else ZERO for j, block in enumerate(blocks) for _ in block])
+    point = feasible_point(rows, [*target, *(ONE for _ in blocks)])
+    if point is None:
+        return None
+    out, start = [], 0
+    for block in blocks:
+        out.append(point[start : start + len(block)])
+        start += len(block)
+    return out

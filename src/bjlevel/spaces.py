@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -46,6 +45,8 @@ INF = "inf"
 
 EXACT = "exact"
 FLOAT = "float"
+# Relative tolerance used on every float-path decision.
+FLOAT_TOL = 1e-9
 
 # Hypercube vertex sets grow as 2^n; reject anything past this.
 MAX_CUBE_DIM = 12
@@ -65,11 +66,6 @@ MAX_RATIONAL_DIGITS = 1000
 # `polyhedral_space` and `operator`, so small entries of every kept ball and
 # matrix are one object.
 _SMALL_INTEGERS = {Fraction(i): Fraction(i) for i in range(-16, 17)} | {c: c for c in (ZERO, ONE, MINUS_ONE)}
-
-
-def float_tolerance() -> float:
-    """Relative tolerance used on every float-path decision (env-overridable)."""
-    return float(os.environ.get("BJLEVEL_FLOAT_TOL", "1e-9"))
 
 
 def float_path(fn):
@@ -489,7 +485,7 @@ def on_unit_sphere(space: SpaceSpec, x: Vec) -> bool:
     value = norm(space, x)
     if is_exact(space):
         return value == 1
-    return abs(value - 1.0) <= 10 * float_tolerance()
+    return abs(value - 1.0) <= 10 * FLOAT_TOL
 
 
 @dataclass(frozen=True, slots=True)
@@ -536,7 +532,7 @@ def operator(rows: Iterable[Iterable], domain: SpaceSpec, codomain: Optional[Spa
 
 def identity_operator(space: SpaceSpec) -> Operator:
     n = space.dim
-    return Operator(tuple(unit(n, i) for i in range(n)), space, space)
+    return operator((unit(n, i) for i in range(n)), space, space)
 
 
 def diagonal_operator(space: SpaceSpec, entries: Iterable) -> Operator:
@@ -544,14 +540,12 @@ def diagonal_operator(space: SpaceSpec, entries: Iterable) -> Operator:
     if len(diag) != space.dim:
         raise DimensionMismatch("diagonal length must equal the space dimension")
     n = space.dim
-    rows = tuple(tuple(diag[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
-    return Operator(rows, space, space)
+    return operator(((diag[i] if i == j else ZERO for j in range(n)) for i in range(n)), space, space)
 
 
 def zero_operator(domain: SpaceSpec, codomain: Optional[SpaceSpec] = None) -> Operator:
     codomain = codomain or domain
-    rows = tuple((Fraction(0),) * domain.dim for _ in range(codomain.dim))
-    return Operator(rows, domain, codomain)
+    return operator(((ZERO,) * domain.dim for _ in range(codomain.dim)), domain, codomain)
 
 
 def adjoint(op: Operator) -> Operator:

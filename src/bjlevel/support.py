@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError
+from .errors import DimensionMismatch, InputError
 from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec, unit
 from .spaces import (
     EXACT,
     FLOAT,
+    FLOAT_TOL,
     MAX_CUBE_DIM,
     SpaceSpec,
     _norm_and_face,
     float_path,
-    float_tolerance,
     is_exact,
     norm,
     require_dim,
@@ -102,7 +102,7 @@ def eval_range(
 ) -> tuple[Union[Fraction, float], Union[Fraction, float]]:
     """(min, max) of f(y) over J(x); extrema over the polytope = over vertices."""
     if len(y) != len(support.base_point):
-        raise InputError("dimension_mismatch", "vector dimension does not match the support set")
+        raise DimensionMismatch("vector dimension does not match the support set")
     if support.mode == EXACT:
         values = [dot(f, y) for f in support.vertices]
     else:
@@ -117,7 +117,6 @@ def functional_in_support(space: SpaceSpec, x: Vec, f: Vec) -> bool:
     require_dim(space, x)
     require_dim(space, f)
     if not is_exact(space):
-        tol = float_tolerance()
         fx = sum(float(fc) * float(xc) for fc, xc in zip(f, x))
-        return abs(fx - float(norm(space, x))) <= tol and abs(dual_norm(space, f) - 1.0) <= tol
+        return abs(fx - float(norm(space, x))) <= FLOAT_TOL and abs(dual_norm(space, f) - 1.0) <= FLOAT_TOL
     return dot(f, x) == norm(space, x) and dual_norm(space, f) == 1

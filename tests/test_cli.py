@@ -417,7 +417,8 @@ def test_input_echo_round_trips(files, capsys):
     code, out = run(capsys, ["support", "--space", files["square"], "--x", "1,0"])
     report = json.loads(out)
     assert code == 0
-    assert space_from_dict(report["inputs"]["space"]) == space_from_dict(json.loads(open(files["square"]).read()))
+    with open(files["square"]) as handle:
+        assert space_from_dict(report["inputs"]["space"]) == space_from_dict(json.load(handle))
 
 
 def test_text_format(files, capsys):

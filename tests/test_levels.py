@@ -112,6 +112,19 @@ def test_preservation_fails_for_diag211_with_verified_counterexample(l1_3):
     assert not bj_orthogonal(l1_3, op(v("1,0,0")), op(y)).orthogonal
 
 
+def test_lp_certificates_and_counterexamples_are_pinned(l1_3):
+    """Exact outputs of the LP path: a level test with |J(Tx)| = 2, a
+    directional witness between two vertices of J(Tx), and the diag(2,1,1)
+    counterexample at e1."""
+    op = diagonal_operator(l1_3, [1, 1, 2])
+    cert = is_level_vector(op, v("1,1,0"))
+    assert (cert.f, cert.g, cert.level_number) == (v("1,1,-1"), v("1,1,-1/2"), 1)
+    assert preserves_bj_directional(op, v("1,1,0"), v("1,1,0")).witness == v("1,1,0")
+    report = preserves_bj_at(diagonal_operator(l1_3, [2, 1, 1]), v("1,0,0"))
+    assert report.failing_functional == v("1,-1,-1")
+    assert report.counterexample == (v("1,0,1"), 1)
+
+
 def test_preservation_holds_for_diag123_on_linf(linf_3):
     op = diagonal_operator(linf_3, [1, 2, 3])
     assert preserves_bj_at(op, v("1,0,0")).holds

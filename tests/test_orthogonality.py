@@ -14,10 +14,11 @@ from bjlevel import (
     dual_norm,
     l1,
     norm,
+    polyhedral_space,
     subspace_orthogonal,
 )
 
-from ._util import v
+from ._util import cube_cross_vertices, v
 
 F = Fraction
 
@@ -70,6 +71,13 @@ def test_subspace_witness_on_linf_diagonal(linf_2):
     verdict = subspace_orthogonal(linf_2, v("1,1"), [v("1,-1")])
     assert verdict.orthogonal
     assert verdict.witness == (F(1, 2), F(1, 2))
+
+
+def test_subspace_witnesses_on_a_three_vertex_support_set_are_pinned():
+    # J((1,1,1)) on the cube plus twice the cross-polytope has three vertices.
+    space = polyhedral_space(cube_cross_vertices(3))
+    assert subspace_orthogonal(space, v("1,1,1"), [v("1,-1,0")]).witness == v("1/4,1/4,1/2")
+    assert subspace_orthogonal(space, v("1,1,1"), [v("1,-1,0"), v("0,1,-1")]).witness == v("1/3,1/3,1/3")
 
 
 def test_subspace_rejects_dependent_basis(l1_3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bjlevel import RationalStream
-from bjlevel.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_standard_lp
+from bjlevel.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, convex_weights, feasible_point, solve_standard_lp
 
 from ._util import fraction_solve
 
@@ -88,3 +88,45 @@ def test_random_lps_match_basic_solution_enumeration(seed):
     else:
         assert res.status == OPTIMAL
         assert res.value == expected
+
+
+def test_convex_weights_are_nonnegative_and_sum_to_one_per_block():
+    # conv{(0,0), (2,0), (0,2)} - conv{(1,1), (3,3)} contains 0 at (1,1).
+    blocks = [[(F(0), F(0)), (F(-2), F(0)), (F(0), F(-2))], [(F(1), F(1)), (F(3), F(3))]]
+    weights = convex_weights(blocks, (F(0), F(0)))
+    assert [len(w) for w in weights] == [3, 2]
+    for w in weights:
+        assert sum(w) == 1 and all(c >= 0 for c in w)
+    total = [sum(c * col[k] for w, block in zip(weights, blocks) for c, col in zip(w, block)) for k in range(2)]
+    assert total == [0, 0]
+
+
+def test_convex_weights_infeasible_is_none():
+    # The segment from (1,0) to (2,0) never reaches the origin.
+    assert convex_weights([[(F(1), F(0)), (F(2), F(0))]], (F(0), F(0))) is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_convex_weights_match_hand_built_two_block_rows(seed):
+    """The rows a two-block level LP used to build by hand, solved through
+    feasible_point, give the same weights as convex_weights."""
+    stream = RationalStream(seed)
+    verdicts = []
+    for _ in range(8):
+        dim, np_, nq = 3, 1 + stream.next_int(4), 1 + stream.next_int(4)
+        scale = stream.next_positive_fraction()
+        p_verts = [stream.next_nonzero_vector(dim) for _ in range(np_)]
+        adj = [stream.next_nonzero_vector(dim) for _ in range(nq)]
+        if stream.next_int(2):
+            adj[-1] = tuple(scale * c for c in p_verts[0])  # plant a solution
+        rows = [[-scale * p[k] for p in p_verts] + [a[k] for a in adj] for k in range(dim)]
+        rows.append([F(1)] * np_ + [F(0)] * nq)
+        rows.append([F(0)] * np_ + [F(1)] * nq)
+        point = feasible_point(rows, [F(0)] * dim + [F(1), F(1)])
+        weights = convex_weights([[tuple(-scale * c for c in p) for p in p_verts], adj], (F(0),) * dim)
+        if point is None:
+            assert weights is None
+        else:
+            assert weights == [point[:np_], point[np_:]]
+        verdicts.append(point is not None)
+    assert set(verdicts) == {True, False}

@@ -22,6 +22,7 @@ from bjlevel import (
     dual_norm,
     dual_space,
     face_lattice,
+    identity_operator,
     l1,
     l2,
     linf,
@@ -34,6 +35,7 @@ from bjlevel import (
     preserves_bj_at,
     space_from_dict,
     space_to_dict,
+    zero_operator,
 )
 from bjlevel.linalg import MINUS_ONE, ONE, ZERO, dot, unit, vec
 from bjlevel.simplex import OPTIMAL, solve_standard_lp
@@ -280,6 +282,21 @@ def test_operator_pools_equal_entries_and_keeps_equality_and_hash(l1_3):
     plain = Operator(tuple(tuple(row) for row in rows), l1_3, l1_3)
     assert op == plain and hash(op) == hash(plain)
     assert op == operator([["1/2", 0, 0.5], [0, "1/2", 3], [3, 0, 0]], l1_3)
+
+
+def test_identity_diagonal_and_zero_operators_share_one_zero_and_one_one():
+    space = l1(6)
+    cases = [
+        (identity_operator(space), [[int(i == j) for j in range(6)] for i in range(6)]),
+        (diagonal_operator(space, range(1, 7)), [[i + 1 if i == j else 0 for j in range(6)] for i in range(6)]),
+        (zero_operator(space), [[0] * 6 for _ in range(6)]),
+    ]
+    for op, rows in cases:
+        entries = [c for row in op.matrix for c in row]
+        assert {id(c) for c in entries if c == 0} == {id(ZERO)}
+        assert {id(c) for c in entries if c == 1} == ({id(ONE)} if 1 in entries else set())
+        plain = Operator(tuple(tuple(F(c) for c in row) for row in rows), space, space)
+        assert op == plain and hash(op) == hash(plain)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 6])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bjlevel import (
+    DimensionMismatch,
     InputError,
     RationalStream,
     dual_norm,
@@ -78,6 +79,11 @@ def test_eval_range_examples(l1_3, linf_3):
     assert eval_range(sup, v("0,0,0")) == (0, 0)
     sup2 = support_set(linf_3, v("1,1,0"))
     assert eval_range(sup2, v("1,1,0")) == (1, 1)
+
+
+def test_eval_range_rejects_a_wrong_dimension(l1_3):
+    with pytest.raises(DimensionMismatch):
+        eval_range(support_set(l1_3, v("1,0,0")), v("1,0"))
 
 
 def test_vertices_are_supporting_and_unit(l1_3, linf_3, hexagon):
