@@ -17,7 +17,8 @@ from typing import Optional, Union
 from .errors import InputError, InternalCheckError
 from .faces import extreme_points
 from .levels import LevelCertificate, is_level_vector, preserves_bj_at
-from .linalg import Vec, is_zero_vec, vec_neg
+from .linalg import Vec, is_zero_vec, matrix_rank, vec_neg
+from .oracle import sample_sphere
 from .orthogonality import bj_orthogonal
 from .spaces import (
     EXACT,
@@ -26,6 +27,7 @@ from .spaces import (
     SpaceSpec,
     adjoint,
     arithmetic_mode,
+    identity_operator,
     is_exact,
     is_zero_operator,
     norm,
@@ -96,8 +98,6 @@ def probe_scalar_isometry_grid(
     A clean pass is reported as ``inconclusive`` with the common ratio as
     scale: sampling cannot certify.
     """
-    from .oracle import sample_sphere
-
     if space != op.domain:
         raise InputError("bad_operator", "probe space must be the operator domain")
     mode = arithmetic_mode(space)
@@ -173,8 +173,6 @@ def _rational_eigenvalue(op: Operator, x: Vec) -> Optional[Fraction]:
 
 def scalar_identity_test(op: Operator, candidates: list[Vec]) -> ScalarIdentityReport:
     """Validate the four-part eigenvector criterion for T = lambda I."""
-    from .linalg import matrix_rank
-
     space = op.domain
     if op.codomain != space:
         raise InputError("bad_operator", "the identity test needs an operator on one space")
@@ -203,8 +201,6 @@ def scalar_identity_test(op: Operator, candidates: list[Vec]) -> ScalarIdentityR
         eigenvalue = eigenvalues[0]
         if any(lam != eigenvalue for lam in eigenvalues):
             raise InternalCheckError("conditions held but eigenvalues differ")
-        from .spaces import identity_operator
-
         if op.matrix != tuple(
             tuple(eigenvalue * e for e in row) for row in identity_operator(space).matrix
         ):

@@ -39,7 +39,7 @@ from .linalg import (
 )
 from .oracle import RationalStream, sample_sphere
 from .orthogonality import bj_orthogonal, subspace_orthogonal
-from .simplex import convex_weights, feasible_point
+from .simplex import convex_weights, convex_weights_or_farkas
 from .spaces import (
     EXACT,
     FLOAT,
@@ -88,9 +88,10 @@ class DirectionalPreservation:
 class PreservationReport:
     """Whether T preserves Birkhoff-James orthogonality at a point.
 
-    On failure, ``failing_functional`` is a vertex of J(x) outside the
-    containment and ``counterexample`` is a verified pair (y, margin) with
-    x orthogonal to y while Tx is not orthogonal to Ty.
+    On failure, ``failing_functional`` is the first vertex f of J(x) outside
+    the containment and ``counterexample`` is a verified pair (y, margin) with
+    f(y) = 0 while Tx is not orthogonal to Ty; on the exact path the margin,
+    the least g(Ty) over the vertices g of J(Tx), is 1.
     """
 
     holds: bool
@@ -136,7 +137,7 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     if is_zero_vec(tx):
         return LevelCertificate(x, None, None, Fraction(0), mode)
     if mode == FLOAT:
-        return _level_vector_float(op, x, tx)
+        return _level_vector_float(op, x, tx)[0]
 
     found = _exact_level(op, x, tx, {})
     return None if found is None else LevelCertificate(x, *found, EXACT)
@@ -196,7 +197,10 @@ def _float_pullback(op: Operator, g) -> list[float]:
 
 
 @float_path
-def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> Optional[LevelCertificate]:
+def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> tuple[Optional[LevelCertificate], Optional[tuple]]:
+    """The float level test at x: (certificate, None) on success, else
+    (None, (f, T^T g)) for J(x) = {f} and J(Tx) = {g} when the test read
+    them, or (None, None) when the l2 test failed without them."""
     if op.domain.p == 2 and op.codomain.p == 2:
         # Right-singular-vector test, exact on rational input: M^T M x = k x.
         # Inputs that arrived as floats (e.g. functionals produced by a
@@ -204,18 +208,18 @@ def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> Optional[LevelCertific
         k = norm_squared(op.codomain, tx) / norm_squared(op.domain, x)
         residual = vec_sub(mat_vec(transpose(op.matrix), tx), vec_scale(k, x))
         if any(abs(r) > FLOAT_TOL * max(1, abs(k)) for r in residual):
-            return None
+            return None, None
         f = support_set(op.domain, x).vertices[0]
         g = support_set(op.codomain, tx).vertices[0]
-        return LevelCertificate(x, f, g, k, FLOAT)
+        return LevelCertificate(x, f, g, k, FLOAT), None
     scale = float(norm(op.codomain, tx)) / float(norm(op.domain, x))
     f = support_set(op.domain, x).vertices[0]
     g = support_set(op.codomain, tx).vertices[0]
     image = _float_pullback(op, g)
     if all(abs(i - scale * fc) <= FLOAT_TOL * max(1.0, scale) for i, fc in zip(image, f)):
         k = float(norm_squared(op.codomain, tx)) / float(norm_squared(op.domain, x))
-        return LevelCertificate(x, f, g, k, FLOAT)
-    return None
+        return LevelCertificate(x, f, g, k, FLOAT), None
+    return None, (f, image)
 
 
 def level_number(op: Operator, x: Vec) -> Scalar:
@@ -240,33 +244,40 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     if is_zero_vec(tx):
         return DirectionalPreservation(True, None)
     if mode == FLOAT:
-        cert = _level_vector_float(op, x, tx)
+        cert, _ = _level_vector_float(op, x, tx)
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
     scale = norm(op.codomain, tx) / norm(op.domain, x)
     q_verts = support_set(op.codomain, tx).vertices
-    g = _membership_witness(q_verts, _adjoint_images(op, q_verts), vec_scale(scale, tuple(f)))
+    g, _ = _membership(q_verts, _adjoint_images(op, q_verts), vec_scale(scale, tuple(f)))
     return DirectionalPreservation(g is not None, g)
 
 
-def _membership_witness(q_verts, adj, target: Vec) -> Optional[tuple]:
-    """g in J(Tx) = conv(q_verts) with (adjoint T) g = target, or None.
+def _membership(q_verts, adj, target: Vec) -> tuple[Optional[tuple], Optional[Vec]]:
+    """(g, None) with g in J(Tx) = conv(q_verts) and (adjoint T) g = target,
+    or (None, z) with a.z < target.z for every adjoint image a.
 
-    ``adj`` holds the adjoint images of ``q_verts``, in the same order.
+    ``adj`` holds the adjoint images of ``q_verts``, in the same order.  With
+    one image a, z = target - a, and target.z - a.z = |z|^2 > 0.  Otherwise z
+    is the coordinate part of the membership LP's Farkas vector.
     """
     if len(q_verts) == 1:
-        return q_verts[0] if adj[0] == target else None
-    weights = convex_weights([adj], target)
-    return None if weights is None else combination(weights[0], q_verts)
+        return (q_verts[0], None) if adj[0] == target else (None, vec_sub(target, adj[0]))
+    weights, farkas = convex_weights_or_farkas([adj], target)
+    if weights is None:
+        return None, farkas[: len(target)]
+    return combination(weights[0], q_verts), None
 
 
 def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     """Decide local preservation of Birkhoff-James orthogonality at x.
 
-    Checks every vertex f of J(x) for membership of (||Tx||/||x||) f in the
-    adjoint image of J(Tx); on the first failure a counterexample direction y
-    with x orthogonal to y and Tx not orthogonal to Ty is produced by an LP
-    and re-verified through `bj_orthogonal` before being reported.  J(Tx)
-    and its adjoint images are computed once and shared by every vertex f.
+    Checks every vertex f of J(x) for membership of scale f, scale =
+    ||Tx||/||x||, in the adjoint image of J(Tx): one LP per vertex, none when
+    J(Tx) is one functional.  The first failure yields z with a.z < scale f(z)
+    for every adjoint image a = T^T g of a vertex g of J(Tx).  Then
+    y = (f(z)/f(x)) x - z has f(y) = 0 and g(Ty) = scale f(z) - a.z > 0, as
+    f(x) = ||x|| and a.x = ||Tx||; scaled so that the least g(Ty) is 1, and
+    re-verified through `bj_orthogonal`, it is the counterexample.
     """
     x = _nonzero_point(op, x)
     mode = _mode_pair(op)
@@ -280,54 +291,29 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     q_verts = support_set(op.codomain, tx).vertices
     adj = _adjoint_images(op, q_verts)
     for f in p_verts:
-        if _membership_witness(q_verts, adj, vec_scale(scale, f)) is None:
-            y, margin = _counterexample_direction(adj, f)
+        _, z = _membership(q_verts, adj, vec_scale(scale, f))
+        if z is not None:
+            y = vec_sub(vec_scale(dot(f, z) / dot(f, x), x), z)
+            y = vec_scale(1 / min(dot(a, y) for a in adj), y)
             if not bj_orthogonal(op.domain, x, y).orthogonal:
                 raise InternalCheckError("counterexample is not orthogonal to x")
             if bj_orthogonal(op.codomain, tx, op(y)).orthogonal:
                 raise InternalCheckError("counterexample images remained orthogonal")
-            return PreservationReport(False, f, (y, margin), mode)
+            return PreservationReport(False, f, (y, min(dot(a, y) for a in adj)), mode)
     return PreservationReport(True, None, None, mode)
-
-
-def _counterexample_direction(adj, f: Vec) -> tuple[Vec, Fraction]:
-    """y with f(y) = 0 and g(Ty) >= 1 for every vertex g of J(Tx).
-
-    ``adj`` holds the adjoint images T^T g of those vertices.  Such y exists
-    whenever the membership of (||Tx||/||x||) f fails, up to replacing y by
-    -y; the free variables are split as y = u - w.
-    """
-    n = len(f)
-    nslack = len(adj)
-    rows = []
-    rhs = []
-    rows.append(list(f) + [-c for c in f] + [Fraction(0)] * nslack)
-    rhs.append(Fraction(0))
-    for j, a in enumerate(adj):
-        slack = [Fraction(0)] * nslack
-        slack[j] = Fraction(-1)
-        rows.append(list(a) + [-c for c in a] + slack)
-        rhs.append(Fraction(1))
-    point = feasible_point(rows, rhs)
-    if point is None:
-        raise InternalCheckError(
-            "membership failed but no counterexample direction exists"
-        )
-    y = tuple(point[k] - point[n + k] for k in range(n))
-    margin = min(dot(a, y) for a in adj)
-    return y, margin
 
 
 @float_path
 def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
-    cert = _level_vector_float(op, x, tx)
+    cert, read = _level_vector_float(op, x, tx)
     if cert is not None:
         return PreservationReport(True, None, None, FLOAT)
     # Smooth float spaces: J(x) = {f}; failure yields a kernel direction of f
-    # on which the image functional does not vanish.
-    f = support_set(op.domain, x).vertices[0]
-    g = support_set(op.codomain, tx).vertices[0]
-    d = _float_pullback(op, g)
+    # on which the image functional d = T^T g does not vanish.
+    f, d = read or (
+        support_set(op.domain, x).vertices[0],
+        _float_pullback(op, support_set(op.codomain, tx).vertices[0]),
+    )
     best_y, best_val = None, 0.0
     for j in range(op.domain.dim):
         if op.domain.p == 2:

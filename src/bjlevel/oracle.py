@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError
+from .faces import convex_combination
 from .linalg import Vec, dot, is_zero_vec, kernel_basis, vec_add, vec_scale
 from .spaces import (
     EXACT,
@@ -190,11 +191,7 @@ def preservation_sample_check(op: Operator, x: Vec, n: int, seed: int) -> Sample
     for _ in range(n):
         if mode == EXACT:
             weights = [stream.next_positive_fraction() for _ in sup.vertices]
-            total = sum(weights)
-            f = tuple(
-                sum(w * v[k] for w, v in zip(weights, sup.vertices)) / total
-                for k in range(domain.dim)
-            )
+            f = convex_combination(sup.vertices, weights)
         else:
             f = tuple(Fraction(c).limit_denominator(10**12) for c in sup.vertices[0])
         basis = kernel_basis((f,))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .errors import InternalCheckError
+from .linalg import ONE, ZERO, dot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -26,6 +26,7 @@ class LPResult:
     status: str
     x: Optional[tuple[Fraction, ...]]
     value: Optional[Fraction]
+    farkas: Optional[tuple[Fraction, ...]] = None  # infeasible only, see _is_farkas
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -104,17 +105,22 @@ def solve_standard_lp(
         tableau.append(row)
 
     # Phase 1: artificial variable per row, minimize their sum.
-    basis = []
-    for i in range(nrows):
-        for row_idx, row in enumerate(tableau):
-            row.insert(ncols + i, ONE if row_idx == i else ZERO)
-        basis.append(ncols + i)
+    for i, row in enumerate(tableau):
+        row[ncols:ncols] = [ONE if j == i else ZERO for j in range(nrows)]
+    basis = list(range(ncols, ncols + nrows))
     phase1_cost = [ZERO] * ncols + [ONE] * nrows
     status = _iterate(tableau, basis, phase1_cost, ncols + nrows)
     assert status == OPTIMAL  # phase-1 objective is bounded below by zero
     infeasibility = sum((tableau[i][-1] for i in range(len(tableau)) if basis[i] >= ncols), ZERO)
     if infeasibility != 0:
-        return LPResult(INFEASIBLE, None, None)
+        # The artificial column of row i has reduced cost 1 - pi_i, pi being
+        # the phase-1 multipliers of the rows flipped to b_i >= 0: optimality
+        # gives pi.(flipped A_j) <= 0, and pi.(flipped b) is the optimum, > 0.
+        reduced = _reduced_costs(tableau, basis, phase1_cost)
+        y = tuple(r - ONE if rhs < 0 else ONE - r for rhs, r in zip(b_eq, reduced[ncols:]))
+        if not _is_farkas(a_eq, b_eq, y):
+            raise InternalCheckError("the phase-1 Farkas vector fails its defining inequalities")
+        return LPResult(INFEASIBLE, None, None, y)
 
     # Drive leftover (zero-valued) artificials out of the basis, then drop them.
     for i in range(len(tableau) - 1, -1, -1):
@@ -142,32 +148,47 @@ def solve_standard_lp(
     return LPResult(OPTIMAL, tuple(x), value)
 
 
+def _is_farkas(a_eq, b_eq, y) -> bool:
+    """The Farkas certificate of infeasibility: y.A_j <= 0 for every column
+    A_j of a_eq, and y.b_eq > 0."""
+    return dot(y, b_eq) > 0 and all(dot(y, column) <= 0 for column in zip(*a_eq))
+
+
 def feasible_point(
     a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]
 ) -> Optional[tuple[Fraction, ...]]:
     """A point with a_eq x = b_eq, x >= 0, or None when the system is infeasible."""
-    res = solve_standard_lp(a_eq, b_eq)
-    return res.x if res.status == OPTIMAL else None
+    return solve_standard_lp(a_eq, b_eq).x
 
 
 def convex_weights(
     blocks: Sequence[Sequence[Sequence[Fraction]]], target: Sequence[Fraction]
 ) -> Optional[list[tuple[Fraction, ...]]]:
     """Convex weights w_b on each block's columns with sum_b sum_i w_b[i] c_b[i]
-    = target, one tuple per block, or None when there are none.
+    = target, one tuple per block, or None when there are none."""
+    return convex_weights_or_farkas(blocks, target)[0]
+
+
+def convex_weights_or_farkas(
+    blocks: Sequence[Sequence[Sequence[Fraction]]], target: Sequence[Fraction]
+) -> tuple[Optional[list[tuple[Fraction, ...]]], Optional[tuple[Fraction, ...]]]:
+    """(weights, None) as `convex_weights` gives them, or (None, y) with y the
+    Farkas vector of the same solve when there are none.
 
     Posed as A x = b, x >= 0 with one row per coordinate of ``target``, then
     one row per block fixing its weights' sum to 1; the columns follow the
-    blocks in order.
+    blocks in order.  So y = (z, t_1, ..., t_B) with z.c + t_b <= 0 for every
+    column c of block b and z.target + sum_b t_b > 0; for one block, z
+    strictly separates ``target`` from the block's convex hull.
     """
     rows = [[c[k] for block in blocks for c in block] for k in range(len(target))]
     for i in range(len(blocks)):
         rows.append([ONE if j == i else ZERO for j, block in enumerate(blocks) for _ in block])
-    point = feasible_point(rows, [*target, *(ONE for _ in blocks)])
-    if point is None:
-        return None
+    res = solve_standard_lp(rows, [*target, *(ONE for _ in blocks)])
+    if res.status != OPTIMAL:
+        return None, res.farkas
     out, start = [], 0
     for block in blocks:
-        out.append(point[start : start + len(block)])
+        out.append(res.x[start : start + len(block)])
         start += len(block)
-    return out
+    return out, None

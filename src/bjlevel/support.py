@@ -23,6 +23,7 @@ from .spaces import (
     MAX_CUBE_DIM,
     SpaceSpec,
     _norm_and_face,
+    dual_norm,
     float_path,
     is_exact,
     norm,
@@ -112,8 +113,6 @@ def eval_range(
 
 def functional_in_support(space: SpaceSpec, x: Vec, f: Vec) -> bool:
     """Exact membership test f in J(x) (checks f(x) = ||x|| and ||f||* = 1)."""
-    from .spaces import dual_norm  # local import to keep module init light
-
     require_dim(space, x)
     require_dim(space, f)
     if not is_exact(space):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bjlevel import space_from_dict
+from bjlevel import simplex, space_from_dict
 from bjlevel.cli import COMMANDS, main
 
 F = Fraction
@@ -121,6 +121,15 @@ def test_preserve_check_report(files, capsys):
     assert code == 0
     assert report["result"]["holds"] is False
     assert report["result"]["counterexample"]["y"] is not None
+
+
+def test_failed_farkas_check_exits_3_with_one_json_line(files, capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "_is_farkas", lambda *args: False)
+    code, out = run(
+        capsys, ["preserve", "check", "--space", files["l1_3"], "--op", files["diag211"], "--x", "1,0,0"]
+    )
+    assert code == 3
+    assert out.count("\n") == 1 and json.loads(out)["error"] == "internal_check"
 
 
 def test_isometry_certify_report(files, capsys):

@@ -9,6 +9,7 @@ from bjlevel import (
     RationalStream,
     ball_vertices,
     bj_orthogonal,
+    bj_orthogonal_oracle,
     dual_norm,
     dual_space,
     is_level_vector,
@@ -24,6 +25,7 @@ from bjlevel import (
     subspace_orthogonal,
     support_set,
 )
+from bjlevel import levels, simplex
 from bjlevel.linalg import dot, mat_vec, transpose
 from bjlevel.simplex import feasible_point
 
@@ -166,3 +168,65 @@ def test_dual_norm_is_the_largest_value_on_the_ball_vertices(name):
         f = stream.next_nonzero_vector(space.dim)
         value = dual_norm(space, f)
         assert value == max(dot(f, v) for v in ball_vertices(space)) == norm(polar, f)
+
+
+def counterexample_lp_is_feasible(adj, f):
+    """The LP that found counterexamples before the membership LP's Farkas
+    vector did: f(y) = 0 and a.y >= 1 for every adjoint image a, with y
+    split as u - w and one slack per image."""
+    m = len(adj)
+    rows = [list(f) + [-c for c in f] + [F(0)] * m]
+    for j, a in enumerate(adj):
+        rows.append(list(a) + [-c for c in a] + [F(-1) if i == j else F(0) for i in range(m)])
+    return feasible_point(rows, [F(0)] + [F(1)] * m) is not None
+
+
+def test_refutations_come_from_the_membership_separator(monkeypatch):
+    # Each vertex f of J(x) is either a member (witness g) or separated by z;
+    # the old counterexample LP is feasible exactly when it is separated, and
+    # a refutation's y is checked by its definition and by the oracle.
+    lp_calls = []
+    solve = simplex.solve_standard_lp
+    monkeypatch.setattr(simplex, "solve_standard_lp", lambda *a, **k: lp_calls.append(1) or solve(*a, **k))
+    separators = set()
+    for name in ["cube-cross", "hexagon", "l1^3", "l1^4", "linf^3", "linf^4"]:
+        space = SMOOTH_IMAGE_BALLS[name]()
+        rng = random.Random(name)
+        points = [x for kind in probe_points(space, rng, digits=6) for x in kind]
+        verdicts = set()
+        for op in smooth_image_operators(space, 7 + sum(map(ord, name))):
+            for x in points:
+                tx = op(x)
+                if all(c == 0 for c in tx):
+                    continue
+                scale = norm(space, tx) / norm(space, x)
+                q_verts = support_set(space, tx).vertices
+                adj = [mat_vec(transpose(op.matrix), q) for q in q_verts]
+                separated = []
+                for f in support_set(space, x).vertices:
+                    target = tuple(scale * c for c in f)
+                    g, z = levels._membership(q_verts, adj, target)
+                    if z is None:
+                        assert mat_vec(transpose(op.matrix), g) == target
+                    else:
+                        assert g is None and all(dot(a, z) < dot(target, z) for a in adj)
+                        separators.add("lp" if len(adj) > 1 else "one image")
+                    assert counterexample_lp_is_feasible(adj, f) == (z is not None)
+                    separated.append(z is not None)
+                del lp_calls[:]
+                report = preserves_bj_at(op, x)
+                verdicts.add(report.holds)
+                assert report.holds == (not any(separated))
+                if report.holds:
+                    continue
+                visited = separated.index(True) + 1
+                assert len(lp_calls) <= (0 if len(q_verts) == 1 else visited)
+                f = report.failing_functional
+                assert f == support_set(space, x).vertices[visited - 1]
+                y, margin = report.counterexample
+                assert dot(f, y) == 0
+                assert margin == 1 == min(dot(g, op(y)) for g in q_verts)
+                assert bj_orthogonal_oracle(space, x, y).orthogonal
+                assert not bj_orthogonal_oracle(space, tx, op(y)).orthogonal
+        assert verdicts == {True, False}, name
+    assert separators == {"lp", "one image"}

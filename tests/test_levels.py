@@ -29,6 +29,7 @@ from bjlevel import (
     bj_orthogonal,
     zero_operator,
 )
+from bjlevel import levels
 from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec_scale
 
 from ._util import cube_cross_vertices, seeded_operator_kinds, v
@@ -115,14 +116,27 @@ def test_preservation_fails_for_diag211_with_verified_counterexample(l1_3):
 def test_lp_certificates_and_counterexamples_are_pinned(l1_3):
     """Exact outputs of the LP path: a level test with |J(Tx)| = 2, a
     directional witness between two vertices of J(Tx), and the diag(2,1,1)
-    counterexample at e1."""
+    counterexample at e1.  There f = (1,-1,-1) fails, and y = (1, 1/2, 1/2)
+    has f(y) = 1 - 1/2 - 1/2 = 0, while the vertices g = (1, +-1, +-1) of
+    J(Te1) give g(Ty) = 2 +- 1/2 +- 1/2 >= 1, with equality at g = (1,-1,-1)."""
     op = diagonal_operator(l1_3, [1, 1, 2])
     cert = is_level_vector(op, v("1,1,0"))
     assert (cert.f, cert.g, cert.level_number) == (v("1,1,-1"), v("1,1,-1/2"), 1)
     assert preserves_bj_directional(op, v("1,1,0"), v("1,1,0")).witness == v("1,1,0")
     report = preserves_bj_at(diagonal_operator(l1_3, [2, 1, 1]), v("1,0,0"))
     assert report.failing_functional == v("1,-1,-1")
-    assert report.counterexample == (v("1,0,1"), 1)
+    assert report.counterexample == (v("1,1/2,1/2"), 1)
+
+
+def test_float_preservation_reads_each_support_set_once(l3_3, monkeypatch):
+    # The failed float level test's J(x), J(Tx) and T^T g are reused for the
+    # counterexample search, not recomputed.
+    calls = []
+    real = levels.support_set
+    monkeypatch.setattr(levels, "support_set", lambda space, x: calls.append(x) or real(space, x))
+    report = preserves_bj_at(diagonal_operator(l3_3, [2, 1, 1]), v("1,1,0"))
+    assert not report.holds and report.counterexample[0] == v("1/2,-1/2,0")
+    assert len(calls) == 2
 
 
 def test_preservation_holds_for_diag123_on_linf(linf_3):

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from bjlevel import RationalStream
-from bjlevel.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, convex_weights, feasible_point, solve_standard_lp
+from bjlevel.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    _is_farkas,
+    convex_weights,
+    feasible_point,
+    solve_standard_lp,
+)
 
 from ._util import fraction_solve
 
@@ -130,3 +138,46 @@ def test_convex_weights_match_hand_built_two_block_rows(seed):
             assert weights == [point[:np_], point[np_:]]
         verdicts.append(point is not None)
     assert set(verdicts) == {True, False}
+
+
+def _separates(rows, rhs, y):
+    """y.A_j <= 0 for every column A_j and y.b > 0, computed here."""
+    columns_ok = all(sum(yi * row[j] for yi, row in zip(y, rows)) <= 0 for j in range(len(rows[0])))
+    return columns_ok and sum(yi * bi for yi, bi in zip(y, rhs)) > 0
+
+
+def test_random_infeasible_systems_carry_a_farkas_vector():
+    """Seeded systems with signed right-hand sides, each with one redundant
+    row (the sum of its first two), some with a cost: every infeasible one
+    returns a vector that separates, checked here, and feasible ones none.
+    The verdict is checked against basic-solution enumeration."""
+    stream = RationalStream(97)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, "flipped row used": 0}
+    for trial in range(200):
+        m, n = 2 + stream.next_int(2), 3 + stream.next_int(3)
+        rows = [[stream.next_fraction() for _ in range(n)] for _ in range(m)]
+        rhs = [stream.next_fraction() for _ in range(m)]
+        rows.append([a + b for a, b in zip(rows[0], rows[1])])
+        rhs.append(rhs[0] + rhs[1])
+        cost = [abs(stream.next_fraction()) for _ in range(n)] if trial % 2 else None
+        res = solve_standard_lp(rows, rhs, cost=cost)
+        feasible = _brute_force_best(rows[:-1], rhs[:-1], [F(0)] * n) is not None
+        assert (res.status == OPTIMAL) == feasible
+        seen[res.status] += 1
+        if feasible:
+            assert res.farkas is None
+        else:
+            assert len(res.farkas) == m + 1 and _separates(rows, rhs, res.farkas)
+            seen["flipped row used"] += any(yi != 0 and bi < 0 for yi, bi in zip(res.farkas, rhs))
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_farkas_check_needs_a_strictly_positive_value_on_the_rhs():
+    # x1 + x2 = 1 and -x1 - x2 = 1: y = (1, 1) gives y.A = 0 and y.b = 2.
+    rows, rhs = [[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)]
+    assert _is_farkas(rows, rhs, (F(1), F(1)))
+    assert solve_standard_lp(rows, rhs).farkas is not None
+    assert not _is_farkas(rows, rhs, (F(0), F(0)))  # y.b = 0
+    assert not _is_farkas(rows, [F(1), F(-1)], (F(1), F(1)))  # y.b = 0
+    assert not _is_farkas(rows, rhs, (F(-1), F(-1)))  # y.b < 0
+    assert not _is_farkas([[F(1), F(0)]], [F(1)], (F(1),))  # y.A_1 > 0
