@@ -29,13 +29,20 @@ from .levels import (
     is_level_vector,
     level_count_bound,
     preserves_bj_at,
+    preserves_bj_directional,
 )
 from .oracle import minimize_norm_1d, preservation_sample_check
 from .orthogonality import bj_orthogonal, bj_orthogonal_oracle
 from .spaces import (
     Operator,
     SpaceSpec,
+    adjoint,
     arithmetic_mode,
+    diagonal_operator,
+    l1,
+    linf,
+    norm,
+    operator,
     operator_from_dict,
     operator_to_dict,
     parse_rows,
@@ -245,10 +252,6 @@ def _run(name: str, args: argparse.Namespace) -> dict:
 
 def _selftest() -> dict:
     """Re-run the worked examples bundled with the package."""
-    from fractions import Fraction as F
-
-    from .spaces import diagonal_operator, l1, linf, operator
-
     failures: list[str] = []
     total = 0
 
@@ -259,15 +262,16 @@ def _selftest() -> dict:
             failures.append(name)
 
     l1_3, linf_3, linf_2 = l1(3), linf(3), linf(2)
-    e1 = (F(1), F(0), F(0))
-    v = (F(1, 2), F(1, 2), F(0))
+    e1 = (Fraction(1), Fraction(0), Fraction(0))
+    v = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
-    check("norm l1 example", __import__("bjlevel").norm(l1_3, v) == 1)
-    check("smooth point", len(support_set(linf_3, (F(1), F(1, 2), F(0))).vertices) == 1)
-    check("non-smooth point", len(support_set(linf_3, (F(1), F(1), F(0))).vertices) == 2)
+    check("norm l1 example", norm(l1_3, v) == 1)
+    check("smooth point", len(support_set(linf_3, (Fraction(1), Fraction(1, 2), Fraction(0))).vertices) == 1)
+    check("non-smooth point", len(support_set(linf_3, (Fraction(1), Fraction(1), Fraction(0))).vertices) == 2)
     check("l1 bj orthogonal", bj_orthogonal(l1_3, e1, v).orthogonal)
-    check("l1 bj not orthogonal", not bj_orthogonal(l1_3, (F(2), 0, 0), (F(1), F(1, 2), 0)).orthogonal)
-    check("l1 oracle minimum", minimize_norm_1d(l1_3, (F(2), 0, 0), (F(1), F(1, 2), 0)) == (-2, 1))
+    two_e1, w = (Fraction(2), 0, 0), (Fraction(1), Fraction(1, 2), 0)
+    check("l1 bj not orthogonal", not bj_orthogonal(l1_3, two_e1, w).orthogonal)
+    check("l1 oracle minimum", minimize_norm_1d(l1_3, two_e1, w) == (-2, 1))
 
     t211 = diagonal_operator(l1_3, [2, 1, 1])
     cert = is_level_vector(t211, e1)
@@ -279,12 +283,9 @@ def _selftest() -> dict:
     record = adjoint_level_transfer(t123_inf, e1)
     check("adjoint transfer psi", record.psi == e1 and record.level_number == 1)
 
-    from .levels import preserves_bj_directional
-    from .spaces import adjoint as adjoint_of
-
     check(
         "adjoint of diag on linf acts on l1",
-        adjoint_of(t123_inf).matrix == t123_inf.matrix and adjoint_of(t123_inf).domain == l1_3,
+        adjoint(t123_inf).matrix == t123_inf.matrix and adjoint(t123_inf).domain == l1_3,
     )
     check(
         "directional preservation diag(2,1,1)",
@@ -292,13 +293,13 @@ def _selftest() -> dict:
     )
 
     t_case = operator([[3, -2, 0], [1, 0, 0], [0, 0, 1]], linf_3)
-    check("case3 not level", is_level_vector(t_case, (F(1), F(1, 2), F(0))) is None)
-    cert2 = is_level_vector(t_case, (F(1), F(1), F(0)))
+    check("case3 not level", is_level_vector(t_case, (Fraction(1), Fraction(1, 2), Fraction(0))) is None)
+    cert2 = is_level_vector(t_case, (Fraction(1), Fraction(1), Fraction(0)))
     check("case2 level number 1", cert2 is not None and cert2.level_number == 1)
 
     d21 = diagonal_operator(linf_2, [2, 1])
-    check("exam level number u", is_level_vector(d21, (F(0), F(1))).level_number == 1)
-    check("exam level number v", is_level_vector(d21, (F(1), F(1))).level_number == 4)
+    check("exam level number u", is_level_vector(d21, (Fraction(0), Fraction(1))).level_number == 1)
+    check("exam level number v", is_level_vector(d21, (Fraction(1), Fraction(1))).level_number == 4)
     check("exam enumerate", set(enumerate_level_numbers(d21, 3, 7).values) == {1, 4})
 
     t123_l1 = diagonal_operator(l1_3, [1, 2, 3])
@@ -306,7 +307,8 @@ def _selftest() -> dict:
         "extreme example refuted",
         certify_scalar_isometry_polyhedral(t123_l1).verdict == "refuted",
     )
-    numbers = {is_level_vector(t123_l1, u).level_number for u in [(F(1), 0, 0), (F(0), F(1), 0), (F(0), 0, F(1))]}
+    basis = [(Fraction(1), 0, 0), (Fraction(0), Fraction(1), 0), (Fraction(0), 0, Fraction(1))]
+    numbers = {is_level_vector(t123_l1, u).level_number for u in basis}
     check("extreme example numbers", numbers == {1, 4, 9})
     check("extreme enumerate superset", {1, 4, 9} <= set(enumerate_level_numbers(t123_l1, 3, 5).values))
 
@@ -316,9 +318,23 @@ def _selftest() -> dict:
     check("bound linf 13", level_count_bound(linf_3, t123_inf) == 13)
 
     s_case = diagonal_operator(linf_3, [1, 1, 2])
-    case3 = scalar_identity_test(t_case, [(F(1), F(1, 2), F(0)), (F(1), F(1), F(0)), (F(1), F(1), F(1, 2))])
+    case3 = scalar_identity_test(
+        t_case,
+        [
+            (Fraction(1), Fraction(1, 2), Fraction(0)),
+            (Fraction(1), Fraction(1), Fraction(0)),
+            (Fraction(1), Fraction(1), Fraction(1, 2)),
+        ],
+    )
     check("identity case3 fails iii", case3.failed_conditions == ("iii",))
-    case4 = scalar_identity_test(s_case, [(F(1), F(0), F(0)), (F(1), F(1, 2), F(0)), (F(0), F(0), F(1))])
+    case4 = scalar_identity_test(
+        s_case,
+        [
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(1), Fraction(1, 2), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        ],
+    )
     check("identity case4 fails iv", case4.failed_conditions == ("iv",))
 
     sample = preservation_sample_check(t211, e1, 60, 11)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InputError, InternalCheckError
-from .faces import antipodal_representatives, convex_combination, face_census
+from .faces import Face, antipodal_representatives, convex_combination, face_census
 from .linalg import (
     ZERO,
     Vec,
@@ -41,6 +42,7 @@ from .oracle import RationalStream, sample_sphere
 from .orthogonality import bj_orthogonal, subspace_orthogonal
 from .simplex import convex_weights, convex_weights_or_farkas
 from .spaces import (
+    CACHE_SIZE,
     EXACT,
     FLOAT,
     FLOAT_TOL,
@@ -139,27 +141,26 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     if mode == FLOAT:
         return _level_vector_float(op, x, tx)[0]
 
-    found = _exact_level(op, x, tx, {})
+    found = _exact_level(op, x, tx)
     return None if found is None else LevelCertificate(x, *found, EXACT)
 
 
-def _exact_level(op: Operator, x: Vec, tx: Vec, memo: dict) -> Optional[tuple]:
+def _exact_level(op: Operator, x: Vec, tx: Vec) -> Optional[tuple]:
     """(f, g, level number) certifying x as a level vector of T, or None.
 
-    Exact mode, Tx nonzero.  The answer depends only on the vertices of J(x),
-    the vertices of J(Tx) and the scale ||Tx||/||x|| (the adjoint images are
-    fixed by J(Tx) and T), so it is kept in ``memo`` under those three
-    values; a caller probing many points passes one dict to solve each
-    distinct subproblem once.  Every certificate is re-checked at x.
+    Exact mode, Tx nonzero.  The certificate is checked against its defining
+    equation before it is returned.
     """
     scale = norm(op.codomain, tx) / norm(op.domain, x)
     p_verts = support_set(op.domain, x).vertices
     q_verts = support_set(op.codomain, tx).vertices
-    key = (p_verts, q_verts, scale)
-    if key not in memo:
-        memo[key] = _solve_level(op, p_verts, q_verts, scale)
-    found = memo[key]
-    if found is not None and _adjoint_images(op, [found[1]])[0] != vec_scale(scale, found[0]):
+    return _checked(_solve_level(op, p_verts, q_verts, scale), transpose(op.matrix), scale)
+
+
+def _checked(found: Optional[tuple], tmat, scale: Fraction) -> Optional[tuple]:
+    """``found`` from `_solve_level`, once T^T g = scale f is verified for it
+    (``tmat`` is T^T)."""
+    if found is not None and mat_vec(tmat, found[1]) != vec_scale(scale, found[0]):
         raise InternalCheckError("level certificate fails its defining equation")
     return found
 
@@ -384,32 +385,40 @@ class LevelNumberReport:
 def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> LevelNumberReport:
     """Probe every antipodal face pair of the domain ball for level vectors.
 
-    Each point gets the verdict of `is_level_vector`.  Points with the same
-    J(x), J(Tx) and ||Tx||/||x|| pose the same problem, so within one call each
-    distinct subproblem is solved once and its certificate re-checked at
-    every point that poses it.
+    Each point gets the verdict of `is_level_vector`, found face by face from
+    the domain's probe table (`_probe_table`).  Every probe point x lies in
+    the relative interior of its face F, so J(x) is the face's J_F, and on a
+    proper face ||x|| = 1; only Tx, ||Tx|| and J(Tx) are computed per point.
+    Points with the same J_F, J(Tx) and ||Tx|| pose the same problem, so
+    within one call each distinct subproblem is solved once, and its
+    certificate checked once, when it is solved: the check reads only f, g,
+    the scale and T, which that key fixes.
     """
     if not is_exact(op.domain):
         raise InputError("not_polyhedral", "enumeration needs a polyhedral domain")
     if samples_per_face < 0:
         raise InputError("bad_count", "samples_per_face must be >= 0")
-    faces = antipodal_representatives(op.domain)
+    table = _probe_table(op.domain)
     _mode_pair(op)  # a float codomain is rejected as by is_level_vector
     stream = RationalStream(seed)
-    memo: dict = {}
+    tmat = transpose(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
     # and equal tuples of level numbers one tuple.
     pool = {ZERO: ZERO}
     number_rows: dict = {}
     probes = []
     values: set[Fraction] = set()
-    for face in faces:
-        points = [_shared(face.centroid(), pool)]
+    for face, first, p_verts in table:
+        points = [first]
         if face.dim > 0:
             for _ in range(samples_per_face):
-                weights = [stream.next_positive_fraction() for _ in face.vertices]
+                # The draws of next_positive_fraction, without the common
+                # denominator 1000, which a convex combination divides out.
+                weights = [stream.next_int(1000) + 1 for _ in face.vertices]
                 points.append(_shared(convex_combination(face.vertices, weights), pool))
-        numbers = tuple(_enumerated_level_number(op, point, memo, pool) for point in points)
+        # Faces have distinct J_F, so one memo per face is keyed on J_F too.
+        memo: dict = {}
+        numbers = tuple(_face_level_number(op, tmat, p_verts, point, memo, pool) for point in points)
         numbers = number_rows.setdefault(numbers, numbers)
         values.update(k for k in numbers if k is not None)
         probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
@@ -421,11 +430,36 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     )
 
 
-def _enumerated_level_number(op: Operator, x: Vec, memo: dict, pool: dict) -> Optional[Fraction]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _probe_table(space: SpaceSpec) -> tuple[tuple[Face, Vec, tuple[Vec, ...]], ...]:
+    """One row (F, first probe point, J_F) per face F of
+    `antipodal_representatives`, in that order.
+
+    The first probe point of a 0-face is its vertex, and of a larger face its
+    centroid, with equal entries sharing one Fraction.  Both lie in the
+    relative interior of F, where J(x) is the same polytope J_F, read here as
+    `support_set` there.
+    """
+    pool = {ZERO: ZERO}
+    table = []
+    for face in antipodal_representatives(space):
+        point = face.vertices[0] if face.dim == 0 else _shared(face.centroid(), pool)
+        table.append((face, point, support_set(space, point).vertices))
+    return tuple(table)
+
+
+def _face_level_number(op: Operator, tmat, p_verts, x: Vec, memo: dict, pool: dict) -> Optional[Fraction]:
+    """The level number of x, a point of a proper face with J(x) = conv(p_verts),
+    or None when x is not a level vector; ``memo`` maps (J(Tx), ||Tx||) to the
+    checked `_solve_level` answer, and ``tmat`` is T^T."""
     tx = op(x)
     if is_zero_vec(tx):
         return ZERO
-    found = _exact_level(op, x, tx, memo)
+    scale = norm(op.codomain, tx)  # / ||x||, which is 1
+    key = (support_set(op.codomain, tx).vertices, scale)
+    if key not in memo:
+        memo[key] = _checked(_solve_level(op, p_verts, key[0], scale), tmat, scale)
+    found = memo[key]
     return None if found is None else pool.setdefault(found[2], found[2])
 
 

@@ -9,9 +9,10 @@ the implementation easy to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalCheckError
 from .linalg import ONE, ZERO, dot
@@ -26,7 +27,14 @@ class LPResult:
     status: str
     x: Optional[tuple[Fraction, ...]]
     value: Optional[Fraction]
-    farkas: Optional[tuple[Fraction, ...]] = None  # infeasible only, see _is_farkas
+    _read_farkas: Optional[Callable[[], tuple[Fraction, ...]]] = field(default=None, repr=False, compare=False)
+
+    @property
+    def farkas(self) -> Optional[tuple[Fraction, ...]]:
+        """Infeasible only: a Farkas vector of the problem (see _is_farkas),
+        read from the final phase-1 tableau and checked on first use, so a
+        caller that only needs the status pays for neither."""
+        return None if self._read_farkas is None else self._read_farkas()
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -113,14 +121,19 @@ def solve_standard_lp(
     assert status == OPTIMAL  # phase-1 objective is bounded below by zero
     infeasibility = sum((tableau[i][-1] for i in range(len(tableau)) if basis[i] >= ncols), ZERO)
     if infeasibility != 0:
-        # The artificial column of row i has reduced cost 1 - pi_i, pi being
-        # the phase-1 multipliers of the rows flipped to b_i >= 0: optimality
-        # gives pi.(flipped A_j) <= 0, and pi.(flipped b) is the optimum, > 0.
-        reduced = _reduced_costs(tableau, basis, phase1_cost)
-        y = tuple(r - ONE if rhs < 0 else ONE - r for rhs, r in zip(b_eq, reduced[ncols:]))
-        if not _is_farkas(a_eq, b_eq, y):
-            raise InternalCheckError("the phase-1 Farkas vector fails its defining inequalities")
-        return LPResult(INFEASIBLE, None, None, y)
+
+        def read_farkas() -> tuple[Fraction, ...]:
+            # The artificial column of row i has reduced cost 1 - pi_i, pi
+            # being the phase-1 multipliers of the rows flipped to b_i >= 0:
+            # optimality gives pi.(flipped A_j) <= 0, and pi.(flipped b) is
+            # the optimum, > 0.
+            reduced = _reduced_costs(tableau, basis, phase1_cost)
+            y = tuple(r - ONE if rhs < 0 else ONE - r for rhs, r in zip(b_eq, reduced[ncols:]))
+            if not _is_farkas(a_eq, b_eq, y):
+                raise InternalCheckError("the phase-1 Farkas vector fails its defining inequalities")
+            return y
+
+        return LPResult(INFEASIBLE, None, None, cache(read_farkas))
 
     # Drive leftover (zero-valued) artificials out of the basis, then drop them.
     for i in range(len(tableau) - 1, -1, -1):
@@ -166,7 +179,7 @@ def convex_weights(
 ) -> Optional[list[tuple[Fraction, ...]]]:
     """Convex weights w_b on each block's columns with sum_b sum_i w_b[i] c_b[i]
     = target, one tuple per block, or None when there are none."""
-    return convex_weights_or_farkas(blocks, target)[0]
+    return _convex_weights_lp(blocks, target)[0]
 
 
 def convex_weights_or_farkas(
@@ -181,14 +194,22 @@ def convex_weights_or_farkas(
     column c of block b and z.target + sum_b t_b > 0; for one block, z
     strictly separates ``target`` from the block's convex hull.
     """
+    weights, res = _convex_weights_lp(blocks, target)
+    return weights, res.farkas
+
+
+def _convex_weights_lp(
+    blocks: Sequence[Sequence[Sequence[Fraction]]], target: Sequence[Fraction]
+) -> tuple[Optional[list[tuple[Fraction, ...]]], LPResult]:
+    """The weights of `convex_weights`, or None, with the LP result they came from."""
     rows = [[c[k] for block in blocks for c in block] for k in range(len(target))]
     for i in range(len(blocks)):
         rows.append([ONE if j == i else ZERO for j, block in enumerate(blocks) for _ in block])
     res = solve_standard_lp(rows, [*target, *(ONE for _ in blocks)])
     if res.status != OPTIMAL:
-        return None, res.farkas
+        return None, res
     out, start = [], 0
     for block in blocks:
         out.append(res.x[start : start + len(block)])
         start += len(block)
-    return out, None
+    return out, res

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from operator import is_, itemgetter, mul
@@ -120,13 +120,16 @@ class SpaceSpec:
     ``kind`` is ``"lp"`` (with ``p`` a Fraction or the string ``"inf"``) or
     ``"polyhedral"`` (with ``ball_vertices`` the unit-ball vertex list).
     Instances are immutable and hashable; all derived data (polars, face
-    lattices) is cached per space.
+    lattices) is cached per space.  ``known_polar`` is the polar vertex list
+    of a polyhedral ball when it is known exactly without a facet scan; it
+    takes no part in equality or hashing.
     """
 
     kind: str
     dim: int
     p: Optional[Union[Fraction, str]] = None
     ball_vertices: Optional[tuple[Vec, ...]] = None
+    known_polar: Optional[tuple[Vec, ...]] = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # compact, e.g. lp(1)^3
         if self.kind == "lp":
@@ -179,9 +182,10 @@ def polyhedral_space(vertices: Iterable[Iterable], validate: bool = True) -> Spa
     if not verts:
         raise InputError("bad_ball", "polyhedral space needs at least one ball vertex")
     dim = len(verts[0])
-    if validate:
-        _validate_ball_vertices(verts, dim)
-    return SpaceSpec("polyhedral", dim, None, verts)
+    if not validate:
+        return SpaceSpec("polyhedral", dim, None, verts)
+    incidence = _validate_ball_vertices(verts, dim)
+    return SpaceSpec("polyhedral", dim, None, verts, tuple(f for f, _ in incidence))
 
 
 def _shared(values: Vec, pool: dict[Fraction, Fraction]) -> Vec:
@@ -194,7 +198,8 @@ def _shared(values: Vec, pool: dict[Fraction, Fraction]) -> Vec:
     return values if all(map(is_, out, values)) else out
 
 
-def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> None:
+def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, frozenset[int]], ...]:
+    """The facet incidence of a valid unit-ball vertex list, else InputError."""
     if any(len(v) != dim for v in verts):
         raise DimensionMismatch("ball vertices have inconsistent dimensions")
     if len(set(verts)) != len(verts):
@@ -213,6 +218,7 @@ def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> None:
         # Extreme iff no other listed point lies on every facet through v.
         if everyone.intersection(*(tight for _, tight in incidence if i in tight)) != {i}:
             raise InputError("bad_ball", f"listed vertex {v} is not an extreme point")
+    return incidence
 
 
 def is_exact(space: SpaceSpec) -> bool:
@@ -270,10 +276,16 @@ def conjugate_exponent(p: Union[Fraction, str]) -> Union[Fraction, str]:
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:
-    """The dual space: lp(q) with 1/p + 1/q = 1, or the polar polytope."""
+    """The dual space: lp(q) with 1/p + 1/q = 1, or the polar polytope.
+
+    When every listed vertex of the ball is known to be extreme (its polar is
+    known), those vertices are exactly the facets of the polar, so the dual's
+    own polar is known too and needs no facet scan.
+    """
     if space.kind == "lp":
         return lp_space(conjugate_exponent(space.p), space.dim)
-    return SpaceSpec("polyhedral", space.dim, None, polar_vertices(space))
+    bidual = None if space.known_polar is None else tuple(sorted(space.ball_vertices))
+    return SpaceSpec("polyhedral", space.dim, None, polar_vertices(space), bidual)
 
 
 def dual_norm(space: SpaceSpec, f: Vec) -> Union[Fraction, float]:
@@ -441,6 +453,8 @@ def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     sorted; on l1 and l-inf they are the closed-form dual vertices."""
     if space.p == 1 or space.p == INF:
         return tuple(sorted(dual_ball_vertices(space)))
+    if space.known_polar is not None:
+        return space.known_polar
     return tuple(f for f, _ in _facet_incidence(ball_vertices(space)))
 
 

@@ -1,9 +1,11 @@
 """CLI reports: schemas, exit codes, determinism, input echo round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -11,8 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bjlevel import simplex, space_from_dict
+from bjlevel import (
+    diagonal_operator,
+    identity_operator,
+    operator,
+    operator_to_dict,
+    polyhedral_space,
+    simplex,
+    space_from_dict,
+    space_to_dict,
+)
 from bjlevel.cli import COMMANDS, main
+
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, sphere_ball
 
 F = Fraction
 
@@ -434,3 +447,36 @@ def test_text_format(files, capsys):
     code, out = run(capsys, ["--format", "text", "faces", "census", "--space", files["l1_3"]])
     assert code == 0
     assert "counts" in out and "total" in out
+
+
+def test_adjoint_transfer_reports_on_polyhedral_balls_are_pinned(tmp_path, capsys):
+    # The duals of validated balls read their polars without a facet scan;
+    # these 90 reports are the ones the scan gave.
+    rng = random.Random(3)
+    balls = {
+        "hexagon": HEXAGON_VERTICES,
+        "cube_cross_3": cube_cross_vertices(3),
+        "cube_cross_4": cube_cross_vertices(4),
+        "sphere_2": sphere_ball(rng, 2, 5),
+        "sphere_3": sphere_ball(rng, 3, 6),
+    }
+    out = []
+    for name, vertices in balls.items():
+        space = polyhedral_space(vertices)
+        space_file = tmp_path / f"{name}.json"
+        space_file.write_text(json.dumps(space_to_dict(space)))
+        n = space.dim
+        ops = {
+            "identity": identity_operator(space),
+            "twice": diagonal_operator(space, [2] * n),
+            "minus": operator([[-1 if r == c else 0 for c in range(n)] for r in range(n)], space),
+        }
+        for op_name, op in ops.items():
+            op_file = tmp_path / f"{name}_{op_name}.json"
+            op_file.write_text(json.dumps(operator_to_dict(op)))
+            for x in space.ball_vertices[:6]:
+                argv = ["adjoint", "transfer", "--space", str(space_file), "--op", str(op_file)]
+                code, text = run(capsys, argv + ["--x", ",".join(map(str, x))])
+                out.append(f"{code} {text}")
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "c621be878437a8bce6b71e2c9a73bfcda0632e91bee3967f3182a5c817d434ad"

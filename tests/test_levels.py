@@ -1,5 +1,8 @@
 """Level vectors, directional preservation, enumeration and the face bound."""
 
+import hashlib
+import json
+import random
 import time
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 
 from bjlevel import (
     InputError,
+    InternalCheckError,
     RationalStream,
     diagonal_operator,
     dual_norm,
@@ -27,12 +31,13 @@ from bjlevel import (
     preserves_bj_directional,
     search_non_level_vector,
     bj_orthogonal,
+    support_set,
     zero_operator,
 )
 from bjlevel import levels
 from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec_scale
 
-from ._util import cube_cross_vertices, seeded_operator_kinds, v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
 
 F = Fraction
 
@@ -299,7 +304,7 @@ def test_enumeration_matches_is_level_vector(linf_3, l1_3, hexagon):
     # Solving each distinct level subproblem once per call must leave every
     # reported number equal to the point's own is_level_vector verdict.
     levels = misses = 0
-    for space in (linf_3, l1_3, hexagon):
+    for space in (linf_3, l1_3, hexagon, polyhedral_space(cube_cross_vertices(3))):
         ops = [op for seed in range(1, 4) for op in seeded_operator_kinds(space, seed)]
         ops.append(diagonal_operator(space, [1] + [0] * (space.dim - 1)))  # Tx = 0 on some faces
         for seed, op in enumerate(ops):
@@ -317,3 +322,79 @@ def test_enumeration_matches_is_level_vector(linf_3, l1_3, hexagon):
                         levels += 1
             assert report.values == tuple(sorted(found))
     assert levels > 0 and misses > 0
+
+
+def _enumeration_spaces():
+    """l-inf^2..4, l1^2..4, the hexagon and the 14-vertex cube+2*cross ball."""
+    spaces = [linf(n) for n in (2, 3, 4)] + [l1(n) for n in (2, 3, 4)]
+    return spaces + [polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))]
+
+
+def _enumeration_operators(space):
+    """Nine operators: the three seeded kinds (scaled signed permutation,
+    diagonal, dense), graded and plain diagonals, a rank-deficient one, zero,
+    the identity and twice a signed permutation."""
+    n = space.dim
+    stream = RationalStream(17 + n)
+    rank_deficient = [[stream.next_fraction() if r < n - 1 else 0 for _ in range(n)] for r in range(n)]
+    flip = [[2 * (-1) ** r if c == n - 1 - r else 0 for c in range(n)] for r in range(n)]
+    return [
+        *seeded_operator_kinds(space, 1),
+        diagonal_operator(space, [F(k + 1, 2) for k in range(n)]),
+        diagonal_operator(space, [1 + k % 2 for k in range(n)]),
+        operator(rank_deficient, space),
+        zero_operator(space),
+        identity_operator(space),
+        operator(flip, space),
+    ]
+
+
+def test_probe_points_have_the_face_support_set_and_unit_norm():
+    # Enumeration reads J(x) from its probe table and takes ||x|| = 1; both
+    # must hold at every point it reports, sampled or not.
+    rng = random.Random(4)
+    spheres = [polyhedral_space(sphere_ball(rng, 2, 5)), polyhedral_space(sphere_ball(rng, 3, 6))]
+    for space in _enumeration_spaces() + spheres:
+        table = levels._probe_table(space)
+        for seed in (0, 5):
+            report = enumerate_level_numbers(identity_operator(space), 3, seed)
+            assert len(report.per_face) == len(table)
+            for probe, (face, first, j_face) in zip(report.per_face, table):
+                assert probe.face_vertices == face.vertices and probe.points[0] == first
+                for x in probe.points:
+                    assert norm(space, x) == 1
+                    assert support_set(space, x).vertices == j_face
+
+
+def test_enumeration_reports_are_pinned():
+    # Values, bound, every probe point and every level number of 144 reports,
+    # as the point-by-point enumeration gave them before the probe table.
+    reports = []
+    for space in _enumeration_spaces():
+        for op in _enumeration_operators(space):
+            for samples in (0, 3):
+                report = enumerate_level_numbers(op, samples, 11 + samples)
+                reports.append([
+                    [str(k) for k in report.values],
+                    str(report.bound),
+                    [
+                        [[[str(c) for c in x] for x in probe.points], [str(k) for k in probe.level_numbers]]
+                        for probe in report.per_face
+                    ],
+                ])
+    assert len(reports) == 144
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "f0ea81e202c6ff1c21303fe19087277a3f5d0f2e4d531210eba7a12044fa7191"
+
+
+def test_enumeration_checks_each_certificate_it_solves(linf_3, monkeypatch):
+    # A certificate that fails T^T g = ||Tx|| f is caught when it is solved.
+    solve = levels._solve_level
+
+    def corrupted(op, p_verts, q_verts, scale):
+        found = solve(op, p_verts, q_verts, scale)
+        return None if found is None else (tuple(2 * c for c in found[0]), *found[1:])
+
+    monkeypatch.setattr(levels, "_solve_level", corrupted)
+    with pytest.raises(InternalCheckError):
+        enumerate_level_numbers(diagonal_operator(linf_3, [3, 2, 1]), 0, 0)

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from bjlevel import RationalStream
+from bjlevel import RationalStream, simplex
+from bjlevel.linalg import dot
 from bjlevel.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     _is_farkas,
     convex_weights,
+    convex_weights_or_farkas,
     feasible_point,
     solve_standard_lp,
 )
@@ -181,3 +183,20 @@ def test_farkas_check_needs_a_strictly_positive_value_on_the_rhs():
     assert not _is_farkas(rows, [F(1), F(-1)], (F(1), F(1)))  # y.b = 0
     assert not _is_farkas(rows, rhs, (F(-1), F(-1)))  # y.b < 0
     assert not _is_farkas([[F(1), F(0)]], [F(1)], (F(1),))  # y.A_1 > 0
+
+
+def test_the_farkas_vector_is_read_and_checked_only_when_asked_for(monkeypatch):
+    checks = []
+    check = simplex._is_farkas
+    monkeypatch.setattr(simplex, "_is_farkas", lambda *args: checks.append(args) or check(*args))
+    # (2, 2) lies outside the segment from e1 to e2.
+    block, target = [(F(1), F(0)), (F(0), F(1))], (F(2), F(2))
+    assert convex_weights([block], target) is None
+    assert checks == []
+    weights, y = convex_weights_or_farkas([block], target)
+    assert weights is None and len(checks) == 1
+    z = y[:2]
+    assert all(dot(z, c) < dot(z, target) for c in block)
+    result = solve_standard_lp([[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)])
+    assert result.farkas == result.farkas and len(checks) == 2
+    assert solve_standard_lp([[F(1), F(1)]], [F(1)]).farkas is None

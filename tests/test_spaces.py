@@ -35,13 +35,15 @@ from bjlevel import (
     preserves_bj_at,
     space_from_dict,
     space_to_dict,
+    support_set,
     zero_operator,
 )
 from bjlevel.linalg import MINUS_ONE, ONE, ZERO, dot, unit, vec
 from bjlevel.simplex import OPTIMAL, solve_standard_lp
+from bjlevel import spaces
 from bjlevel.spaces import _ball_rows, _facet_incidence, _shared
 
-from ._util import HEXAGON_VERTICES, probe_points, sphere_ball, v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
 F = Fraction
 
@@ -307,3 +309,43 @@ def test_cube_and_cross_polytope_lists_share_three_fractions(dim):
     )
     assert cross == dual_ball_vertices(linf(dim)) == tuple(unit(dim, i, s) for i in range(dim) for s in (1, -1))
     assert len({id(c) for vert in cube + cross for c in vert}) == (3 if dim > 1 else 2)
+
+
+def test_dual_of_a_validated_ball_reads_its_polar_without_a_facet_scan(monkeypatch):
+    # A ball no other test builds, so no cache already holds its dual's facets.
+    space = polyhedral_space(sphere_ball(random.Random(41), 3, 6))
+    scans = []
+    scan = spaces._facet_incidence
+    monkeypatch.setattr(spaces, "_facet_incidence", lambda points: scans.append(points) or scan(points))
+    dual = dual_space(space)
+    x = tuple(sum(c) for c in zip(*dual.ball_vertices[:2]))
+    assert norm(dual, x) == max(dot(p, x) for p in space.ball_vertices)
+    assert support_set(dual, x).vertices == tuple(sorted(p for p in space.ball_vertices if dot(p, x) == norm(dual, x)))
+    assert dual_space(dual).ball_vertices == tuple(sorted(space.ball_vertices))
+    assert scans == []
+
+
+def test_known_polars_of_duals_equal_the_facet_scan():
+    rng = random.Random(3)
+    balls = [
+        HEXAGON_VERTICES,
+        cube_cross_vertices(3),
+        cube_cross_vertices(4),
+        sphere_ball(rng, 2, 5),
+        sphere_ball(rng, 3, 6),
+    ]
+    for vertices in balls:
+        space = polyhedral_space(vertices)
+        dual = dual_space(space)
+        assert space.known_polar == tuple(f for f, _ in _facet_incidence(space.ball_vertices))
+        assert dual.known_polar == tuple(f for f, _ in _facet_incidence(dual.ball_vertices))
+
+
+def test_unvalidated_lists_get_no_known_polar():
+    # (1/2, 1/2) is not extreme in the square's list, so the dual's polar
+    # must come from the scan, which drops it.
+    square = [("1", "0"), ("0", "1"), ("-1", "0"), ("0", "-1")]
+    inner = polyhedral_space(square + [("1/2", "1/2"), ("-1/2", "-1/2")], validate=False)
+    assert inner.known_polar is None and dual_space(inner).known_polar is None
+    assert polar_vertices(dual_space(inner)) == tuple(sorted(polyhedral_space(square).ball_vertices))
+    assert polyhedral_space(square, validate=False) == polyhedral_space(square)
