@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, InternalCheckError
-from .faces import Face, antipodal_representatives, convex_combination, face_census
+from .faces import antipodal_representatives, face_census
 from .linalg import (
     ZERO,
     Vec,
@@ -49,6 +50,7 @@ from .spaces import (
     Operator,
     SpaceSpec,
     _facet_incidence,
+    _integer_rows,
     _shared,
     dual_ball_vertices,
     dual_norm,
@@ -59,7 +61,7 @@ from .spaces import (
     polyhedral_space,
     require_dim,
 )
-from .support import functional_in_support, support_set
+from .support import _integer_norm_and_vertices, functional_in_support, support_set
 
 Scalar = Union[Fraction, float]
 
@@ -116,8 +118,8 @@ def _mode_pair(op: Operator) -> str:
     return FLOAT
 
 
-def _adjoint_images(op: Operator, functionals) -> list[Vec]:
-    tmat = transpose(op.matrix)
+def _adjoint_images(tmat, functionals) -> list[Vec]:
+    """T^T q for each functional q (``tmat`` is T^T)."""
     return [mat_vec(tmat, q) for q in functionals]
 
 
@@ -154,7 +156,8 @@ def _exact_level(op: Operator, x: Vec, tx: Vec) -> Optional[tuple]:
     scale = norm(op.codomain, tx) / norm(op.domain, x)
     p_verts = support_set(op.domain, x).vertices
     q_verts = support_set(op.codomain, tx).vertices
-    return _checked(_solve_level(op, p_verts, q_verts, scale), transpose(op.matrix), scale)
+    tmat = transpose(op.matrix)
+    return _checked(_solve_level(op, tmat, p_verts, q_verts, scale), tmat, scale)
 
 
 def _checked(found: Optional[tuple], tmat, scale: Fraction) -> Optional[tuple]:
@@ -165,9 +168,10 @@ def _checked(found: Optional[tuple], tmat, scale: Fraction) -> Optional[tuple]:
     return found
 
 
-def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction) -> Optional[tuple]:
+def _solve_level(op: Operator, tmat, p_verts, q_verts, scale: Fraction) -> Optional[tuple]:
     """(f, g, k) with f in conv(p_verts) = J(x), g in conv(q_verts) = J(Tx)
-    and T^T g = scale f, or None; the level number is k = scale^2.
+    and T^T g = scale f, or None; the level number is k = scale^2.  ``tmat``
+    is T^T, built once by the caller.
 
     When J(Tx) is one functional q (Tx is a smooth point), no LP is needed.
     Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
@@ -177,7 +181,7 @@ def _solve_level(op: Operator, p_verts, q_verts, scale: Fraction) -> Optional[tu
     only certificate, the one the LP would return.
     """
     k = scale * scale
-    adj = _adjoint_images(op, q_verts)
+    adj = _adjoint_images(tmat, q_verts)
     if len(q_verts) == 1:
         f = tuple(c / scale for c in adj[0])
         return (f, q_verts[0], k) if dual_norm(op.domain, f) == 1 else None
@@ -249,7 +253,7 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
     scale = norm(op.codomain, tx) / norm(op.domain, x)
     q_verts = support_set(op.codomain, tx).vertices
-    g, _ = _membership(q_verts, _adjoint_images(op, q_verts), vec_scale(scale, tuple(f)))
+    g, _ = _membership(q_verts, _adjoint_images(transpose(op.matrix), q_verts), vec_scale(scale, tuple(f)))
     return DirectionalPreservation(g is not None, g)
 
 
@@ -290,7 +294,7 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     scale = norm(op.codomain, tx) / norm(op.domain, x)
     p_verts = support_set(op.domain, x).vertices
     q_verts = support_set(op.codomain, tx).vertices
-    adj = _adjoint_images(op, q_verts)
+    adj = _adjoint_images(transpose(op.matrix), q_verts)
     for f in p_verts:
         _, z = _membership(q_verts, adj, vec_scale(scale, f))
         if z is not None:
@@ -388,11 +392,17 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     Each point gets the verdict of `is_level_vector`, found face by face from
     the domain's probe table (`_probe_table`).  Every probe point x lies in
     the relative interior of its face F, so J(x) is the face's J_F, and on a
-    proper face ||x|| = 1; only Tx, ||Tx|| and J(Tx) are computed per point.
-    Points with the same J_F, J(Tx) and ||Tx|| pose the same problem, so
-    within one call each distinct subproblem is solved once, and its
-    certificate checked once, when it is solved: the check reads only f, g,
-    the scale and T, which that key fixes.
+    proper face ||x|| = 1; only Tx, ||Tx|| and J(Tx) are computed per point,
+    and in integers.  With D_F v the integer rows of F's vertices, a point of
+    positive integer weights w is x = q / (D_F sum w) with q = sum w_i D_F v_i
+    integral; with M = D_T T the integer matrix of T, Tx = Mq / (D_T D_F sum w).
+    So Tx = 0 exactly when Mq = 0, J(Tx) = J(Mq), since J does not change
+    under positive scaling, and ||Tx|| is one Fraction.  The reported point
+    keeps the vertices' own entry where they all agree and is q_k / (D_F sum w)
+    elsewhere.  Points with the same J_F, J(Tx) and ||Tx|| pose the same
+    problem, so within one call each distinct subproblem is solved once, and
+    its certificate checked once, when it is solved: the check reads only f,
+    g, the scale and T, which that key fixes.
     """
     if not is_exact(op.domain):
         raise InputError("not_polyhedral", "enumeration needs a polyhedral domain")
@@ -402,23 +412,30 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     _mode_pair(op)  # a float codomain is rejected as by is_level_vector
     stream = RationalStream(seed)
     tmat = transpose(op.matrix)
+    d_t, m_rows = _integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
     # and equal tuples of level numbers one tuple.
     pool = {ZERO: ZERO}
     number_rows: dict = {}
     probes = []
     values: set[Fraction] = set()
-    for face, first, p_verts in table:
+    for face, first, p_verts, d_f, columns, fixed in table:
         points = [first]
+        sums = [(tuple(map(sum, columns)), d_f * len(face.vertices))]  # the first point's weights are all 1
         if face.dim > 0:
             for _ in range(samples_per_face):
                 # The draws of next_positive_fraction, without the common
                 # denominator 1000, which a convex combination divides out.
                 weights = [stream.next_int(1000) + 1 for _ in face.vertices]
-                points.append(_shared(convex_combination(face.vertices, weights), pool))
+                q = tuple(sum(map(mul, weights, column)) for column in columns)
+                den = d_f * sum(weights)
+                points.append(_shared(tuple(Fraction(c, den) if v is None else v for v, c in zip(fixed, q)), pool))
+                sums.append((q, den))
         # Faces have distinct J_F, so one memo per face is keyed on J_F too.
         memo: dict = {}
-        numbers = tuple(_face_level_number(op, tmat, p_verts, point, memo, pool) for point in points)
+        numbers = tuple(
+            _face_level_number(op, tmat, m_rows, p_verts, q, d_t * den, memo, pool) for q, den in sums
+        )
         numbers = number_rows.setdefault(numbers, numbers)
         values.update(k for k in numbers if k is not None)
         probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
@@ -431,34 +448,40 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _probe_table(space: SpaceSpec) -> tuple[tuple[Face, Vec, tuple[Vec, ...]], ...]:
-    """One row (F, first probe point, J_F) per face F of
+def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
+    """One row (F, first probe point, J_F, D_F, columns, fixed) per face F of
     `antipodal_representatives`, in that order.
 
     The first probe point of a 0-face is its vertex, and of a larger face its
     centroid, with equal entries sharing one Fraction.  Both lie in the
     relative interior of F, where J(x) is the same polytope J_F, read here as
-    `support_set` there.
+    `support_set` there.  D_F is the lcm of the denominators of F's vertices,
+    ``columns[k]`` holds coordinate k of each integer vertex row D_F v, and
+    ``fixed[k]`` is the first vertex's own entry when every vertex of F has
+    that value at k, else None.
     """
     pool = {ZERO: ZERO}
     table = []
     for face in antipodal_representatives(space):
         point = face.vertices[0] if face.dim == 0 else _shared(face.centroid(), pool)
-        table.append((face, point, support_set(space, point).vertices))
+        d_f, rows = _integer_rows(face.vertices)
+        fixed = tuple(c if all(v[k] == c for v in face.vertices) else None for k, c in enumerate(face.vertices[0]))
+        table.append((face, point, support_set(space, point).vertices, d_f, tuple(zip(*rows)), fixed))
     return tuple(table)
 
 
-def _face_level_number(op: Operator, tmat, p_verts, x: Vec, memo: dict, pool: dict) -> Optional[Fraction]:
-    """The level number of x, a point of a proper face with J(x) = conv(p_verts),
-    or None when x is not a level vector; ``memo`` maps (J(Tx), ||Tx||) to the
-    checked `_solve_level` answer, and ``tmat`` is T^T."""
-    tx = op(x)
-    if is_zero_vec(tx):
+def _face_level_number(op: Operator, tmat, m_rows, p_verts, q, s: int, memo: dict, pool: dict) -> Optional[Fraction]:
+    """The level number of a point x of a proper face with J(x) = conv(p_verts),
+    or None when x is not a level vector.  ``m_rows`` is the integer matrix
+    M = D_T T and Tx = Mq / s; ``memo`` maps (J(Tx), ||Tx||) to the checked
+    `_solve_level` answer, and ``tmat`` is T^T."""
+    mq = tuple(sum(map(mul, row, q)) for row in m_rows)
+    if not any(mq):
         return ZERO
-    scale = norm(op.codomain, tx)  # / ||x||, which is 1
-    key = (support_set(op.codomain, tx).vertices, scale)
+    scale, q_verts = _integer_norm_and_vertices(op.codomain, mq, s)  # ||Tx|| / ||x||, which is 1
+    key = (q_verts, scale)
     if key not in memo:
-        memo[key] = _checked(_solve_level(op, p_verts, key[0], scale), tmat, scale)
+        memo[key] = _checked(_solve_level(op, tmat, p_verts, q_verts, scale), tmat, scale)
     found = memo[key]
     return None if found is None else pool.setdefault(found[2], found[2])
 

@@ -481,15 +481,21 @@ def _ball_rows(space: SpaceSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _norm_and_face(space: SpaceSpec, x: Vec) -> tuple[Fraction, tuple[Vec, ...]]:
-    """||x|| and the vertex list of J(x) on a polyhedral space, in integers.
+    """||x|| and the vertex list of J(x) on a polyhedral space: x is scaled
+    to q = s x, integral (non-Fraction entries converted exactly), and read
+    by `_integer_norm_and_face`."""
+    return _integer_norm_and_face(space, *_integer_point(vec(x)))
 
-    With q = s x integral (non-Fraction entries of x converted exactly), each
-    facet reads f(x) = t_f / (D s) with t_f = (D f) . q.  The norm is the
+
+def _integer_norm_and_face(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
+    """||x|| and the vertex list of J(x) for x = q / s on a polyhedral space,
+    with q an integer vector and s > 0 an integer.
+
+    Each facet reads f(x) = t_f / (D s) with t_f = (D f) . q.  The norm is the
     largest of these and J(x) is the facets that attain it, in polar order,
     which is sorted.
     """
     facets, d, rows = _polar_rows(space)
-    q, s = _integer_point(vec(x))
     values = [sum(map(mul, row, q)) for row in rows]
     top = max(values)
     return Fraction(top, d * s), tuple(f for f, t in zip(facets, values) if t == top)

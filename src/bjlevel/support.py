@@ -15,13 +15,15 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DimensionMismatch, InputError
-from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec, unit
+from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec
 from .spaces import (
     EXACT,
     FLOAT,
     FLOAT_TOL,
     MAX_CUBE_DIM,
     SpaceSpec,
+    _cross_polytope_vertices,
+    _integer_norm_and_face,
     _norm_and_face,
     dual_norm,
     float_path,
@@ -59,6 +61,8 @@ def support_set(space: SpaceSpec, x: Vec) -> SupportSet:
 
 
 def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
+    """The vertex list of J(x) on an exact space.  On l1 and l-inf it reads
+    only signs and sizes, so x may hold ints as well as Fractions."""
     if space.kind == "polyhedral":
         return _norm_and_face(space, x)[1]
     if space.p == 1:
@@ -75,8 +79,22 @@ def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
                 f[pos] = s
             out.append(tuple(f))
         return tuple(sorted(out))
-    value = norm(space, x)
-    return tuple(sorted(unit(space.dim, i, sgn(c)) for i, c in enumerate(x) if abs(c) == value))
+    # Dual cross-polytope: the signed unit vectors at the entries of largest
+    # size, taken from the shared vertex list (e_i at 2i, -e_i at 2i + 1),
+    # not built anew.
+    value = max(map(abs, x))
+    cross = _cross_polytope_vertices(space.dim)
+    return tuple(sorted(cross[2 * i + (c < 0)] for i, c in enumerate(x) if abs(c) == value))
+
+
+def _integer_norm_and_vertices(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
+    """||x|| and the vertex list of J(x) for x = q / s on an exact space, with
+    q a nonzero integer vector and s > 0 an integer.  J does not change under
+    positive scaling, so J(x) is read from q itself."""
+    if space.kind == "polyhedral":
+        return _integer_norm_and_face(space, q, s)
+    top = sum(map(abs, q)) if space.p == 1 else max(map(abs, q))
+    return Fraction(top, s), _exact_vertices(space, q)
 
 
 @float_path

@@ -12,6 +12,7 @@ from bjlevel import (
     bj_orthogonal_oracle,
     dual_norm,
     dual_space,
+    enumerate_level_numbers,
     is_level_vector,
     l1,
     linf,
@@ -230,3 +231,49 @@ def test_refutations_come_from_the_membership_separator(monkeypatch):
                 assert not bj_orthogonal_oracle(space, tx, op(y)).orthogonal
         assert verdicts == {True, False}, name
     assert separators == {"lp", "one image"}
+
+
+def enumeration_cases():
+    """(operator, samples) pairs for the integer path of enumeration.
+
+    Domains: l1^n and linf^n for n = 2..4, the hexagon and a 3-D ball with
+    non-integer rational vertices.  On each, an integer matrix, a rational
+    one and a rank-deficient rational one whose kernel is {x_1 = 0}, so that
+    probe points with x_1 = 0 have Tx = 0.  Then maps to other codomains:
+    l1 -> linf, linf -> l1, into the hexagon and into the rational ball.
+    """
+    rng = random.Random(15)
+    rational_ball = polyhedral_space(sphere_ball(rng, 3, 4))
+    hexagon = polyhedral_space(HEXAGON_VERTICES)
+    domains = [l1(n) for n in (2, 3, 4)] + [linf(n) for n in (2, 3, 4)] + [hexagon, rational_ball]
+    stream = RationalStream(23)
+    cases = []
+    for space in domains:
+        n = space.dim
+        integer = [[stream.next_int(7) - 3 for _ in range(n)] for _ in range(n)]
+        column = [stream.next_fraction() for _ in range(n)]
+        deficient = [[column[r] if c == 0 else 0 for c in range(n)] for r in range(n)]
+        cases += [operator(integer, space), random_operator(space, stream), operator(deficient, space)]
+    for domain, codomain in [(l1(3), linf(2)), (linf(3), l1(4)), (linf(2), hexagon), (l1(2), rational_ball)]:
+        rows = [[stream.next_fraction() for _ in range(domain.dim)] for _ in range(codomain.dim)]
+        cases.append(operator(rows, domain, codomain))
+    return cases
+
+
+def test_enumerated_level_numbers_match_is_level_vector():
+    # Enumeration reads Tx, ||Tx|| and J(Tx) from integers; every point it
+    # reports must be a unit vector whose own level test gives its number.
+    kinds = set()
+    for seed, op in enumerate(enumeration_cases()):
+        report = enumerate_level_numbers(op, 3, seed)
+        found = set()
+        for probe in report.per_face:
+            for x, number in zip(probe.points, probe.level_numbers):
+                assert norm(op.domain, x) == 1
+                cert = is_level_vector(op, x)
+                assert number == (None if cert is None else cert.level_number)
+                if cert is not None:
+                    found.add(number)
+                kinds.add("miss" if cert is None else "zero" if number == 0 else "level")
+        assert report.values == tuple(sorted(found))
+    assert kinds == {"miss", "zero", "level"}

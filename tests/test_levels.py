@@ -12,6 +12,7 @@ from bjlevel import (
     InputError,
     InternalCheckError,
     RationalStream,
+    SpaceSpec,
     diagonal_operator,
     dual_norm,
     enumerate_level_numbers,
@@ -359,7 +360,7 @@ def test_probe_points_have_the_face_support_set_and_unit_norm():
         for seed in (0, 5):
             report = enumerate_level_numbers(identity_operator(space), 3, seed)
             assert len(report.per_face) == len(table)
-            for probe, (face, first, j_face) in zip(report.per_face, table):
+            for probe, (face, first, j_face, *_) in zip(report.per_face, table):
                 assert probe.face_vertices == face.vertices and probe.points[0] == first
                 for x in probe.points:
                     assert norm(space, x) == 1
@@ -391,10 +392,39 @@ def test_enumeration_checks_each_certificate_it_solves(linf_3, monkeypatch):
     # A certificate that fails T^T g = ||Tx|| f is caught when it is solved.
     solve = levels._solve_level
 
-    def corrupted(op, p_verts, q_verts, scale):
-        found = solve(op, p_verts, q_verts, scale)
+    def corrupted(op, tmat, p_verts, q_verts, scale):
+        found = solve(op, tmat, p_verts, q_verts, scale)
         return None if found is None else (tuple(2 * c for c in found[0]), *found[1:])
 
     monkeypatch.setattr(levels, "_solve_level", corrupted)
     with pytest.raises(InternalCheckError):
         enumerate_level_numbers(diagonal_operator(linf_3, [3, 2, 1]), 0, 0)
+
+
+def test_enumeration_keeps_the_l1_support_guard():
+    # J(Tx) on l1 has 2^z vertices for z zero coordinates of Tx, read here
+    # from the integer image Mq; past MAX_CUBE_DIM zeros it is still refused.
+    # The 14-D l1 codomain is built directly, past lp_space's own guard.
+    wide = SpaceSpec("lp", 14, F(1))
+    op = operator([[F(1, 3), 0]] + [[0, 0]] * 13, linf(2), wide)
+    with pytest.raises(InputError) as err:
+        enumerate_level_numbers(op, 0, 0)
+    assert err.value.code == "dim_too_large"
+
+
+@pytest.mark.parametrize("samples", [0, 2])
+def test_a_certificate_failing_its_equation_is_refused(samples, hexagon, monkeypatch):
+    # A certificate whose g fails T^T g = scale f, on a rational matrix and a
+    # polyhedral codomain, raises from enumeration and from is_level_vector.
+    solve = levels._solve_level
+
+    def wrong_g(op, tmat, p_verts, q_verts, scale):
+        found = solve(op, tmat, p_verts, q_verts, scale)
+        return None if found is None else (found[0], tuple(-c for c in found[1]), found[2])
+
+    monkeypatch.setattr(levels, "_solve_level", wrong_g)
+    op = operator([[F(1, 2), 0], [0, F(1, 2)]], hexagon)  # every nonzero x is a level vector
+    with pytest.raises(InternalCheckError):
+        enumerate_level_numbers(op, samples, 1)
+    with pytest.raises(InternalCheckError):
+        is_level_vector(op, v("1,1"))

@@ -15,13 +15,15 @@ from bjlevel import (
     eval_range,
     is_smooth,
     l1,
+    linf,
     norm,
     polar_vertices,
     polyhedral_space,
     support_set,
 )
-from bjlevel.linalg import dot
-from bjlevel.support import functional_in_support
+from bjlevel.linalg import dot, unit
+from bjlevel.spaces import _cross_polytope_vertices
+from bjlevel.support import _integer_norm_and_vertices, functional_in_support
 
 from ._util import probe_points, sphere_ball, v
 
@@ -178,3 +180,36 @@ def test_l1_support_vertices_are_pinned_sign_patterns_with_shared_entries():
         sup = support_set(l1(n), x).vertices
         assert sup == tuple(sorted(expected))
         assert len({id(c) for f in sup for c in f}) == 2
+
+
+def test_linf_support_vertices_are_the_shared_cross_polytope_tuples():
+    # J(x) on l-inf^n is the signed unit vectors at the entries of largest
+    # size: the process-wide dual-ball tuples themselves, in sorted order,
+    # for Fraction and for int entries alike.
+    for x in [v("1,0,0"), v("-2,2,1"), v("1/2,-1/2,-1/2,1/2"), v("0,0,-3"), (3, -3, 1, 0)]:
+        n = len(x)
+        top = max(abs(c) for c in x)
+        expected = sorted(unit(n, i, (c > 0) - (c < 0)) for i, c in enumerate(x) if abs(c) == top)
+        sup = support_set(linf(n), x).vertices
+        assert sup == tuple(expected)
+        cross = _cross_polytope_vertices(n)
+        assert all(any(f is g for g in cross) for f in sup)
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    [lambda: l1(3), lambda: linf(4), lambda: polyhedral_space(sphere_ball(random.Random(3), 3, 5))],
+    ids=["l1^3", "linf^4", "sphere-ball"],
+)
+def test_integer_norm_and_support_match_the_fraction_entry(make_space):
+    # x = q / s read from the integer vector q gives ||x|| and J(x) as the
+    # Fraction entries do.
+    space = make_space()
+    rng = random.Random(space.dim)
+    for _ in range(40):
+        q = tuple(rng.randint(-3, 3) for _ in range(space.dim))
+        if not any(q):
+            continue
+        s = rng.randint(1, 12)
+        x = tuple(F(c, s) for c in q)
+        assert _integer_norm_and_vertices(space, q, s) == (norm(space, x), support_set(space, x).vertices)
