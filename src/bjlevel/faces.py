@@ -198,8 +198,10 @@ def face_census(space: SpaceSpec) -> FaceCensus:
     return FaceCensus(counts, sum(counts))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def extreme_points(space: SpaceSpec) -> tuple[Vec, ...]:
-    """The extreme points of the unit ball (its vertices)."""
+    """The extreme points of the unit ball (its vertices), sorted; kept per
+    space, since certification visits them in this order on every call."""
     _require_polyhedral(space)
     return tuple(sorted(ball_vertices(space)))
 

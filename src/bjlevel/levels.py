@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InputError, InternalCheckError
 from .faces import antipodal_representatives, face_census
@@ -40,7 +40,7 @@ from .linalg import (
     vec_sub,
 )
 from .oracle import RationalStream, sample_sphere
-from .orthogonality import bj_orthogonal, subspace_orthogonal
+from .orthogonality import subspace_orthogonal
 from .simplex import convex_weights, convex_weights_or_farkas
 from .spaces import (
     CACHE_SIZE,
@@ -50,6 +50,7 @@ from .spaces import (
     Operator,
     SpaceSpec,
     _facet_incidence,
+    _integer_point,
     _integer_rows,
     _shared,
     dual_ball_vertices,
@@ -133,31 +134,61 @@ def _nonzero_point(op: Operator, x: Vec) -> Vec:
     return x
 
 
+class _Point(NamedTuple):
+    """One exact evaluation of T at x with Tx != 0, in integers.
+
+    x = q / s with q integral, and T = M / D_T with M integral (``m_rows``).
+    ||x|| with J(x), and ||Tx|| with J(Tx), each come from one scan
+    (`_integer_norm_and_vertices`): Tx is Mq / (D_T s), and J(Tx) = J(Mq).
+    The vertices g of J(Tx) are kept as the integer rows D_Q g (``q_rows``,
+    D_Q the lcm of their denominators) and their adjoint images M^T (D_Q g)
+    (``images``), so g(Ty) = (D_Q g).(My) / den and T^T g = image / den,
+    with den = D_T D_Q.
+    """
+
+    q: tuple[int, ...]
+    s: int
+    m_rows: tuple
+    norm_x: Fraction
+    p_verts: tuple[Vec, ...]
+    scale: Fraction  # ||Tx|| / ||x||
+    q_verts: tuple[Vec, ...]
+    q_rows: tuple
+    images: tuple
+    den: int
+
+
+def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
+    """The evaluation of T at x on the exact path, or None when Tx = 0."""
+    q, s = _integer_point(x)
+    d_t, m_rows = _integer_rows(op.matrix)
+    mq = tuple(sum(map(mul, row, q)) for row in m_rows)
+    if not any(mq):
+        return None
+    norm_x, p_verts = _integer_norm_and_vertices(op.domain, q, s)
+    norm_tx, q_verts = _integer_norm_and_vertices(op.codomain, mq, d_t * s)
+    d_q, q_rows = _integer_rows(q_verts)
+    images = tuple(tuple(sum(map(mul, column, g)) for column in zip(*m_rows)) for g in q_rows)
+    return _Point(q, s, m_rows, norm_x, p_verts, norm_tx / norm_x, q_verts, q_rows, images, d_t * d_q)
+
+
+def _fractions(point: _Point) -> list[Vec]:
+    """The adjoint images T^T g = image / den of the vertices of J(Tx), as
+    Fraction vectors, for the LPs and the level test."""
+    return [tuple(Fraction(c, point.den) for c in image) for image in point.images]
+
+
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     """A level certificate for x, or None when x is not a level vector."""
     x = _nonzero_point(op, x)
-    mode = _mode_pair(op)
-    tx = op(x)
-    if is_zero_vec(tx):
-        return LevelCertificate(x, None, None, Fraction(0), mode)
-    if mode == FLOAT:
-        return _level_vector_float(op, x, tx)[0]
-
-    found = _exact_level(op, x, tx)
+    if _mode_pair(op) == FLOAT:
+        return _level_vector_float(op, x, op(x))[0]
+    point = _evaluate(op, x)
+    if point is None:
+        return LevelCertificate(x, None, None, Fraction(0), EXACT)
+    found = _solve_level(op, point.p_verts, point.q_verts, _fractions(point), point.scale)
+    found = _checked(found, transpose(op.matrix), point.scale)
     return None if found is None else LevelCertificate(x, *found, EXACT)
-
-
-def _exact_level(op: Operator, x: Vec, tx: Vec) -> Optional[tuple]:
-    """(f, g, level number) certifying x as a level vector of T, or None.
-
-    Exact mode, Tx nonzero.  The certificate is checked against its defining
-    equation before it is returned.
-    """
-    scale = norm(op.codomain, tx) / norm(op.domain, x)
-    p_verts = support_set(op.domain, x).vertices
-    q_verts = support_set(op.codomain, tx).vertices
-    tmat = transpose(op.matrix)
-    return _checked(_solve_level(op, tmat, p_verts, q_verts, scale), tmat, scale)
 
 
 def _checked(found: Optional[tuple], tmat, scale: Fraction) -> Optional[tuple]:
@@ -168,23 +199,23 @@ def _checked(found: Optional[tuple], tmat, scale: Fraction) -> Optional[tuple]:
     return found
 
 
-def _solve_level(op: Operator, tmat, p_verts, q_verts, scale: Fraction) -> Optional[tuple]:
+def _solve_level(op: Operator, p_verts, q_verts, adj, scale: Fraction) -> Optional[tuple]:
     """(f, g, k) with f in conv(p_verts) = J(x), g in conv(q_verts) = J(Tx)
-    and T^T g = scale f, or None; the level number is k = scale^2.  ``tmat``
-    is T^T, built once by the caller.
+    and T^T g = scale f, or None; the level number is k = scale^2.  ``adj``
+    holds the adjoint images T^T g of ``q_verts``, in the same order.
 
     When J(Tx) is one functional q (Tx is a smooth point), no LP is needed.
     Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
     attains the norm at x: f(x) = q(Tx) / scale = ||Tx|| / scale = ||x||.
     A functional with f(x) = ||x|| lies in J(x) exactly when ||f||_* = 1, so
     x is a level vector iff ||T^T q||_* = scale, and (f, q, k) is then the
-    only certificate, the one the LP would return.
+    only certificate, the one the LP would return; f is built only then.
     """
     k = scale * scale
-    adj = _adjoint_images(tmat, q_verts)
     if len(q_verts) == 1:
-        f = tuple(c / scale for c in adj[0])
-        return (f, q_verts[0], k) if dual_norm(op.domain, f) == 1 else None
+        if dual_norm(op.domain, adj[0]) != scale:
+            return None
+        return tuple(c / scale for c in adj[0]), q_verts[0], k
     negated = [vec_scale(-scale, p) for p in p_verts]
     weights = convex_weights([negated, adj], (ZERO,) * op.domain.dim)
     if weights is None:
@@ -203,9 +234,12 @@ def _float_pullback(op: Operator, g) -> list[float]:
 
 @float_path
 def _level_vector_float(op: Operator, x: Vec, tx: Vec) -> tuple[Optional[LevelCertificate], Optional[tuple]]:
-    """The float level test at x: (certificate, None) on success, else
-    (None, (f, T^T g)) for J(x) = {f} and J(Tx) = {g} when the test read
-    them, or (None, None) when the l2 test failed without them."""
+    """The float level test at x: (certificate, None) on success (the
+    degenerate one when Tx = 0), else (None, (f, T^T g)) for J(x) = {f} and
+    J(Tx) = {g} when the test read them, or (None, None) when the l2 test
+    failed without them."""
+    if is_zero_vec(tx):
+        return LevelCertificate(x, None, None, Fraction(0), FLOAT), None
     if op.domain.p == 2 and op.codomain.p == 2:
         # Right-singular-vector test, exact on rational input: M^T M x = k x.
         # Inputs that arrived as floats (e.g. functionals produced by a
@@ -244,33 +278,35 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     x = _nonzero_point(op, x)
     if not functional_in_support(op.domain, x, f):
         raise InputError("not_supporting", "f is not a supporting functional of x")
-    mode = _mode_pair(op)
-    tx = op(x)
-    if is_zero_vec(tx):
-        return DirectionalPreservation(True, None)
-    if mode == FLOAT:
-        cert, _ = _level_vector_float(op, x, tx)
+    if _mode_pair(op) == FLOAT:
+        cert, _ = _level_vector_float(op, x, op(x))
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
-    scale = norm(op.codomain, tx) / norm(op.domain, x)
-    q_verts = support_set(op.codomain, tx).vertices
-    g, _ = _membership(q_verts, _adjoint_images(transpose(op.matrix), q_verts), vec_scale(scale, tuple(f)))
+    point = _evaluate(op, x)
+    if point is None:
+        return DirectionalPreservation(True, None)
+    g, _ = _membership(point, vec(f))
     return DirectionalPreservation(g is not None, g)
 
 
-def _membership(q_verts, adj, target: Vec) -> tuple[Optional[tuple], Optional[Vec]]:
-    """(g, None) with g in J(Tx) = conv(q_verts) and (adjoint T) g = target,
-    or (None, z) with a.z < target.z for every adjoint image a.
+def _membership(point: _Point, f: Vec) -> tuple[Optional[tuple], Optional[tuple[tuple[int, ...], int]]]:
+    """(g, None) with g in J(Tx) and (adjoint T) g = scale f, or (None, (Z, zs))
+    with z = Z / zs, Z integral, and a.z < scale f(z) for every adjoint image a.
 
-    ``adj`` holds the adjoint images of ``q_verts``, in the same order.  With
-    one image a, z = target - a, and target.z - a.z = |z|^2 > 0.  Otherwise z
-    is the coordinate part of the membership LP's Farkas vector.
+    With one image a, z = scale f - a, and scale f(z) - a.z = |z|^2 > 0; in
+    integers, with f = p / d, scale = sn / sd and a = image / den, Z is
+    sn den p - sd d image over zs = sd d den, and no LP is solved.
+    Otherwise z is the coordinate part of the membership LP's Farkas vector.
     """
-    if len(q_verts) == 1:
-        return (q_verts[0], None) if adj[0] == target else (None, vec_sub(target, adj[0]))
-    weights, farkas = convex_weights_or_farkas([adj], target)
+    if len(point.q_verts) == 1:
+        p, d = _integer_point(f)
+        sn, sd = point.scale.numerator, point.scale.denominator
+        z = tuple(sn * point.den * c - sd * d * a for c, a in zip(p, point.images[0]))
+        return (None, (z, sd * d * point.den)) if any(z) else (point.q_verts[0], None)
+    target = vec_scale(point.scale, f)
+    weights, farkas = convex_weights_or_farkas([_fractions(point)], target)
     if weights is None:
-        return None, farkas[: len(target)]
-    return combination(weights[0], q_verts), None
+        return None, _integer_point(farkas[: len(target)])
+    return combination(weights[0], point.q_verts), None
 
 
 def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
@@ -279,33 +315,60 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     Checks every vertex f of J(x) for membership of scale f, scale =
     ||Tx||/||x||, in the adjoint image of J(Tx): one LP per vertex, none when
     J(Tx) is one functional.  The first failure yields z with a.z < scale f(z)
-    for every adjoint image a = T^T g of a vertex g of J(Tx).  Then
-    y = (f(z)/f(x)) x - z has f(y) = 0 and g(Ty) = scale f(z) - a.z > 0, as
-    f(x) = ||x|| and a.x = ||Tx||; scaled so that the least g(Ty) is 1, and
-    re-verified through `bj_orthogonal`, it is the counterexample.
+    for every adjoint image a = T^T g of a vertex g of J(Tx), and with it the
+    counterexample (`_counterexample`), re-verified by `_verified_margin`.
+    All of it reads one evaluation of T at x (`_evaluate`) and runs in
+    integers, but for the membership LPs when J(Tx) has several vertices.
     """
     x = _nonzero_point(op, x)
-    mode = _mode_pair(op)
-    tx = op(x)
-    if is_zero_vec(tx):
-        return PreservationReport(True, None, None, mode)
-    if mode == FLOAT:
-        return _preserves_float(op, x, tx)
-    scale = norm(op.codomain, tx) / norm(op.domain, x)
-    p_verts = support_set(op.domain, x).vertices
-    q_verts = support_set(op.codomain, tx).vertices
-    adj = _adjoint_images(transpose(op.matrix), q_verts)
-    for f in p_verts:
-        _, z = _membership(q_verts, adj, vec_scale(scale, f))
+    if _mode_pair(op) == FLOAT:
+        return _preserves_float(op, x, op(x))
+    point = _evaluate(op, x)
+    if point is None:
+        return PreservationReport(True, None, None, EXACT)
+    for f in point.p_verts:
+        _, z = _membership(point, f)
         if z is not None:
-            y = vec_sub(vec_scale(dot(f, z) / dot(f, x), x), z)
-            y = vec_scale(1 / min(dot(a, y) for a in adj), y)
-            if not bj_orthogonal(op.domain, x, y).orthogonal:
-                raise InternalCheckError("counterexample is not orthogonal to x")
-            if bj_orthogonal(op.codomain, tx, op(y)).orthogonal:
-                raise InternalCheckError("counterexample images remained orthogonal")
-            return PreservationReport(False, f, (y, min(dot(a, y) for a in adj)), mode)
-    return PreservationReport(True, None, None, mode)
+            y = _counterexample(point, f, *z)
+            return PreservationReport(False, f, (y, _verified_margin(point, y)), EXACT)
+    return PreservationReport(True, None, None, EXACT)
+
+
+def _counterexample(point: _Point, f: Vec, z: tuple[int, ...], zs: int) -> Vec:
+    """y = (f(z)/f(x)) x - z for the separator z = Z / zs of the vertex f of
+    J(x), scaled so that its least g(Ty) is 1.
+
+    f(y) = 0, and g(Ty) = a.y = scale f(z) - a.z > 0 for the adjoint image
+    a = T^T g of every vertex g of J(Tx), since f(x) = ||x|| and a.x =
+    g(Tx) = ||Tx||.  With f(z)/||x|| = cn / cd, y before scaling is
+    Y / (cd s zs) for the integer vector Y = cn zs q - cd s Z, and a.Y =
+    image.Y / den, so the scaled y is Y den / min image.Y.
+    """
+    p, d = _integer_point(f)
+    c = Fraction(sum(map(mul, p, z)), d * zs) / point.norm_x
+    y = tuple(c.numerator * zs * a - c.denominator * point.s * b for a, b in zip(point.q, z))
+    least = min(sum(map(mul, image, y)) for image in point.images)
+    if least <= 0:
+        raise InternalCheckError("the separating direction does not separate")
+    return tuple(Fraction(c * point.den, least) for c in y)
+
+
+def _verified_margin(point: _Point, y: Vec) -> Fraction:
+    """The least g(Ty) over the vertices g of J(Tx), once y is verified as a
+    counterexample: x is orthogonal to y (the values f(y) over the vertices
+    f of J(x) straddle 0) and Tx is not orthogonal to Ty (every g(Ty) > 0).
+    Integer dot products on the same vertex lists, with y = yq / ys:
+    D_P ys f(y) = (D_P f).yq, D_P the lcm of the denominators of J(x), and
+    den ys g(Ty) = (D_Q g).(M yq)."""
+    yq, ys = _integer_point(y)
+    on_x = [sum(map(mul, p, yq)) for p in _integer_rows(point.p_verts)[1]]
+    if not min(on_x) <= 0 <= max(on_x):
+        raise InternalCheckError("counterexample is not orthogonal to x")
+    ty = [sum(map(mul, row, yq)) for row in point.m_rows]
+    least = min(sum(map(mul, g, ty)) for g in point.q_rows)
+    if not least > 0:
+        raise InternalCheckError("counterexample images remained orthogonal")
+    return Fraction(least, point.den * ys)
 
 
 @float_path
@@ -481,7 +544,8 @@ def _face_level_number(op: Operator, tmat, m_rows, p_verts, q, s: int, memo: dic
     scale, q_verts = _integer_norm_and_vertices(op.codomain, mq, s)  # ||Tx|| / ||x||, which is 1
     key = (q_verts, scale)
     if key not in memo:
-        memo[key] = _checked(_solve_level(op, tmat, p_verts, q_verts, scale), tmat, scale)
+        found = _solve_level(op, p_verts, q_verts, _adjoint_images(tmat, q_verts), scale)
+        memo[key] = _checked(found, tmat, scale)
     found = memo[key]
     return None if found is None else pool.setdefault(found[2], found[2])
 

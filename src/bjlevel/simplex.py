@@ -167,13 +167,6 @@ def _is_farkas(a_eq, b_eq, y) -> bool:
     return dot(y, b_eq) > 0 and all(dot(y, column) <= 0 for column in zip(*a_eq))
 
 
-def feasible_point(
-    a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]
-) -> Optional[tuple[Fraction, ...]]:
-    """A point with a_eq x = b_eq, x >= 0, or None when the system is infeasible."""
-    return solve_standard_lp(a_eq, b_eq).x
-
-
 def convex_weights(
     blocks: Sequence[Sequence[Sequence[Fraction]]], target: Sequence[Fraction]
 ) -> Optional[list[tuple[Fraction, ...]]]:

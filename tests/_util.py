@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from bjlevel import Operator, RationalStream, SpaceSpec, ball_vertices, operator, polar_vertices
 from bjlevel.linalg import dot, matrix_rank
+from bjlevel.simplex import solve_standard_lp
 
 HEXAGON_VERTICES = [
     ("1", "0"),
@@ -41,6 +42,12 @@ def fraction_solve(rows, rhs):
                 factor = work[i][k]
                 work[i] = [c - factor * d for c, d in zip(work[i], work[k])]
     return tuple(row[n] for row in work)
+
+
+def feasible_point(a_eq, b_eq):
+    """A point with a_eq x = b_eq, x >= 0, or None when the system is
+    infeasible: the bare feasibility LP, for tests that pose their own."""
+    return solve_standard_lp(a_eq, b_eq).x
 
 
 def cube_cross_vertices(dim: int = 3) -> list[tuple[Fraction, ...]]:

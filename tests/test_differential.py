@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bjlevel import (
+    InternalCheckError,
     RationalStream,
     ball_vertices,
     bj_orthogonal,
@@ -13,6 +14,7 @@ from bjlevel import (
     dual_norm,
     dual_space,
     enumerate_level_numbers,
+    face_lattice,
     is_level_vector,
     l1,
     linf,
@@ -28,9 +30,7 @@ from bjlevel import (
 )
 from bjlevel import levels, simplex
 from bjlevel.linalg import dot, mat_vec, transpose
-from bjlevel.simplex import feasible_point
-
-from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, random_operator, sphere_ball
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, feasible_point, probe_points, random_operator, sphere_ball
 
 F = Fraction
 
@@ -203,13 +203,15 @@ def test_refutations_come_from_the_membership_separator(monkeypatch):
                 scale = norm(space, tx) / norm(space, x)
                 q_verts = support_set(space, tx).vertices
                 adj = [mat_vec(transpose(op.matrix), q) for q in q_verts]
+                point = levels._evaluate(op, x)
                 separated = []
                 for f in support_set(space, x).vertices:
                     target = tuple(scale * c for c in f)
-                    g, z = levels._membership(q_verts, adj, target)
+                    g, z = levels._membership(point, f)
                     if z is None:
                         assert mat_vec(transpose(op.matrix), g) == target
                     else:
+                        z = tuple(F(c, z[1]) for c in z[0])
                         assert g is None and all(dot(a, z) < dot(target, z) for a in adj)
                         separators.add("lp" if len(adj) > 1 else "one image")
                     assert counterexample_lp_is_feasible(adj, f) == (z is not None)
@@ -277,3 +279,94 @@ def test_enumerated_level_numbers_match_is_level_vector():
                 kinds.add("miss" if cert is None else "zero" if number == 0 else "level")
         assert report.values == tuple(sorted(found))
     assert kinds == {"miss", "zero", "level"}
+
+
+REVERIFY_CASES = {
+    "l1^3": (lambda: l1(3), None),
+    "l1^4": (lambda: l1(4), None),
+    "linf^3": (lambda: linf(3), None),
+    "linf^4": (lambda: linf(4), None),
+    "hexagon": (lambda: polyhedral_space(HEXAGON_VERTICES), None),
+    "cube-cross": (lambda: polyhedral_space(cube_cross_vertices(3)), None),
+    "l1^3->linf^4": (lambda: l1(3), lambda: linf(4)),
+}
+
+
+def reverify_operators(domain, codomain, seed):
+    """A dense rational, a dense integer, a rank-one and a diagonal operator,
+    seeded; from l1^3 to linf^4 the last is the isometric embedding
+    x -> (x1 + x2 + x3, x1 + x2 - x3, x1 - x2 + x3, x1 - x2 - x3) instead."""
+    rng = random.Random(seed)
+    m, n = codomain.dim, domain.dim
+    u = [rng.choice((-2, -1, 1, 3)) for _ in range(m)]
+    w = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    diag = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+    return [
+        operator([[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(m)], domain, codomain),
+        operator([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], domain, codomain),
+        operator([[a * b for b in w] for a in u], domain, codomain),
+        operator([[diag[r] if c == r else 0 for c in range(n)] for r in range(m)], domain, codomain)
+        if m == n
+        else operator([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]], domain, codomain),
+    ]
+
+
+def vertices_and_edge_midpoints(space, rng, count=10):
+    """Up to ``count`` ball vertices and ``count`` edge midpoints, seeded."""
+    verts = list(ball_vertices(space))
+    midpoints = [face.centroid() for face in face_lattice(space) if face.dim == 1]
+    return rng.sample(verts, min(count, len(verts))) + rng.sample(midpoints, min(count, len(midpoints)))
+
+
+def test_integer_reverification_agrees_with_the_oracle():
+    # Every refutation's (y, margin), re-verified in integers by the library,
+    # must pass the definition-level oracle: x is orthogonal to y, Tx is not
+    # orthogonal to Ty, and margin = min g(Ty) over J(Tx) = 1.
+    kinds = set()
+    for name, (make_domain, make_codomain) in REVERIFY_CASES.items():
+        domain = make_domain()
+        codomain = make_codomain() if make_codomain else domain
+        rng = random.Random(name)
+        verdicts = set()
+        for op in reverify_operators(domain, codomain, sum(map(ord, name))):
+            for x in vertices_and_edge_midpoints(domain, rng):
+                report = preserves_bj_at(op, x)
+                verdicts.add(report.holds)
+                if report.holds:
+                    continue
+                y, margin = report.counterexample
+                tx, ty = op(x), op(y)
+                q_verts = support_set(codomain, tx).vertices
+                kinds.add("one image" if len(q_verts) == 1 else "lp")
+                assert dot(report.failing_functional, y) == 0
+                assert margin == 1 == min(dot(g, ty) for g in q_verts)
+                assert bj_orthogonal_oracle(domain, x, y).orthogonal
+                assert not bj_orthogonal_oracle(codomain, tx, ty).orthogonal
+        assert verdicts == {True, False}, name
+    assert kinds == {"one image", "lp"}
+
+
+def test_the_counterexample_check_refuses_a_flipped_or_boundary_y():
+    # `_verified_margin` accepts a refutation's y and refuses -y (every g(Ty)
+    # < 0), x itself (not orthogonal to x), and a y with f(y) = 0 = g(Ty),
+    # orthogonal on both sides, which a non-strict comparison would accept.
+    checked = 0
+    for name in ("l1^3", "linf^3", "cube-cross"):
+        space = REVERIFY_CASES[name][0]()
+        rng = random.Random(name)
+        for op in reverify_operators(space, space, 5):
+            for x in vertices_and_edge_midpoints(space, rng, 6):
+                report = preserves_bj_at(op, x)
+                point = levels._evaluate(op, x)
+                if report.holds or len(point.q_verts) != 1:
+                    continue
+                y, _ = report.counterexample
+                assert levels._verified_margin(point, y) == 1
+                f, a = report.failing_functional, mat_vec(transpose(op.matrix), point.q_verts[0])
+                boundary = (f[1] * a[2] - f[2] * a[1], f[2] * a[0] - f[0] * a[2], f[0] * a[1] - f[1] * a[0])
+                assert any(boundary) and dot(f, boundary) == 0 == dot(a, boundary)
+                for wrong in (tuple(-c for c in y), x, boundary):
+                    with pytest.raises(InternalCheckError):
+                        levels._verified_margin(point, wrong)
+                checked += 1
+    assert checked >= 10

@@ -9,6 +9,7 @@ from bjlevel import (
     Face,
     InputError,
     RationalStream,
+    ball_vertices,
     extreme_points,
     face_census,
     face_lattice,
@@ -20,6 +21,8 @@ from bjlevel import (
     polyhedral_space,
     support_set,
 )
+
+from bjlevel.spaces import CACHE_SIZE
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, v
 
@@ -82,6 +85,16 @@ def test_extreme_points(l1_3, linf_2, hexagon):
     }
     assert set(extreme_points(linf_2)) == {v("1,1"), v("1,-1"), v("-1,1"), v("-1,-1")}
     assert len(extreme_points(hexagon)) == 6
+
+
+def test_extreme_points_are_one_cached_sorted_tuple(l1_3, linf_2, hexagon):
+    # Certification walks them in this order on every call; they are sorted
+    # once per space, in a cache of at most CACHE_SIZE spaces.
+    for space in (l1_3, linf_2, hexagon):
+        points = extreme_points(space)
+        assert points is extreme_points(space)
+        assert list(points) == sorted(ball_vertices(space))
+    assert extreme_points.cache_info().maxsize == CACHE_SIZE
 
 
 def test_minimal_face_examples(linf_2, l1_3):

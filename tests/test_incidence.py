@@ -28,11 +28,10 @@ from bjlevel import (
     polyhedral_space,
 )
 from bjlevel.linalg import dot, kernel_basis, solve_square
-from bjlevel.simplex import feasible_point
 from bjlevel import spaces
 from bjlevel.spaces import _facet_incidence, _integer_point, _max_polar_subsets
 
-from ._util import cube_cross_vertices, fraction_solve, sphere_ball
+from ._util import cube_cross_vertices, feasible_point, fraction_solve, sphere_ball
 
 F = Fraction
 

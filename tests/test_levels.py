@@ -35,7 +35,7 @@ from bjlevel import (
     support_set,
     zero_operator,
 )
-from bjlevel import levels
+from bjlevel import levels, spaces, support
 from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
@@ -132,6 +132,32 @@ def test_lp_certificates_and_counterexamples_are_pinned(l1_3):
     report = preserves_bj_at(diagonal_operator(l1_3, [2, 1, 1]), v("1,0,0"))
     assert report.failing_functional == v("1,-1,-1")
     assert report.counterexample == (v("1,1/2,1/2"), 1)
+
+
+def test_the_exact_path_scans_the_polar_table_once_per_point(hexagon, monkeypatch):
+    # ||x|| with J(x), and ||Tx|| with J(Tx), come from one polar scan each:
+    # 2 scans per level test and per preservation check, holding or refuted
+    # (there were 4 and 6 when norm and support_set each scanned).
+    scan = spaces._integer_norm_and_face
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(spaces, "_integer_norm_and_face", counted)
+    monkeypatch.setattr(support, "_integer_norm_and_face", counted)
+    x = v("1/3,2/3")
+    rotation = operator([[F(1, 3), F(-1, 3)], [F(1, 3), 0]], hexagon)  # a third of a hexagon symmetry
+    dense = operator([[F(1, 2), 1], [F(1, 3), -1]], hexagon)
+    for op, holds in ((rotation, True), (dense, False)):
+        del calls[:]
+        assert (is_level_vector(op, x) is not None) == holds
+        assert len(calls) == 2
+        del calls[:]
+        report = preserves_bj_at(op, x)
+        assert report.holds == holds and (report.counterexample is None) == holds
+        assert len(calls) == 2
 
 
 def test_float_preservation_reads_each_support_set_once(l3_3, monkeypatch):
@@ -392,8 +418,8 @@ def test_enumeration_checks_each_certificate_it_solves(linf_3, monkeypatch):
     # A certificate that fails T^T g = ||Tx|| f is caught when it is solved.
     solve = levels._solve_level
 
-    def corrupted(op, tmat, p_verts, q_verts, scale):
-        found = solve(op, tmat, p_verts, q_verts, scale)
+    def corrupted(*args):
+        found = solve(*args)
         return None if found is None else (tuple(2 * c for c in found[0]), *found[1:])
 
     monkeypatch.setattr(levels, "_solve_level", corrupted)
@@ -418,8 +444,8 @@ def test_a_certificate_failing_its_equation_is_refused(samples, hexagon, monkeyp
     # polyhedral codomain, raises from enumeration and from is_level_vector.
     solve = levels._solve_level
 
-    def wrong_g(op, tmat, p_verts, q_verts, scale):
-        found = solve(op, tmat, p_verts, q_verts, scale)
+    def wrong_g(*args):
+        found = solve(*args)
         return None if found is None else (found[0], tuple(-c for c in found[1]), found[2])
 
     monkeypatch.setattr(levels, "_solve_level", wrong_g)

@@ -14,11 +14,10 @@ from bjlevel.simplex import (
     _is_farkas,
     convex_weights,
     convex_weights_or_farkas,
-    feasible_point,
     solve_standard_lp,
 )
 
-from ._util import fraction_solve
+from ._util import feasible_point, fraction_solve
 
 F = Fraction
 
