@@ -168,7 +168,8 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     norm_x, p_verts = _integer_norm_and_vertices(op.domain, q, s)
     norm_tx, q_verts = _integer_norm_and_vertices(op.codomain, mq, d_t * s)
     d_q, q_rows = _integer_rows(q_verts)
-    images = tuple(tuple(sum(map(mul, column, g)) for column in zip(*m_rows)) for g in q_rows)
+    columns = tuple(zip(*m_rows))
+    images = tuple(tuple(sum(map(mul, column, g)) for column in columns) for g in q_rows)
     return _Point(q, s, m_rows, norm_x, p_verts, norm_tx / norm_x, q_verts, q_rows, images, d_t * d_q)
 
 

@@ -21,7 +21,6 @@ from bjlevel import (
     polyhedral_space,
     support_set,
 )
-
 from bjlevel.spaces import CACHE_SIZE
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, v

@@ -1,11 +1,12 @@
 """Pinned CLI reports of the single-point and certification commands.
 
-`tests/golden/cli_reports.jsonl` holds the stdout of ``preserve check``,
-``level test``, ``isometry certify`` and ``isometry probe`` on the seeded
-battery below, one report per line, as the Fraction implementation of the
-single-point path wrote them.  Certificates, counterexamples and witnesses
-are part of each report, so any change to the exact path that alters one of
-them, even to another valid one, fails here.  Regenerate only on purpose:
+`tests/golden/cli_reports.jsonl` holds the exit code and stdout of
+``preserve check``, ``level test``, ``isometry certify`` and ``isometry
+probe`` on the seeded battery below, one report per line, generated before
+the single-point path moved to integer arithmetic.  Certificates,
+counterexamples and witnesses are part of each report, so any change to the
+exact path that alters one of them, even to another valid one, fails here.
+Regenerate only on purpose:
 
     PYTHONPATH=src python -m tests.test_golden > tests/golden/cli_reports.jsonl
 """

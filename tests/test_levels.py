@@ -136,8 +136,7 @@ def test_lp_certificates_and_counterexamples_are_pinned(l1_3):
 
 def test_the_exact_path_scans_the_polar_table_once_per_point(hexagon, monkeypatch):
     # ||x|| with J(x), and ||Tx|| with J(Tx), come from one polar scan each:
-    # 2 scans per level test and per preservation check, holding or refuted
-    # (there were 4 and 6 when norm and support_set each scanned).
+    # 2 scans per level test and per preservation check, holding or refuted.
     scan = spaces._integer_norm_and_face
     calls = []
 
