@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import InputError, InternalCheckError
 from .faces import antipodal_representatives, face_census
@@ -134,16 +134,26 @@ def _nonzero_point(op: Operator, x: Vec) -> Vec:
     return x
 
 
-class _Point(NamedTuple):
+def _image(codomain: SpaceSpec, m_rows, q, s: int) -> Optional[tuple[Fraction, tuple[Vec, ...]]]:
+    """(||Tx||, J(Tx)) for Tx = Mq / s, M the integer matrix ``m_rows``, from
+    one scan (`_integer_norm_and_vertices`); None when Tx = 0, that is Mq = 0.
+    J(Tx) = J(Mq), since J does not change under positive scaling."""
+    mq = tuple(sum(map(mul, row, q)) for row in m_rows)
+    if not any(mq):
+        return None
+    return _integer_norm_and_vertices(codomain, mq, s)
+
+
+@dataclass
+class _Point:
     """One exact evaluation of T at x with Tx != 0, in integers.
 
     x = q / s with q integral, and T = M / D_T with M integral (``m_rows``).
-    ||x|| with J(x), and ||Tx|| with J(Tx), each come from one scan
-    (`_integer_norm_and_vertices`): Tx is Mq / (D_T s), and J(Tx) = J(Mq).
-    The vertices g of J(Tx) are kept as the integer rows D_Q g (``q_rows``,
-    D_Q the lcm of their denominators) and their adjoint images M^T (D_Q g)
-    (``images``), so g(Ty) = (D_Q g).(My) / den and T^T g = image / den,
-    with den = D_T D_Q.
+    ||x|| with J(x), and ||Tx|| with J(Tx), each come from one scan: Tx is
+    Mq / (D_T s) (`_image`).  The vertices g of J(Tx) are kept as the integer
+    rows D_Q g (``q_rows``, D_Q the lcm of their denominators) and their
+    adjoint images M^T (D_Q g) (``images``), so g(Ty) = (D_Q g).(My) / den
+    and T^T g = image / den, with den = D_T D_Q.
     """
 
     q: tuple[int, ...]
@@ -157,26 +167,26 @@ class _Point(NamedTuple):
     images: tuple
     den: int
 
+    @cached_property
+    def adj(self) -> list[Vec]:
+        """The adjoint images T^T g = image / den as Fraction vectors, built
+        once per point, for the LPs and the level test."""
+        return [tuple(Fraction(c, self.den) for c in image) for image in self.images]
+
 
 def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     """The evaluation of T at x on the exact path, or None when Tx = 0."""
     q, s = _integer_point(x)
     d_t, m_rows = _integer_rows(op.matrix)
-    mq = tuple(sum(map(mul, row, q)) for row in m_rows)
-    if not any(mq):
+    image = _image(op.codomain, m_rows, q, d_t * s)
+    if image is None:
         return None
+    norm_tx, q_verts = image
     norm_x, p_verts = _integer_norm_and_vertices(op.domain, q, s)
-    norm_tx, q_verts = _integer_norm_and_vertices(op.codomain, mq, d_t * s)
     d_q, q_rows = _integer_rows(q_verts)
     columns = tuple(zip(*m_rows))
     images = tuple(tuple(sum(map(mul, column, g)) for column in columns) for g in q_rows)
     return _Point(q, s, m_rows, norm_x, p_verts, norm_tx / norm_x, q_verts, q_rows, images, d_t * d_q)
-
-
-def _fractions(point: _Point) -> list[Vec]:
-    """The adjoint images T^T g = image / den of the vertices of J(Tx), as
-    Fraction vectors, for the LPs and the level test."""
-    return [tuple(Fraction(c, point.den) for c in image) for image in point.images]
 
 
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
@@ -187,7 +197,7 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     point = _evaluate(op, x)
     if point is None:
         return LevelCertificate(x, None, None, Fraction(0), EXACT)
-    found = _solve_level(op, point.p_verts, point.q_verts, _fractions(point), point.scale)
+    found = _solve_level(op, point.p_verts, point.q_verts, point.adj, point.scale)
     found = _checked(found, transpose(op.matrix), point.scale)
     return None if found is None else LevelCertificate(x, *found, EXACT)
 
@@ -304,7 +314,7 @@ def _membership(point: _Point, f: Vec) -> tuple[Optional[tuple], Optional[tuple[
         z = tuple(sn * point.den * c - sd * d * a for c, a in zip(p, point.images[0]))
         return (None, (z, sd * d * point.den)) if any(z) else (point.q_verts[0], None)
     target = vec_scale(point.scale, f)
-    weights, farkas = convex_weights_or_farkas([_fractions(point)], target)
+    weights, farkas = convex_weights_or_farkas([point.adj], target)
     if weights is None:
         return None, _integer_point(farkas[: len(target)])
     return combination(weights[0], point.q_verts), None
@@ -537,17 +547,22 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
 def _face_level_number(op: Operator, tmat, m_rows, p_verts, q, s: int, memo: dict, pool: dict) -> Optional[Fraction]:
     """The level number of a point x of a proper face with J(x) = conv(p_verts),
     or None when x is not a level vector.  ``m_rows`` is the integer matrix
-    M = D_T T and Tx = Mq / s; ``memo`` maps (J(Tx), ||Tx||) to the checked
-    `_solve_level` answer, and ``tmat`` is T^T."""
-    mq = tuple(sum(map(mul, row, q)) for row in m_rows)
-    if not any(mq):
+    M = D_T T and Tx = Mq / s (`_image`); ``memo`` maps (||Tx||, J(Tx)) to the
+    checked `_solve_level` answer, and ``tmat`` is T^T.
+
+    A memo miss takes T^T g in Fractions from ``tmat``, not from integer
+    images as `_evaluate` does: faster enumeration makes the benchmark's
+    `sweep` run more passes, and it keeps every result (ROADMAP item 1), so
+    its peak memory then sits at the 10% bound (see CHANGES.md).
+    """
+    image = _image(op.codomain, m_rows, q, s)
+    if image is None:
         return ZERO
-    scale, q_verts = _integer_norm_and_vertices(op.codomain, mq, s)  # ||Tx|| / ||x||, which is 1
-    key = (q_verts, scale)
-    if key not in memo:
+    if image not in memo:
+        scale, q_verts = image  # ||Tx|| / ||x||, since ||x|| = 1
         found = _solve_level(op, p_verts, q_verts, _adjoint_images(tmat, q_verts), scale)
-        memo[key] = _checked(found, tmat, scale)
-    found = memo[key]
+        memo[image] = _checked(found, tmat, scale)
+    found = memo[image]
     return None if found is None else pool.setdefault(found[2], found[2])
 
 
