@@ -17,7 +17,7 @@ level test is a dual-norm evaluation instead (see `_solve_level`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
@@ -26,6 +26,7 @@ from typing import Optional, Union
 from .errors import InputError, InternalCheckError
 from .faces import antipodal_representatives, face_census
 from .linalg import (
+    ONE,
     ZERO,
     Vec,
     combination,
@@ -119,11 +120,6 @@ def _mode_pair(op: Operator) -> str:
     return FLOAT
 
 
-def _adjoint_images(tmat, functionals) -> list[Vec]:
-    """T^T q for each functional q (``tmat`` is T^T)."""
-    return [mat_vec(tmat, q) for q in functionals]
-
-
 def _nonzero_point(op: Operator, x: Vec) -> Vec:
     """x as an exact vector of T's domain (floats convert exactly, keeping the
     pipeline rational); a wrong dimension or x = 0 is an input error."""
@@ -153,19 +149,29 @@ class _Point:
     Mq / (D_T s) (`_image`).  The vertices g of J(Tx) are kept as the integer
     rows D_Q g (``q_rows``, D_Q the lcm of their denominators) and their
     adjoint images M^T (D_Q g) (``images``), so g(Ty) = (D_Q g).(My) / den
-    and T^T g = image / den, with den = D_T D_Q.
+    and T^T g = image / den, with den = D_T D_Q.  This is the exact path's
+    one source of T^T g.
     """
 
     q: tuple[int, ...]
     s: int
+    d_t: int
     m_rows: tuple
     norm_x: Fraction
     p_verts: tuple[Vec, ...]
-    scale: Fraction  # ||Tx|| / ||x||
+    norm_tx: Fraction
     q_verts: tuple[Vec, ...]
-    q_rows: tuple
-    images: tuple
-    den: int
+    scale: Fraction = field(init=False)  # ||Tx|| / ||x||
+    q_rows: tuple = field(init=False)
+    images: tuple = field(init=False)
+    den: int = field(init=False)
+
+    def __post_init__(self):
+        self.scale = self.norm_tx / self.norm_x
+        d_q, self.q_rows = _integer_rows(self.q_verts)
+        columns = tuple(zip(*self.m_rows))
+        self.images = tuple(tuple(sum(map(mul, column, g)) for column in columns) for g in self.q_rows)
+        self.den = self.d_t * d_q
 
     @cached_property
     def adj(self) -> list[Vec]:
@@ -181,12 +187,7 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     image = _image(op.codomain, m_rows, q, d_t * s)
     if image is None:
         return None
-    norm_tx, q_verts = image
-    norm_x, p_verts = _integer_norm_and_vertices(op.domain, q, s)
-    d_q, q_rows = _integer_rows(q_verts)
-    columns = tuple(zip(*m_rows))
-    images = tuple(tuple(sum(map(mul, column, g)) for column in columns) for g in q_rows)
-    return _Point(q, s, m_rows, norm_x, p_verts, norm_tx / norm_x, q_verts, q_rows, images, d_t * d_q)
+    return _Point(q, s, d_t, m_rows, *_integer_norm_and_vertices(op.domain, q, s), *image)
 
 
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
@@ -197,23 +198,32 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     point = _evaluate(op, x)
     if point is None:
         return LevelCertificate(x, None, None, Fraction(0), EXACT)
-    found = _solve_level(op, point.p_verts, point.q_verts, point.adj, point.scale)
-    found = _checked(found, transpose(op.matrix), point.scale)
+    found = _checked(point, _solve_level(op, point))
     return None if found is None else LevelCertificate(x, *found, EXACT)
 
 
-def _checked(found: Optional[tuple], tmat, scale: Fraction) -> Optional[tuple]:
-    """``found`` from `_solve_level`, once T^T g = scale f is verified for it
-    (``tmat`` is T^T)."""
-    if found is not None and mat_vec(tmat, found[1]) != vec_scale(scale, found[0]):
+def _checked(point: _Point, found: Optional[tuple]) -> Optional[tuple]:
+    """``found`` from `_solve_level`, once T^T g = scale f is verified for it.
+
+    In integers, from M = D_T T and the certificate's own g, not from the
+    point's images: with g = gq / gs, f = fq / fs and scale = sn / sd,
+    T^T g = M^T gq / (D_T gs), so the equation reads
+    (M^T gq) sd fs = sn D_T gs fq.
+    """
+    if found is None:
+        return None
+    (fq, fs), (gq, gs) = _integer_point(found[0]), _integer_point(found[1])
+    sn, sd = point.scale.numerator, point.scale.denominator
+    left, right = sd * fs, sn * point.d_t * gs
+    if any(sum(map(mul, column, gq)) * left != right * c for column, c in zip(zip(*point.m_rows), fq)):
         raise InternalCheckError("level certificate fails its defining equation")
     return found
 
 
-def _solve_level(op: Operator, p_verts, q_verts, adj, scale: Fraction) -> Optional[tuple]:
-    """(f, g, k) with f in conv(p_verts) = J(x), g in conv(q_verts) = J(Tx)
-    and T^T g = scale f, or None; the level number is k = scale^2.  ``adj``
-    holds the adjoint images T^T g of ``q_verts``, in the same order.
+def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
+    """(f, g, k) with f in J(x), g in J(Tx) and T^T g = scale f, or None;
+    the level number is k = scale^2.  J(x) and J(Tx) are read as the vertex
+    lists of ``point``, and T^T g from its adjoint images.
 
     When J(Tx) is one functional q (Tx is a smooth point), no LP is needed.
     Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
@@ -222,6 +232,7 @@ def _solve_level(op: Operator, p_verts, q_verts, adj, scale: Fraction) -> Option
     x is a level vector iff ||T^T q||_* = scale, and (f, q, k) is then the
     only certificate, the one the LP would return; f is built only then.
     """
+    p_verts, q_verts, adj, scale = point.p_verts, point.q_verts, point.adj, point.scale
     k = scale * scale
     if len(q_verts) == 1:
         if dual_norm(op.domain, adj[0]) != scale:
@@ -284,15 +295,21 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     """Does T preserve orthogonality at x with respect to ker f, f in J(x)?
 
     Holds exactly when some g in J(Tx) pulls back to (||Tx||/||x||) f under
-    the adjoint; the witness g is returned.
+    the adjoint; the witness g is returned.  On the exact path f in J(x) is
+    tested against the evaluation's ||x||, so x is scanned once.
     """
     x = _nonzero_point(op, x)
-    if not functional_in_support(op.domain, x, f):
+    require_dim(op.domain, f)
+    point = _evaluate(op, x) if is_exact(op.domain) and is_exact(op.codomain) else None
+    if point is None:
+        supporting = functional_in_support(op.domain, x, f)  # also when Tx = 0
+    else:
+        supporting = dot(f, x) == point.norm_x and dual_norm(op.domain, f) == 1
+    if not supporting:
         raise InputError("not_supporting", "f is not a supporting functional of x")
     if _mode_pair(op) == FLOAT:
         cert, _ = _level_vector_float(op, x, op(x))
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
-    point = _evaluate(op, x)
     if point is None:
         return DirectionalPreservation(True, None)
     g, _ = _membership(point, vec(f))
@@ -485,7 +502,6 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     table = _probe_table(op.domain)
     _mode_pair(op)  # a float codomain is rejected as by is_level_vector
     stream = RationalStream(seed)
-    tmat = transpose(op.matrix)
     d_t, m_rows = _integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
     # and equal tuples of level numbers one tuple.
@@ -508,7 +524,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         # Faces have distinct J_F, so one memo per face is keyed on J_F too.
         memo: dict = {}
         numbers = tuple(
-            _face_level_number(op, tmat, m_rows, p_verts, q, d_t * den, memo, pool) for q, den in sums
+            _face_level_number(op, d_t, m_rows, p_verts, q, den, memo, pool) for q, den in sums
         )
         numbers = number_rows.setdefault(numbers, numbers)
         values.update(k for k in numbers if k is not None)
@@ -544,24 +560,22 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
     return tuple(table)
 
 
-def _face_level_number(op: Operator, tmat, m_rows, p_verts, q, s: int, memo: dict, pool: dict) -> Optional[Fraction]:
-    """The level number of a point x of a proper face with J(x) = conv(p_verts),
-    or None when x is not a level vector.  ``m_rows`` is the integer matrix
-    M = D_T T and Tx = Mq / s (`_image`); ``memo`` maps (||Tx||, J(Tx)) to the
-    checked `_solve_level` answer, and ``tmat`` is T^T.
+def _face_level_number(op: Operator, d_t: int, m_rows, p_verts, q, s: int, memo: dict, pool: dict) -> Optional[Fraction]:
+    """The level number of the point x = q / s of a proper face, with
+    J(x) = conv(p_verts) and ||x|| = 1, or None when x is not a level vector.
 
-    A memo miss takes T^T g in Fractions from ``tmat``, not from integer
-    images as `_evaluate` does: faster enumeration makes the benchmark's
-    `sweep` run more passes, and it keeps every result (ROADMAP item 1), so
-    its peak memory then sits at the 10% bound (see CHANGES.md).
+    ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s), and
+    (||Tx||, J(Tx)) comes from `_image`, as in `_evaluate`.  ``memo`` maps it
+    to the checked `_solve_level` answer.  A memo miss builds the `_Point` of
+    x, whose integer adjoint images M^T (D_Q g) are the exact path's one
+    source of T^T g, and checks the certificate it solves (`_checked`).
     """
-    image = _image(op.codomain, m_rows, q, s)
+    image = _image(op.codomain, m_rows, q, d_t * s)
     if image is None:
         return ZERO
     if image not in memo:
-        scale, q_verts = image  # ||Tx|| / ||x||, since ||x|| = 1
-        found = _solve_level(op, p_verts, q_verts, _adjoint_images(tmat, q_verts), scale)
-        memo[image] = _checked(found, tmat, scale)
+        point = _Point(q, s, d_t, m_rows, ONE, p_verts, *image)
+        memo[image] = _checked(point, _solve_level(op, point))
     found = memo[image]
     return None if found is None else pool.setdefault(found[2], found[2])
 

@@ -122,7 +122,9 @@ class SpaceSpec:
     Instances are immutable and hashable; all derived data (polars, face
     lattices) is cached per space.  ``known_polar`` is the polar vertex list
     of a polyhedral ball when it is known exactly without a facet scan; it
-    takes no part in equality or hashing.
+    takes no part in equality or hashing.  The hash is computed once, when
+    the space is made: every cache lookup keyed on a space hashes it, and a
+    ball's hash reads each of its vertex Fractions.
     """
 
     kind: str
@@ -130,6 +132,18 @@ class SpaceSpec:
     p: Optional[Union[Fraction, str]] = None
     ball_vertices: Optional[tuple[Vec, ...]] = None
     known_polar: Optional[tuple[Vec, ...]] = field(default=None, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.dim, self.p, self.ball_vertices)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so that a copy in another process hashes
+        # there (string hashes differ between processes).
+        return SpaceSpec, (self.kind, self.dim, self.p, self.ball_vertices, self.known_polar)
 
     def __repr__(self) -> str:  # compact, e.g. lp(1)^3
         if self.kind == "lp":

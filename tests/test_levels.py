@@ -136,7 +136,10 @@ def test_lp_certificates_and_counterexamples_are_pinned(l1_3):
 
 def test_the_exact_path_scans_the_polar_table_once_per_point(hexagon, monkeypatch):
     # ||x|| with J(x), and ||Tx|| with J(Tx), come from one polar scan each:
-    # 2 scans per level test and per preservation check, holding or refuted.
+    # 2 scans per level test and per preservation check, holding or refuted,
+    # and per directional check, whose f in J(x) is read against that ||x||.
+    x = v("1/3,2/3")
+    f = support_set(hexagon, x).vertices[0]
     scan = spaces._integer_norm_and_face
     calls = []
 
@@ -146,7 +149,6 @@ def test_the_exact_path_scans_the_polar_table_once_per_point(hexagon, monkeypatc
 
     monkeypatch.setattr(spaces, "_integer_norm_and_face", counted)
     monkeypatch.setattr(support, "_integer_norm_and_face", counted)
-    x = v("1/3,2/3")
     rotation = operator([[F(1, 3), F(-1, 3)], [F(1, 3), 0]], hexagon)  # a third of a hexagon symmetry
     dense = operator([[F(1, 2), 1], [F(1, 3), -1]], hexagon)
     for op, holds in ((rotation, True), (dense, False)):
@@ -157,6 +159,29 @@ def test_the_exact_path_scans_the_polar_table_once_per_point(hexagon, monkeypatc
         report = preserves_bj_at(op, x)
         assert report.holds == holds and (report.counterexample is None) == holds
         assert len(calls) == 2
+        del calls[:]
+        assert preserves_bj_directional(op, x, f).holds == holds
+        assert len(calls) == 2
+    # Tx = 0 reads no image; f is still tested against ||x||.
+    del calls[:]
+    assert preserves_bj_directional(zero_operator(hexagon), x, f) == levels.DirectionalPreservation(True, None)
+    assert len(calls) == 1
+
+
+def test_directional_checks_its_functional_before_it_decides(hexagon, linf_3):
+    # zero_vector comes before not_supporting, and not_supporting is raised
+    # whether Tx is zero or not.
+    x, outside = v("1/3,2/3"), v("1,1")
+    for op in (operator([[F(1, 2), 1], [F(1, 3), -1]], hexagon), zero_operator(hexagon)):
+        with pytest.raises(InputError) as err:
+            preserves_bj_directional(op, (0, 0), outside)
+        assert err.value.code == "zero_vector"
+        with pytest.raises(InputError) as err:
+            preserves_bj_directional(op, x, outside)
+        assert err.value.code == "not_supporting"
+    with pytest.raises(InputError) as err:
+        preserves_bj_directional(zero_operator(linf_3), v("1,1,0"), v("1,1,0"))
+    assert err.value.code == "not_supporting"
 
 
 def test_float_preservation_reads_each_support_set_once(l3_3, monkeypatch):
@@ -424,6 +449,35 @@ def test_enumeration_checks_each_certificate_it_solves(linf_3, monkeypatch):
     monkeypatch.setattr(levels, "_solve_level", corrupted)
     with pytest.raises(InternalCheckError):
         enumerate_level_numbers(diagonal_operator(linf_3, [3, 2, 1]), 0, 0)
+
+
+def test_the_exact_path_builds_no_fraction_transpose(hexagon, monkeypatch):
+    # T^T g is read from the integer images M^T (D_Q g) alone, with D_T > 1
+    # (a rational matrix) and D_Q > 1 (a codomain with non-integer facets).
+    def refused(matrix):
+        raise AssertionError("the exact path built T^T in Fractions")
+
+    monkeypatch.setattr(levels, "transpose", refused)
+    outcomes = set()
+    for domain in (l1(3), linf(3), hexagon):
+        n = domain.dim
+        codomain = polyhedral_space(tuple(2 * c for c in u) for u in spaces.ball_vertices(domain))
+        assert spaces._polar_rows(codomain)[1] > 1
+        for matrix in (
+            [[F(1, 2 + i) if i == j else 0 for j in range(n)] for i in range(n)],
+            [[F(i + 1, 3) if i == j else F(j - i, 2) for j in range(n)] for i in range(n)],
+        ):
+            op = operator(matrix, domain, codomain)
+            assert spaces._integer_rows(op.matrix)[0] > 1
+            report = enumerate_level_numbers(op, 1, 3)
+            for probe in report.per_face:
+                for x, k in zip(probe.points, probe.level_numbers):
+                    cert = is_level_vector(op, x)
+                    assert (None if cert is None else cert.level_number) == k
+                    if cert is not None:
+                        certificate_is_sound(op, cert)
+                    outcomes.add((cert is not None, preserves_bj_at(op, x).holds))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_enumeration_keeps_the_l1_support_guard():

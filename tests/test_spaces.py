@@ -206,6 +206,26 @@ def test_result_objects_round_trip_through_pickle_and_deepcopy():
     assert polar_vertices(pickle.loads(pickle.dumps(space))) == polar_vertices(space)
 
 
+def test_equal_spaces_hash_equal():
+    # The hash, computed once per space, reads kind, dimension, exponent and
+    # ball vertices only: a validated ball (its polar known) and the same
+    # ball unvalidated are equal, and so are duals made apart, and copies.
+    for vertices in (HEXAGON_VERTICES, cube_cross_vertices(3)):
+        validated, plain = polyhedral_space(vertices), polyhedral_space(vertices, validate=False)
+        assert validated.known_polar is not None and plain.known_polar is None
+        pairs = [
+            (validated, plain),
+            (dual_space(validated), dual_space(plain)),
+            (pickle.loads(pickle.dumps(validated)), plain),
+            (deepcopy(plain), validated),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert {validated: 1}[plain] == 1
+    assert hash(linf(3)) == hash(linf(3)) == hash(dual_space(l1(3)))
+    assert hash(lp_space(3, 2)) == hash(dual_space(lp_space(Fraction(3, 2), 2)))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_integer_polyhedral_norm_equals_the_fraction_definition(dim):
     rng = random.Random(dim)
