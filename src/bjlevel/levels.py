@@ -31,6 +31,8 @@ from .linalg import (
     Vec,
     combination,
     dot,
+    integer_point,
+    integer_rows,
     is_zero_vec,
     kernel_basis,
     mat_vec,
@@ -51,8 +53,6 @@ from .spaces import (
     Operator,
     SpaceSpec,
     _facet_incidence,
-    _integer_point,
-    _integer_rows,
     _shared,
     dual_ball_vertices,
     dual_norm,
@@ -168,7 +168,7 @@ class _Point:
 
     def __post_init__(self):
         self.scale = self.norm_tx / self.norm_x
-        d_q, self.q_rows = _integer_rows(self.q_verts)
+        d_q, self.q_rows = integer_rows(self.q_verts)
         columns = tuple(zip(*self.m_rows))
         self.images = tuple(tuple(sum(map(mul, column, g)) for column in columns) for g in self.q_rows)
         self.den = self.d_t * d_q
@@ -182,8 +182,8 @@ class _Point:
 
 def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     """The evaluation of T at x on the exact path, or None when Tx = 0."""
-    q, s = _integer_point(x)
-    d_t, m_rows = _integer_rows(op.matrix)
+    q, s = integer_point(x)
+    d_t, m_rows = integer_rows(op.matrix)
     image = _image(op.codomain, m_rows, q, d_t * s)
     if image is None:
         return None
@@ -212,7 +212,7 @@ def _checked(point: _Point, found: Optional[tuple]) -> Optional[tuple]:
     """
     if found is None:
         return None
-    (fq, fs), (gq, gs) = _integer_point(found[0]), _integer_point(found[1])
+    (fq, fs), (gq, gs) = integer_point(found[0]), integer_point(found[1])
     sn, sd = point.scale.numerator, point.scale.denominator
     left, right = sd * fs, sn * point.d_t * gs
     if any(sum(map(mul, column, gq)) * left != right * c for column, c in zip(zip(*point.m_rows), fq)):
@@ -326,14 +326,14 @@ def _membership(point: _Point, f: Vec) -> tuple[Optional[tuple], Optional[tuple[
     Otherwise z is the coordinate part of the membership LP's Farkas vector.
     """
     if len(point.q_verts) == 1:
-        p, d = _integer_point(f)
+        p, d = integer_point(f)
         sn, sd = point.scale.numerator, point.scale.denominator
         z = tuple(sn * point.den * c - sd * d * a for c, a in zip(p, point.images[0]))
         return (None, (z, sd * d * point.den)) if any(z) else (point.q_verts[0], None)
     target = vec_scale(point.scale, f)
     weights, farkas = convex_weights_or_farkas([point.adj], target)
     if weights is None:
-        return None, _integer_point(farkas[: len(target)])
+        return None, integer_point(farkas[: len(target)])
     return combination(weights[0], point.q_verts), None
 
 
@@ -372,7 +372,7 @@ def _counterexample(point: _Point, f: Vec, z: tuple[int, ...], zs: int) -> Vec:
     Y / (cd s zs) for the integer vector Y = cn zs q - cd s Z, and a.Y =
     image.Y / den, so the scaled y is Y den / min image.Y.
     """
-    p, d = _integer_point(f)
+    p, d = integer_point(f)
     c = Fraction(sum(map(mul, p, z)), d * zs) / point.norm_x
     y = tuple(c.numerator * zs * a - c.denominator * point.s * b for a, b in zip(point.q, z))
     least = min(sum(map(mul, image, y)) for image in point.images)
@@ -388,8 +388,8 @@ def _verified_margin(point: _Point, y: Vec) -> Fraction:
     Integer dot products on the same vertex lists, with y = yq / ys:
     D_P ys f(y) = (D_P f).yq, D_P the lcm of the denominators of J(x), and
     den ys g(Ty) = (D_Q g).(M yq)."""
-    yq, ys = _integer_point(y)
-    on_x = [sum(map(mul, p, yq)) for p in _integer_rows(point.p_verts)[1]]
+    yq, ys = integer_point(y)
+    on_x = [sum(map(mul, p, yq)) for p in integer_rows(point.p_verts)[1]]
     if not min(on_x) <= 0 <= max(on_x):
         raise InternalCheckError("counterexample is not orthogonal to x")
     ty = [sum(map(mul, row, yq)) for row in point.m_rows]
@@ -502,7 +502,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     table = _probe_table(op.domain)
     _mode_pair(op)  # a float codomain is rejected as by is_level_vector
     stream = RationalStream(seed)
-    d_t, m_rows = _integer_rows(op.matrix)
+    d_t, m_rows = integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
     # and equal tuples of level numbers one tuple.
     pool = {ZERO: ZERO}
@@ -554,7 +554,7 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
     table = []
     for face in antipodal_representatives(space):
         point = face.vertices[0] if face.dim == 0 else _shared(face.centroid(), pool)
-        d_f, rows = _integer_rows(face.vertices)
+        d_f, rows = integer_rows(face.vertices)
         fixed = tuple(c if all(v[k] == c for v in face.vertices) else None for k, c in enumerate(face.vertices[0]))
         table.append((face, point, support_set(space, point).vertices, d_f, tuple(zip(*rows)), fixed))
     return tuple(table)

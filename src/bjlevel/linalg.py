@@ -1,13 +1,14 @@
 """Small dense exact linear algebra over `fractions.Fraction`.
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  Sizes
-stay at desk scale (dimension <= 12), so plain Gauss-Jordan elimination is
-the tool for ranks and kernels.  Square solves, which the facet scan makes by
-the thousand, take integer systems and eliminate without fractions.
+stay at desk scale (dimension <= 12).  Ranks, kernels, affine ranks and the
+square solves of the facet scan share one fraction-free Gauss-Jordan
+elimination on integer rows (`_eliminate`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -75,93 +76,126 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = [list(row) for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+def integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
+    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators."""
+    s = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (s // c.denominator) for c in p), s
+
+
+def integer_rows(points: Sequence[Vec]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D, the lcm of all the points' denominators, and each point's integer
+    row D p."""
+    d = math.lcm(*(c.denominator for p in points for c in p))
+    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in p) for p in points)
+
+
+def _eliminate(rows: list[list[int]], ncols: int, stop_at_free: bool = False) -> Optional[tuple[list[int], int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    rows in place, over their first ``ncols`` columns; columns past those are
+    carried along, as a right-hand side.
+
+    Returns (pivot columns, d): row i of the result is the pivot row of
+    column pivots[i], and the rows past the rank are zero.  After each step
+    every entry is a minor of the (row-permuted) input, so each division by
+    the previous pivot is exact and no rational is ever built.  Every pivot
+    entry is then the last pivot d and the rest of a pivot column is zero, so
+    those columns are left unwritten, and off them the reduced row echelon
+    form is the result divided by d.  Left of the current pivot only the
+    columns with no pivot change, and only in the pivot rows above.  With
+    ``stop_at_free`` it returns None at the first column with no pivot.
+    """
+    prev = 1
     pivots: list[int] = []
+    free: list[int] = []
+    nrows = len(rows)
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
+        if r == nrows:
             break
-    return work, pivots
+        if not rows[r][c]:
+            swap = next((i for i in range(r + 1, nrows) if rows[i][c]), None)
+            if swap is None:
+                if stop_at_free:
+                    return None
+                free.append(c)
+                continue
+            rows[r], rows[swap] = rows[swap], rows[r]
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        tail = pivot_row[c + 1 :]
+        for i in range(nrows):
+            if i != r:
+                row = rows[i]
+                a = row[c]
+                row[c + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(row[c + 1 :], tail)]
+        if free:
+            # The pivot row is zero in every free column left of c, and so is
+            # every row below it.
+            for row in rows[:r]:
+                for j in free:
+                    row[j] = pivot * row[j] // prev
+        pivots.append(c)
+        prev = pivot
+        r += 1
+    return pivots, prev
+
+
+def _integer_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row scaled by the lcm of its own denominators: the rank, the
+    reduced row echelon form and the null space stay the same."""
+    return [list(integer_point(vec(row))[0]) for row in rows]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    if not rows:
+        return 0
+    return len(_eliminate(_integer_matrix(rows), len(rows[0]))[0])
 
 
 def solve_square(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
     """Solve m x = b for a square integer matrix m and an integer vector b.
 
     Returns ``(num, den)`` with x = num / den and den > 0, or None when m is
-    singular.  Fraction-free Gauss-Jordan elimination (Bareiss 1968): every
-    entry after step k is a (k+1)-minor of [m | b], so each division by the
-    previous pivot is exact and no rational is ever built.  After the last
-    step every diagonal entry equals the last pivot, which is +-det(m), and
-    the right-hand column holds that pivot times x.  ``num`` and ``den`` need
-    not be coprime.
+    singular.  `_eliminate` reduces [m | b] until every diagonal entry equals
+    the last pivot, which is +-det(m), and the right-hand column holds that
+    pivot times x.  ``num`` and ``den`` need not be coprime.
     """
     n = len(m)
     rows = [[*row, bi] for row, bi in zip(m, b, strict=True)]
-    prev = 1
-    for k in range(n):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return None
-            rows[k], rows[swap] = rows[swap], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        tail = pivot_row[k + 1 :]
-        for i in range(n):
-            if i != k:
-                row = rows[i]
-                a = row[k]
-                # Columns <= k are no longer read: column k is zero off the
-                # pivot row, and the diagonal is the pivot throughout.
-                row[k + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
-        prev = pivot
+    reduced = _eliminate(rows, n, stop_at_free=True)
+    if reduced is None:
+        return None
+    den = reduced[1]
     num = tuple(row[n] for row in rows)
-    if prev < 0:
-        return tuple(-x for x in num), -prev
-    return num, prev
+    if den < 0:
+        return tuple(-x for x in num), -den
+    return num, den
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
-    """Basis of the null space of m (possibly empty)."""
+    """Basis of the null space of m (possibly empty): one vector per column
+    fc with no pivot, with 1 at fc and -R[i][fc] at the pivot column of row
+    i of the reduced row echelon form R."""
     if not m:
         return []
     ncols = len(m[0])
-    reduced, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows = _integer_matrix(m)
+    pivots, d = _eliminate(rows, ncols)
     basis: list[Vec] = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -reduced[row_idx][fc]
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis
 
 
 def affine_rank(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull of the given points (0 for a singleton)."""
+    """Dimension of the affine hull of the given points (0 for a singleton),
+    the rank of the differences of their integer rows."""
     if len(points) <= 1:
         return 0
-    base = points[0]
-    return matrix_rank([vec_sub(p, base) for p in points[1:]])
+    _, (base, *rest) = integer_rows(points)
+    return len(_eliminate([[x - y for x, y in zip(row, base)] for row in rest], len(base))[0])

@@ -30,6 +30,8 @@ from .linalg import (
     ZERO,
     Mat,
     Vec,
+    integer_point,
+    integer_rows,
     is_zero_vec,
     mat,
     mat_vec,
@@ -122,9 +124,11 @@ class SpaceSpec:
     Instances are immutable and hashable; all derived data (polars, face
     lattices) is cached per space.  ``known_polar`` is the polar vertex list
     of a polyhedral ball when it is known exactly without a facet scan; it
-    takes no part in equality or hashing.  The hash is computed once, when
-    the space is made: every cache lookup keyed on a space hashes it, and a
-    ball's hash reads each of its vertex Fractions.
+    takes no part in equality or hashing.  Two balls are equal when they
+    list the same vertices in any order, as a ball and its bidual do (the
+    bidual lists them sorted), so a ball is one key of every cache.  The hash
+    is computed once, when the space is made: every cache lookup keyed on a
+    space hashes it, and a ball's hash reads each of its vertex Fractions.
     """
 
     kind: str
@@ -135,7 +139,18 @@ class SpaceSpec:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.dim, self.p, self.ball_vertices)))
+        verts = None if self.ball_vertices is None else frozenset(self.ball_vertices)
+        object.__setattr__(self, "_hash", hash((self.kind, self.dim, self.p, verts)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SpaceSpec):
+            return NotImplemented
+        if (self._hash, self.kind, self.dim, self.p) != (other._hash, other.kind, other.dim, other.p):
+            return False
+        a, b = self.ball_vertices, other.ball_vertices
+        return a == b or (a is not None and b is not None and len(a) == len(b) and sorted(a) == sorted(b))
 
     def __hash__(self) -> int:
         return self._hash
@@ -314,7 +329,7 @@ def dual_norm(space: SpaceSpec, f: Vec) -> Union[Fraction, float]:
     require_dim(space, f)
     if space.kind == "polyhedral":
         d, rows = _ball_rows(space)
-        q, s = _integer_point(vec(f))
+        q, s = integer_point(vec(f))
         return Fraction(max(sum(map(mul, row, q)) for row in rows), d * s)
     if space.p == 1:
         return max(abs(c) for c in f)
@@ -395,7 +410,7 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
             f"desk-scale guard of {limit:,} subsets in {n}-D (about 10 s of CPU time)",
         )
     antipode = _antipodes(points)
-    rows, scales = zip(*map(_integer_point, points))
+    rows, scales = zip(*map(integer_point, points))
     half = [(i, rows[i], scales[i]) for i in range(len(points)) if i <= antipode[i]]
     found: dict[tuple[tuple[int, ...], int], tuple[Vec, frozenset[int]]] = {}
     shared: dict[Fraction, Fraction] = {}
@@ -440,12 +455,6 @@ def _max_polar_subsets(n: int) -> int:
     return min(_MAX_POLAR_SUBSETS, _MAX_POLAR_COST // n**3)
 
 
-def _integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
-    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators."""
-    s = math.lcm(*(c.denominator for c in p))
-    return tuple(c.numerator * (s // c.denominator) for c in p), s
-
-
 def _antipodes(points: tuple[Vec, ...]) -> list[int]:
     """An involution i -> j of the indices with points[j] = -points[i]."""
     positions: dict[Vec, list[int]] = {}
@@ -472,33 +481,26 @@ def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     return tuple(f for f, _ in _facet_incidence(ball_vertices(space)))
 
 
-def _integer_rows(points: tuple[Vec, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """D, the lcm of all the points' denominators, and each point's integer
-    row D p."""
-    d = math.lcm(*(c.denominator for p in points for c in p))
-    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in p) for p in points)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _polar_rows(space: SpaceSpec) -> tuple[tuple[Vec, ...], int, tuple[tuple[int, ...], ...]]:
     """The polar facets f of a polyhedral space, the lcm D of all their
     denominators, and each facet's integer row D f."""
     facets = polar_vertices(space)
-    return (facets, *_integer_rows(facets))
+    return (facets, *integer_rows(facets))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _ball_rows(space: SpaceSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The lcm D of the ball vertices' denominators of a polyhedral space,
     and each vertex's integer row D v."""
-    return _integer_rows(space.ball_vertices)
+    return integer_rows(space.ball_vertices)
 
 
 def _norm_and_face(space: SpaceSpec, x: Vec) -> tuple[Fraction, tuple[Vec, ...]]:
     """||x|| and the vertex list of J(x) on a polyhedral space: x is scaled
     to q = s x, integral (non-Fraction entries converted exactly), and read
     by `_integer_norm_and_face`."""
-    return _integer_norm_and_face(space, *_integer_point(vec(x)))
+    return _integer_norm_and_face(space, *integer_point(vec(x)))
 
 
 def _integer_norm_and_face(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:

@@ -44,6 +44,32 @@ def fraction_solve(rows, rhs):
     return tuple(row[n] for row in work)
 
 
+def fraction_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions:
+    (rows, pivot column indices).  The reference for the library's integer
+    rank, kernel and affine rank."""
+    work = [[Fraction(c) for c in row] for row in rows]
+    if not work:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
 def feasible_point(a_eq, b_eq):
     """A point with a_eq x = b_eq, x >= 0, or None when the system is
     infeasible: the bare feasibility LP, for tests that pose their own."""

@@ -27,9 +27,9 @@ from bjlevel import (
     polar_vertices,
     polyhedral_space,
 )
-from bjlevel.linalg import dot, kernel_basis, solve_square
+from bjlevel.linalg import dot, integer_point, kernel_basis, solve_square
 from bjlevel import spaces
-from bjlevel.spaces import _facet_incidence, _integer_point, _max_polar_subsets
+from bjlevel.spaces import _facet_incidence, _max_polar_subsets
 
 from ._util import cube_cross_vertices, feasible_point, fraction_solve, sphere_ball
 
@@ -225,7 +225,7 @@ def test_facet_reached_by_many_subsets_is_listed_once(points, determinants):
     incidence = _facet_incidence.__wrapped__(points)
     assert incidence == full_scan(points)
     assert len({f for f, _ in incidence}) == len(incidence)
-    rows, scales = zip(*map(_integer_point, points))
+    rows, scales = zip(*map(integer_point, points))
     for _, tight in incidence:
         solutions = [
             solve_square([rows[i] for i in subset], [scales[i] for i in subset])

@@ -36,7 +36,7 @@ from bjlevel import (
     zero_operator,
 )
 from bjlevel import levels, spaces, support
-from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec_scale
+from bjlevel.linalg import dot, integer_rows, kernel_basis, mat_vec, transpose, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
 
@@ -468,7 +468,7 @@ def test_the_exact_path_builds_no_fraction_transpose(hexagon, monkeypatch):
             [[F(i + 1, 3) if i == j else F(j - i, 2) for j in range(n)] for i in range(n)],
         ):
             op = operator(matrix, domain, codomain)
-            assert spaces._integer_rows(op.matrix)[0] > 1
+            assert integer_rows(op.matrix)[0] > 1
             report = enumerate_level_numbers(op, 1, 3)
             for probe in report.per_face:
                 for x, k in zip(probe.points, probe.level_numbers):

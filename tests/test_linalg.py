@@ -1,4 +1,5 @@
-"""The fraction-free integer solver, checked against Gauss-Jordan over Fractions."""
+"""The fraction-free integer elimination behind square solves, ranks,
+kernels and affine ranks, checked against Gauss-Jordan over Fractions."""
 
 import math
 import random
@@ -6,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from bjlevel.linalg import solve_square
+from bjlevel.linalg import affine_rank, kernel_basis, matrix_rank, solve_square
 
-from ._util import fraction_solve
+from ._util import fraction_rref, fraction_solve
 
 F = Fraction
 
@@ -81,3 +82,99 @@ def test_small_systems_by_hand():
     assert solve_square([[-2]], [4]) == ((-4,), 2)  # x = -2, with den > 0
     assert solve_square([[2, 4], [1, 2]], [1, 1]) is None
     assert solve_square([[0, 0], [0, 0]], [0, 0]) is None
+
+
+def oracle_kernel(rows):
+    """The null-space basis read from the Fraction RREF: one vector per
+    column fc with no pivot, 1 at fc and -R[i][fc] at row i's pivot column."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def oracle_affine_rank(points):
+    if len(points) <= 1:
+        return 0
+    return len(fraction_rref([[a - b for a, b in zip(p, points[0])] for p in points[1:]])[1])
+
+
+def seeded_matrix(kind, shape, seed):
+    """A rational matrix of the given kind and shape with denominators up to
+    10^12 on odd seeds."""
+    nrows, ncols = shape
+    rng = random.Random(f"{kind}-{nrows}x{ncols}-{seed}")
+    bound = 10**12 if seed % 2 else 9
+    rows = [[rational(rng, bound) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "zero":
+        rows = [[F(0)] * ncols for _ in range(nrows)]
+    elif kind == "rank-deficient":
+        rank = rng.randrange(min(nrows, ncols))
+        basis = rows[:rank]
+        rows = [
+            [sum((w * b[k] for w, b in zip(weights, basis)), F(0)) for k in range(ncols)]
+            for weights in ([rational(rng, bound) for _ in basis] for _ in range(nrows))
+        ]
+    elif kind == "zero-columns":
+        for column in rng.sample(range(ncols), max(1, ncols // 2)):
+            for row in rows:
+                row[column] = F(0)
+    elif kind == "dependent-columns":
+        # A column that is a combination of the ones left of it has no pivot,
+        # and later pivot steps must rescale the pivot rows above in it.
+        for column in range(1, ncols, 2):
+            a, b = rational(rng, bound), rational(rng, bound)
+            for row in rows:
+                row[column] = a * row[column - 1] + b * row[0]
+    elif kind == "row-swaps":
+        # A zero leading column above the last row forces a swap at the first
+        # step, and a zero leading pair in row 1 another one later.
+        for row in rows[:-1]:
+            row[0] = F(0)
+        if nrows > 2:
+            rows[1][:2] = [F(0)] * len(rows[1][:2])
+    elif kind == "negative-pivots":
+        for k in range(min(nrows, ncols)):
+            rows[k][k] = -abs(rows[k][k]) - 1
+    return tuple(tuple(row) for row in rows)
+
+
+SHAPES = [(1, 1), (1, 5), (5, 1), (2, 6), (6, 2), (3, 3), (4, 6), (6, 4), (7, 7)]
+KINDS = ["dense", "zero", "rank-deficient", "zero-columns", "dependent-columns", "row-swaps", "negative-pivots"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("kind", KINDS)
+def test_integer_rank_kernel_and_affine_rank_equal_fraction_gauss_jordan(kind, shape, seed):
+    rows = seeded_matrix(kind, shape, seed)
+    rank = len(fraction_rref(rows)[1])
+    if kind == "zero":
+        assert rank == 0
+    assert matrix_rank(rows) == rank
+    assert tuple(kernel_basis(rows)) == oracle_kernel(rows)
+    assert affine_rank(rows) == oracle_affine_rank(rows)
+
+
+def test_empty_and_by_hand_ranks_and_kernels():
+    assert matrix_rank(()) == 0 and kernel_basis(()) == [] and affine_rank(()) == 0
+    assert matrix_rank(((),)) == 0 and kernel_basis(((),)) == []
+    assert affine_rank(((F(3), F(-1)),)) == 0
+    # Column 0 has no pivot, and column 2's pivot row needs a swap; the
+    # kernel entries are -R[i][fc] with R = [[0, 1, 0, -1/2], [0, 0, 1, 3/2]].
+    m = ((F(0), F(0), F(2), F(3)), (F(0), F(2), F(0), F(-1)))
+    assert matrix_rank(m) == 2
+    assert kernel_basis(m) == [(F(1), F(0), F(0), F(0)), (F(0), F(1, 2), F(-3, 2), F(1))]
+    # Column 1 has no pivot; the pivot step of column 2 rescales row 0 there.
+    assert kernel_basis(((F(1), F(2), F(0)), (F(0), F(0), F(3)))) == [(F(-2), F(1), F(0))]
+    # Ints and floats are read exactly, as Fractions.
+    assert matrix_rank([[1, 0.5], [2, 1]]) == 1
+    assert affine_rank([(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2))]) == 1

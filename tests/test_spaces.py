@@ -25,6 +25,7 @@ from bjlevel import (
     identity_operator,
     l1,
     l2,
+    level_count_bound,
     linf,
     lp_space,
     norm,
@@ -224,6 +225,23 @@ def test_equal_spaces_hash_equal():
         assert {validated: 1}[plain] == 1
     assert hash(linf(3)) == hash(linf(3)) == hash(dual_space(l1(3)))
     assert hash(lp_space(3, 2)) == hash(dual_space(lp_space(Fraction(3, 2), 2)))
+
+
+def test_a_ball_in_any_vertex_order_and_its_bidual_are_one_space():
+    # The bidual lists the vertices sorted; neither list below is.
+    for vertices in (HEXAGON_VERTICES, cube_cross_vertices(3)):
+        space = polyhedral_space(vertices)
+        bidual = dual_space(dual_space(space))
+        reordered = polyhedral_space(reversed(vertices))
+        assert bidual.ball_vertices != space.ball_vertices != reordered.ball_vertices
+        for other in (bidual, reordered):
+            assert other == space and hash(other) == hash(space)
+        op = diagonal_operator(space, range(1, space.dim + 1))
+        assert level_count_bound(bidual, op) == level_count_bound(space, op)
+    square = [("1", "0"), ("0", "1"), ("-1", "0"), ("0", "-1")]
+    assert polyhedral_space(square) != polyhedral_space([(2 * F(a), 2 * F(b)) for a, b in square])
+    # Unvalidated lists compare as lists with repeats, in any order.
+    assert polyhedral_space(square + square[:2], validate=False) != polyhedral_space(square + square[2:], validate=False)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
