@@ -87,6 +87,6 @@ from .spaces import (
     space_to_dict,
     zero_operator,
 )
-from .support import SupportSet, eval_range, is_smooth, support_set
+from .support import SupportSet, eval_range, is_smooth, support_range, support_set
 
 __version__ = "0.1.0"

@@ -27,12 +27,14 @@ from .isometry import (
 from .levels import (
     enumerate_level_numbers,
     is_level_vector,
+    kernel_condition,
     level_count_bound,
     preserves_bj_at,
     preserves_bj_directional,
 )
+from .linalg import kernel_basis
 from .oracle import minimize_norm_1d, preservation_sample_check
-from .orthogonality import bj_orthogonal, bj_orthogonal_oracle
+from .orthogonality import bj_orthogonal, bj_orthogonal_oracle, subspace_orthogonal
 from .spaces import (
     Operator,
     SpaceSpec,
@@ -336,6 +338,20 @@ def _selftest() -> dict:
         ],
     )
     check("identity case4 fails iv", case4.failed_conditions == ("iv",))
+
+    # The kernel condition on a line, against the subspace LP; the last two
+    # have an end of the interval [min f(b), max f(b)] at 0.
+    t110 = diagonal_operator(l1_3, [1, 1, 0])
+    l1_edge = operator([[1, 1, 0], [0, 0, 1], [0, 0, 0]], l1_3)  # ker = span(e1 - e2)
+    linf_edge = operator([[1, 0, -1], [0, 1, 0], [0, 0, 0]], linf_3)  # ker = span(e1 + e3)
+    for name, op, x, want in (
+        ("kernel diag(1,1,0) l1 holds", t110, e1, True),
+        ("kernel diag(1,1,0) l1 fails", t110, (Fraction(1), 0, Fraction(1, 2)), False),
+        ("kernel l1 zero end holds", l1_edge, e1, True),
+        ("kernel linf zero end holds", linf_edge, (Fraction(1), Fraction(1), 0), True),
+    ):
+        lp_route = subspace_orthogonal(op.domain, x, kernel_basis(op.matrix)).orthogonal
+        check(name, kernel_condition(op, x) == want == lp_route)
 
     sample = preservation_sample_check(t211, e1, 60, 11)
     check("sample check finds violation", len(sample.violations) > 0)

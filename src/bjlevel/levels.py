@@ -13,6 +13,11 @@ every f in J(x), i.e. the polytope containment (||Tx||/||x||) J(x) inside
 (adjoint T)(J(Tx)).  Both are decided by small exact LPs over the vertex
 coefficients of the two support polytopes; when J(Tx) is one functional the
 level test is a dual-norm evaluation instead (see `_solve_level`).
+
+The necessary kernel condition, ker T inside the orthogonality set of x, is
+the closed-form interval test of `support.support_range` when ker T is a
+line in an exact domain; only larger kernels, and float domains, pose the
+subspace LP.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .spaces import (
     polyhedral_space,
     require_dim,
 )
-from .support import _integer_norm_and_vertices, functional_in_support, support_set
+from .support import _integer_norm_and_vertices, functional_in_support, support_range, support_set
 
 Scalar = Union[Fraction, float]
 
@@ -431,13 +436,20 @@ def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
 
 
 def kernel_condition(op: Operator, x: Vec) -> bool:
-    """Necessary condition for level vectors: Tx = 0 or ker T inside x-orthogonal set."""
+    """Necessary condition for level vectors: Tx = 0 or ker T inside x-orthogonal set.
+
+    An injective T passes without forming Tx.  On an exact domain a kernel
+    span(b) is one Birkhoff-James question, x orthogonal to b, which holds
+    iff min f(b) <= 0 <= max f(b) over J(x) (`support_range`, no LP).  Kernels
+    of dimension >= 2, and float domains, go to the subspace LP.
+    """
     x = _nonzero_point(op, x)
-    if is_zero_vec(op(x)):
-        return True
     basis = kernel_basis(op.matrix)
-    if not basis:
+    if not basis or is_zero_vec(op(x)):
         return True
+    if len(basis) == 1 and is_exact(op.domain):
+        lo, hi = support_range(op.domain, x, basis[0])
+        return lo <= 0 <= hi
     return subspace_orthogonal(op.domain, x, basis).orthogonal
 
 

@@ -51,10 +51,14 @@ class SupportSet:
     warning: str | None = None
 
 
-def support_set(space: SpaceSpec, x: Vec) -> SupportSet:
+def _require_base_point(space: SpaceSpec, x: Vec) -> None:
     require_dim(space, x)
     if is_zero_vec(x):
         raise InputError("zero_vector", "J(x) is undefined at x = 0")
+
+
+def support_set(space: SpaceSpec, x: Vec) -> SupportSet:
+    _require_base_point(space, x)
     if is_exact(space):
         return SupportSet(x, _exact_vertices(space, x), EXACT)
     return SupportSet(x, (_lp_gradient(space, x),), FLOAT)
@@ -112,8 +116,19 @@ def _lp_gradient(space: SpaceSpec, x: Vec) -> tuple[float, ...]:
 
 
 def is_smooth(space: SpaceSpec, x: Vec) -> bool:
-    """True when J(x) is a singleton (the norm is Gateaux differentiable at x)."""
-    return len(support_set(space, x).vertices) == 1
+    """True when J(x) is a singleton (the norm is Gateaux differentiable at x),
+    read without listing J(x): on l1 no entry of x is 0, on l-inf one entry
+    has the largest size, on a polyhedral ball one facet attains the norm,
+    and an lp norm with 1 < p < infinity is smooth everywhere."""
+    _require_base_point(space, x)
+    if not is_exact(space):
+        return True
+    if space.kind == "polyhedral":
+        return len(_norm_and_face(space, x)[1]) == 1
+    if space.p == 1:
+        return all(x)
+    value = max(map(abs, x))
+    return sum(abs(c) == value for c in x) == 1
 
 
 def eval_range(
@@ -126,6 +141,34 @@ def eval_range(
         values = [dot(f, y) for f in support.vertices]
     else:
         values = [sum(fc * float(yc) for fc, yc in zip(f, y)) for f in support.vertices]
+    return min(values), max(values)
+
+
+def support_range(space: SpaceSpec, x: Vec, y: Vec) -> tuple[Fraction, Fraction]:
+    """(min, max) of f(y) over J(x) on an exact space, read from x itself.
+
+    On l1, J(x) is the box of sign vectors pinned to sgn(x_i) where x_i != 0,
+    so the range is sum sgn(x_i) y_i -+ sum |y_i|, the first sum over the
+    support of x and the second over its zeros.  On l-inf it is the range of
+    sgn(x_i) y_i over the entries of largest |x_i|.  On a polyhedral ball it
+    is taken over the J(x) vertices of the cached polar scan.  The extrema
+    over the polytope J(x) are taken at its vertices, so this equals
+    `eval_range` on `support_set(space, x)` without listing the l1 or l-inf
+    vertices.
+    """
+    _require_base_point(space, x)
+    require_dim(space, y)
+    if not is_exact(space):
+        raise InputError("not_polyhedral", f"{space!r} is not a polyhedral space")
+    if space.kind == "polyhedral":
+        values = [dot(f, y) for f in _norm_and_face(space, x)[1]]
+        return min(values), max(values)
+    if space.p == 1:
+        pinned = sum((yc if c > 0 else -yc for c, yc in zip(x, y) if c), ZERO)
+        free = sum((abs(yc) for c, yc in zip(x, y) if not c), ZERO)
+        return pinned - free, pinned + free
+    value = max(map(abs, x))
+    values = [yc if c > 0 else -yc for c, yc in zip(x, y) if abs(c) == value]
     return min(values), max(values)
 
 

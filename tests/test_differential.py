@@ -16,6 +16,7 @@ from bjlevel import (
     enumerate_level_numbers,
     face_lattice,
     is_level_vector,
+    kernel_condition,
     l1,
     linf,
     norm,
@@ -26,10 +27,11 @@ from bjlevel import (
     preserves_bj_at,
     preserves_bj_directional,
     subspace_orthogonal,
+    support_range,
     support_set,
 )
 from bjlevel import levels, simplex
-from bjlevel.linalg import dot, mat_vec, transpose
+from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, feasible_point, probe_points, random_operator, sphere_ball
 
 F = Fraction
@@ -370,3 +372,109 @@ def test_the_counterexample_check_refuses_a_flipped_or_boundary_y():
                         levels._verified_margin(point, wrong)
                 checked += 1
     assert checked >= 10
+
+
+def kernel_operators(space, rng):
+    """Seeded operators on ``space`` keyed by kind: a dense one of rank n - 1,
+    a diagonal one with one zero, one of rank n - 2 (a 2-D kernel, from
+    n = 3) and an injective one.  A rank-r map is a product of random n x r
+    and r x n integer matrices, redrawn until its kernel has dimension n - r."""
+    n = space.dim
+
+    def of_rank(r):
+        while True:
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+            right = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(r)]
+            rows = [[sum((a * right[k][c] for k, a in enumerate(row)), F(0)) for c in range(n)] for row in left]
+            if len(kernel_basis(rows)) == n - r:
+                return operator(rows, space)
+
+    diag = [rng.choice((-3, -1, 1, 2)) for _ in range(n)]
+    diag[rng.randrange(n)] = 0
+    ops = {
+        "dense rank n-1": of_rank(n - 1),
+        "diagonal with a zero": operator([[diag[r] if c == r else 0 for c in range(n)] for r in range(n)], space),
+        "injective": of_rank(n),
+    }
+    if n >= 3:
+        ops["2-D kernel"] = of_rank(n - 2)
+    return ops
+
+
+def kernel_probe_points(space, rng):
+    """Two ball vertices, the centroid of one face of each dimension 1 .. n-1,
+    and two generic points, each scaled by a positive rational."""
+    faces = face_lattice(space)
+    centroids = [rng.choice([f for f in faces if f.dim == k]).centroid() for k in range(1, space.dim)]
+    generic = [tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(space.dim)) for _ in range(2)]
+    points = rng.sample(list(ball_vertices(space)), 2) + centroids + [g for g in generic if any(g)]
+    return [tuple(F(rng.randint(1, 9), rng.randint(1, 9)) * c for c in p) for p in points]
+
+
+def kernel_condition_spaces():
+    rng = random.Random(19)
+    return (
+        [l1(n) for n in range(2, 8)]
+        + [linf(n) for n in range(2, 8)]
+        + [
+            polyhedral_space(HEXAGON_VERTICES),
+            polyhedral_space(cube_cross_vertices(3)),
+            polyhedral_space(sphere_ball(rng, 3, 4)),
+        ]
+    )
+
+
+def test_kernel_condition_matches_the_subspace_lp_and_the_oracle():
+    # On a 1-D kernel span(b) the condition is the closed-form interval
+    # min f(b) <= 0 <= max f(b) over J(x); it must give the verdict of the
+    # subspace LP and of the definition-level oracle.  2-D kernels take the
+    # LP itself; injective maps and x in ker T pass.
+    verdicts = {"1-D": set(), "2-D": set()}
+    zero_ends = 0
+    for space in kernel_condition_spaces():
+        rng = random.Random(repr(space))
+        for kind, op in kernel_operators(space, rng).items():
+            basis = kernel_basis(op.matrix)
+            if not basis:
+                assert all(kernel_condition(op, x) for x in kernel_probe_points(space, rng)), kind
+                continue
+            assert kernel_condition(op, basis[0])  # x in ker T
+            for x in kernel_probe_points(space, rng):
+                holds = kernel_condition(op, x)
+                if all(c == 0 for c in op(x)):
+                    assert holds
+                    continue
+                assert holds == subspace_orthogonal(space, x, basis).orthogonal, (space, kind, x)
+                if len(basis) == 1:
+                    assert holds == bj_orthogonal_oracle(space, x, basis[0]).orthogonal, (space, kind, x)
+                    zero_ends += 0 in support_range(space, x, basis[0])
+                verdicts["1-D" if len(basis) == 1 else "2-D"].add(holds)
+    assert verdicts == {"1-D": {True, False}, "2-D": {True, False}}
+    assert zero_ends > 0
+
+
+def test_kernel_condition_holds_when_an_end_of_the_interval_is_zero():
+    # l1^3, x = e1, ker T = span(e1 - e2): J(e1) = {(1, s, t)}, so
+    # f(e1 - e2) = 1 - s ranges over [0, 2] and x is orthogonal to the kernel
+    # only through f = (1, 1, t).  A strict comparison at that end would
+    # refuse it.
+    space = l1(3)
+    op = operator([[1, 1, 0], [0, 0, 1], [0, 0, 0]], space)
+    e1 = (F(1), F(0), F(0))
+    b = (F(-1), F(1), F(0))
+    assert kernel_basis(op.matrix) == [b]
+    assert support_range(space, e1, b) == (-2, 0)
+    assert support_range(space, e1, tuple(-c for c in b)) == (0, 2)
+    assert kernel_condition(op, e1)
+    assert subspace_orthogonal(space, e1, [b]).orthogonal
+    assert bj_orthogonal_oracle(space, e1, b).orthogonal
+    # l-inf^3 at (1, 1, 0) with ker T = span(e1 + e3): J = conv{e1, e2}, so
+    # f(b) ranges over [0, 1].
+    space = linf(3)
+    op = operator([[1, 0, -1], [0, 1, 0], [0, 0, 0]], space)
+    x = (F(1), F(1), F(0))
+    b = (F(1), F(0), F(1))
+    assert kernel_basis(op.matrix) == [b]
+    assert support_range(space, x, b) == (0, 1)
+    assert kernel_condition(op, x)
+    assert subspace_orthogonal(space, x, [b]).orthogonal

@@ -35,8 +35,8 @@ from bjlevel import (
     support_set,
     zero_operator,
 )
-from bjlevel import levels, spaces, support
-from bjlevel.linalg import dot, integer_rows, kernel_basis, mat_vec, transpose, vec_scale
+from bjlevel import levels, simplex, spaces, support
+from bjlevel.linalg import dot, integer_rows, kernel_basis, mat_vec, transpose, unit, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
 
@@ -214,6 +214,29 @@ def test_kernel_condition_examples(l1_3):
     assert not kernel_condition(op, v("1,0,1/2"))
     injective = diagonal_operator(l1_3, [1, 2, 3])
     assert kernel_condition(injective, v("1,1,1"))
+
+
+def test_kernel_condition_on_a_line_lists_no_vertices_and_solves_no_lp(monkeypatch):
+    # With ker T = span(b) on l1 or l-inf the condition is read from x and b
+    # alone: no J(x) vertex list and no LP, even on l1^12 at e1, where J(x)
+    # has 2^11 vertices.  A 2-D kernel still takes the subspace LP.
+    cases = []
+    for n in (2, 3, 5, 12):
+        for space in (l1(n), linf(n)):
+            for op in (diagonal_operator(space, [1] * (n - 1) + [0]), diagonal_operator(space, [0] + [2] * (n - 1))):
+                (b,) = kernel_basis(op.matrix)
+                for x in (unit(n, 0), tuple(F(k % 3 - 1, k + 1) for k in range(n)), (F(1),) * n):
+                    cases.append((op, x, bj_orthogonal(space, x, b).orthogonal or not any(op(x))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed J(x) or solved an LP")
+
+    monkeypatch.setattr(support, "_exact_vertices", refuse)
+    monkeypatch.setattr(simplex, "solve_standard_lp", refuse)
+    assert [kernel_condition(op, x) for op, x, _ in cases] == [want for _, _, want in cases]
+    assert {want for _, _, want in cases} == {True, False}
+    with pytest.raises(AssertionError):
+        kernel_condition(diagonal_operator(l1(3), [1, 0, 0]), v("1,1,1"))
 
 
 def test_kernel_condition_holds_on_level_vectors(l1_3, linf_3):

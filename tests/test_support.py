@@ -15,17 +15,20 @@ from bjlevel import (
     eval_range,
     is_smooth,
     l1,
+    l2,
     linf,
+    lp_space,
     norm,
     polar_vertices,
     polyhedral_space,
+    support_range,
     support_set,
 )
 from bjlevel.linalg import dot, unit
 from bjlevel.spaces import _cross_polytope_vertices
 from bjlevel.support import _integer_norm_and_vertices, functional_in_support
 
-from ._util import probe_points, sphere_ball, v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
 F = Fraction
 
@@ -58,6 +61,80 @@ def test_l2_always_smooth(l2_3):
     sup = support_set(l2_3, v("3,0,4"))
     assert sup.mode == "float"
     assert sup.vertices[0] == pytest.approx((0.6, 0.0, 0.8))
+
+
+def smoothness_spaces():
+    rng = random.Random(31)
+    return (
+        [l1(n) for n in (2, 3, 5, 8)]
+        + [linf(n) for n in (2, 3, 5, 8)]
+        + [polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))]
+        + [polyhedral_space(sphere_ball(rng, 3, 5))]
+    )
+
+
+def seeded_points(space, rng, count=40):
+    """Points with small entries, so that zeros and ties in size are common,
+    and on polyhedral balls the probe points (vertices, facet interiors,
+    generic points)."""
+    points = [tuple(F(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(space.dim)) for _ in range(count)]
+    if space.kind == "polyhedral":
+        points += [p for group in probe_points(space, rng, digits=6) for p in group]
+    return [p for p in points if any(p)]
+
+
+def test_is_smooth_is_a_singleton_support_set():
+    # is_smooth reads zeros, ties or attaining facets from x; it must agree
+    # with the size of the listed J(x), and both answers must occur.
+    for space in smoothness_spaces():
+        rng = random.Random(repr(space))
+        answers = set()
+        for x in seeded_points(space, rng):
+            smooth = is_smooth(space, x)
+            assert smooth == (len(support_set(space, x).vertices) == 1), (space, x)
+            answers.add(smooth)
+        assert answers == {True, False}, space
+    for space in (l2(3), lp_space(3, 3)):
+        assert is_smooth(space, v("1,0,0")) and is_smooth(space, v("1,-1,2"))
+
+
+def test_is_smooth_rejects_zero_and_a_wrong_dimension(l1_3, linf_3, hexagon):
+    for space in (l1_3, linf_3, hexagon):
+        with pytest.raises(InputError):
+            is_smooth(space, (F(0),) * space.dim)
+        with pytest.raises(DimensionMismatch):
+            is_smooth(space, v("1,0,0,0"))
+
+
+def test_support_range_is_the_range_over_the_support_vertices():
+    # The closed-form range on l1 and l-inf, and the polar-scan range on
+    # polyhedral balls, equal min/max of f(y) over the listed J(x).  On l1^n
+    # up to n = 10 most entries of x are 0, so J(x) has up to 2^9 vertices.
+    rng = random.Random(41)
+    spaces = [l1(n) for n in (2, 3, 6, 10)] + [linf(n) for n in (2, 3, 6, 10)] + smoothness_spaces()[-3:]
+    for space in spaces:
+        n = space.dim
+        for x in seeded_points(space, rng, 15):
+            if space.kind == "lp" and space.p == 1:
+                keep = set(rng.sample(range(n), rng.randint(1, 2)))
+                x = tuple(c if i in keep else F(0) for i, c in enumerate(x)) if any(x[i] for i in keep) else x
+            sup = support_set(space, x)
+            for _ in range(3):
+                y = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+                lo, hi = eval_range(sup, y)
+                assert support_range(space, x, y) == (lo, hi), (space, x, y)
+                assert support_range(space, x, tuple(-c for c in y)) == (-hi, -lo)
+            assert support_range(space, x, x) == (norm(space, x), norm(space, x))
+
+
+def test_support_range_rejects_zero_a_wrong_dimension_and_a_float_space(l1_3, linf_3, hexagon, l2_3):
+    with pytest.raises(InputError, match="polyhedral"):
+        support_range(l2_3, v("3,0,4"), v("1,1,1"))
+    for space in (l1_3, linf_3, hexagon):
+        with pytest.raises(InputError):
+            support_range(space, (F(0),) * space.dim, v("1,0,0")[: space.dim])
+        with pytest.raises(DimensionMismatch):
+            support_range(space, v("1,0,0")[: space.dim], v("1,0,0,0"))
 
 
 def test_lp_gradient_functional_norms(l3_3):
