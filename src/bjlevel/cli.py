@@ -34,7 +34,7 @@ from .levels import (
 )
 from .linalg import kernel_basis
 from .oracle import minimize_norm_1d, preservation_sample_check
-from .orthogonality import bj_orthogonal, bj_orthogonal_oracle, subspace_orthogonal
+from .orthogonality import _dual_exact, bj_orthogonal, bj_orthogonal_oracle, subspace_orthogonal
 from .spaces import (
     Operator,
     SpaceSpec,
@@ -52,7 +52,7 @@ from .spaces import (
     space_from_dict,
     space_to_dict,
 )
-from .support import support_set
+from .support import _vertex_extremes, support_set
 
 
 def _jsonify(value: Any) -> Any:
@@ -274,6 +274,20 @@ def _selftest() -> dict:
     two_e1, w = (Fraction(2), 0, 0), (Fraction(1), Fraction(1, 2), 0)
     check("l1 bj not orthogonal", not bj_orthogonal(l1_3, two_e1, w).orthogonal)
     check("l1 oracle minimum", minimize_norm_1d(l1_3, two_e1, w) == (-2, 1))
+
+    def bj_witness(x, y):
+        """bj_orthogonal's witness, once its verdict equals the one taken over
+        the full vertex list of J(x)."""
+        verdict = bj_orthogonal(l1_3, x, y)
+        same = verdict == _dual_exact(*_vertex_extremes(support_set(l1_3, x).vertices, y))
+        return verdict.witness if same else None
+
+    half = Fraction(1, 2)
+    # x_3 = y_3 = 0: the witness's third entry comes from the tie fill -1, +1.
+    check("l1 bj witness tie", bj_witness(e1, (half, Fraction(1), Fraction(0))) == (1, -half, -half))
+    # min f(y) over J(x) is exactly 0, so the witness is the minimizing vertex.
+    end = bj_witness((Fraction(1), Fraction(0), Fraction(-1)), (Fraction(1), Fraction(2), Fraction(-1)))
+    check("l1 bj end at zero", end == (1, -1, -1))
 
     t211 = diagonal_operator(l1_3, [2, 1, 1])
     cert = is_level_vector(t211, e1)

@@ -2,8 +2,11 @@
 
 Over the reals, x is Birkhoff-James orthogonal to y exactly when some
 f in J(x) kills y, i.e. when min f(y) <= 0 <= max f(y) over J(x).  The dual
-route evaluates the finitely many vertices of J(x); the oracle route
-minimizes ||x + t y|| directly and is used to cross-validate it.
+route reads the two extreme functionals of J(x) along y
+(`support.support_extremes`: in closed form on l1, over the few vertices of
+J(x) elsewhere); the oracle route minimizes ||x + t y|| directly and is
+used to cross-validate it.  On exact spaces, float input converts exactly
+(`linalg.vec`) and is decided in rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .linalg import ZERO, Vec, combination, dot, is_zero_vec, matrix_rank
+from .linalg import ZERO, Vec, combination, dot, is_zero_vec, matrix_rank, vec
 from .oracle import minimize_norm_1d
 from .simplex import convex_weights
 from .spaces import (
@@ -23,10 +26,11 @@ from .spaces import (
     SpaceSpec,
     arithmetic_mode,
     float_path,
+    is_exact,
     norm,
     require_dim,
 )
-from .support import SupportSet, support_set
+from .support import SupportSet, support_extremes, support_set
 
 Scalar = Union[Fraction, float]
 
@@ -55,16 +59,16 @@ def bj_orthogonal(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdict:
     mode = arithmetic_mode(space)
     if is_zero_vec(x):
         return OrthogonalityVerdict(True, None, "dual", mode, Fraction(0) if mode == EXACT else 0.0)
-    sup = support_set(space, x)
     if mode == EXACT:
-        return _dual_exact(sup, y)
-    return _dual_float(space, sup, x, y)
+        return _dual_exact(*support_extremes(space, x, y))
+    return _dual_float(space, support_set(space, x), x, y)
 
 
-def _dual_exact(sup: SupportSet, y: Vec) -> OrthogonalityVerdict:
-    values = [(dot(f, y), f) for f in sup.vertices]
-    lo, f_lo = min(values)
-    hi, f_hi = max(values)
+def _dual_exact(low: tuple[Fraction, Vec], high: tuple[Fraction, Vec]) -> OrthogonalityVerdict:
+    """The verdict from the extremes (min f(y), f_lo) and (max f(y), f_hi)
+    over J(x); the witness is f_lo or f_hi at a zero end, else the point of
+    the segment between them where f(y) = 0."""
+    (lo, f_lo), (hi, f_hi) = low, high
     if lo <= 0 <= hi:
         if lo == 0:
             witness = f_lo
@@ -107,6 +111,8 @@ def bj_orthogonal_oracle(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdi
     mode = arithmetic_mode(space)
     if is_zero_vec(y) or is_zero_vec(x):
         return OrthogonalityVerdict(True, None, "oracle", mode, Fraction(0) if mode == EXACT else 0.0)
+    if mode == EXACT:
+        x, y = vec(x), vec(y)
     nx = norm(space, x)
     _, min_value = minimize_norm_1d(space, x, y)
     gap = nx - min_value
@@ -127,7 +133,10 @@ def subspace_orthogonal(
     require_dim(space, x)
     if is_zero_vec(x):
         raise InputError("zero_vector", "x must be nonzero")
-    basis = [tuple(b) for b in basis]
+    exact = is_exact(space)
+    if exact:
+        x = vec(x)
+    basis = [vec(b) if exact else tuple(b) for b in basis]
     if not basis:
         raise InputError("empty_basis", "basis must contain at least one vector")
     for b in basis:
@@ -135,7 +144,7 @@ def subspace_orthogonal(
     if matrix_rank(basis) != len(basis):
         raise InputError("dependent_basis", "basis vectors must be linearly independent")
     sup = support_set(space, x)
-    if sup.mode == FLOAT:
+    if not exact:
         return _subspace_float(space, sup, x, basis)
     verts = sup.vertices
     columns = [tuple(dot(f, b) for b in basis) for f in verts]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DimensionMismatch, InputError
-from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec
+from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec, vec
 from .spaces import (
     EXACT,
     FLOAT,
@@ -75,7 +75,7 @@ def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
         zeros = [i for i, c in enumerate(x) if c == 0]
         if len(zeros) > MAX_CUBE_DIM:
             raise InputError("dim_too_large", "2^(#zeros) support vertices exceed the guard")
-        base = [(ZERO, ONE, MINUS_ONE)[sgn(c)] for c in x]
+        base = _pinned_signs(x)
         out = []
         for signs in itertools.product((ONE, MINUS_ONE), repeat=len(zeros)):
             f = list(base)
@@ -83,12 +83,22 @@ def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
                 f[pos] = s
             out.append(tuple(f))
         return tuple(sorted(out))
-    # Dual cross-polytope: the signed unit vectors at the entries of largest
-    # size, taken from the shared vertex list (e_i at 2i, -e_i at 2i + 1),
-    # not built anew.
+    return tuple(sorted(f for _, f in _linf_face(space, x)))
+
+
+def _pinned_signs(x: Vec) -> list[Fraction]:
+    """sgn(x_i) as the shared Fractions 0, 1 and -1: the entries every
+    functional of J(x) on l1 takes on the support of x."""
+    return [(ZERO, ONE, MINUS_ONE)[sgn(c)] for c in x]
+
+
+def _linf_face(space: SpaceSpec, x: Vec) -> list[tuple[int, Vec]]:
+    """J(x) on l-inf, a face of the dual cross-polytope: (i, sgn(x_i) e_i)
+    over the entries of largest size, each vertex taken from the shared
+    vertex list (e_i at 2i, -e_i at 2i + 1), not built anew."""
     value = max(map(abs, x))
     cross = _cross_polytope_vertices(space.dim)
-    return tuple(sorted(cross[2 * i + (c < 0)] for i, c in enumerate(x) if abs(c) == value))
+    return [(i, cross[2 * i + (c < 0)]) for i, c in enumerate(x) if abs(c) == value]
 
 
 def _integer_norm_and_vertices(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
@@ -144,32 +154,53 @@ def eval_range(
     return min(values), max(values)
 
 
-def support_range(space: SpaceSpec, x: Vec, y: Vec) -> tuple[Fraction, Fraction]:
-    """(min, max) of f(y) over J(x) on an exact space, read from x itself.
+def _vertex_extremes(vertices: tuple[Vec, ...], y: Vec) -> tuple[tuple[Fraction, Vec], tuple[Fraction, Vec]]:
+    """((min f(y), f_lo), (max f(y), f_hi)) over a vertex list.  A tie in
+    f(y) goes to the least vertex for the min and the greatest for the max,
+    as tuples compare."""
+    values = [(dot(f, y), f) for f in vertices]
+    return min(values), max(values)
+
+
+def support_extremes(space: SpaceSpec, x: Vec, y: Vec) -> tuple[tuple[Fraction, Vec], tuple[Fraction, Vec]]:
+    """((lo, f_lo), (hi, f_hi)): the min and max of f(y) over J(x) on an
+    exact space, each with a vertex of J(x) that attains it, ties broken as
+    in `_vertex_extremes` over the sorted vertex list of `support_set`.
 
     On l1, J(x) is the box of sign vectors pinned to sgn(x_i) where x_i != 0,
     so the range is sum sgn(x_i) y_i -+ sum |y_i|, the first sum over the
-    support of x and the second over its zeros.  On l-inf it is the range of
-    sgn(x_i) y_i over the entries of largest |x_i|.  On a polyhedral ball it
-    is taken over the J(x) vertices of the cached polar scan.  The extrema
-    over the polytope J(x) are taken at its vertices, so this equals
-    `eval_range` on `support_set(space, x)` without listing the l1 or l-inf
-    vertices.
+    support of x and the second over its zeros.  It is read from x itself:
+    on the zeros of x, f_lo takes -sgn(y_i) and f_hi takes sgn(y_i), with -1
+    and 1 where y_i = 0 too.  On l-inf, J(x) is the hull of sgn(x_i) e_i over
+    the entries of largest |x_i|, and f(y) = sgn(x_i) y_i there.  On a
+    polyhedral ball the extremes are taken over the J(x) vertices of the
+    cached polar scan.  x and y convert exactly (`linalg.vec`), so float
+    input is decided in rationals.
     """
+    x, y = vec(x), vec(y)
     _require_base_point(space, x)
     require_dim(space, y)
     if not is_exact(space):
         raise InputError("not_polyhedral", f"{space!r} is not a polyhedral space")
     if space.kind == "polyhedral":
-        values = [dot(f, y) for f in _norm_and_face(space, x)[1]]
-        return min(values), max(values)
+        return _vertex_extremes(_norm_and_face(space, x)[1], y)
     if space.p == 1:
-        pinned = sum((yc if c > 0 else -yc for c, yc in zip(x, y) if c), ZERO)
-        free = sum((abs(yc) for c, yc in zip(x, y) if not c), ZERO)
-        return pinned - free, pinned + free
-    value = max(map(abs, x))
-    values = [yc if c > 0 else -yc for c, yc in zip(x, y) if abs(c) == value]
+        signs = _pinned_signs(x)
+        pinned = sum((yc if s > 0 else -yc for s, yc in zip(signs, y) if s), ZERO)
+        free = sum((abs(yc) for s, yc in zip(signs, y) if not s), ZERO)
+        f_lo = tuple(s if s else (ONE if yc < 0 else MINUS_ONE) for s, yc in zip(signs, y))
+        f_hi = tuple(s if s else (MINUS_ONE if yc < 0 else ONE) for s, yc in zip(signs, y))
+        return (pinned - free, f_lo), (pinned + free, f_hi)
+    values = [(f[i] * y[i], f) for i, f in _linf_face(space, x)]
     return min(values), max(values)
+
+
+def support_range(space: SpaceSpec, x: Vec, y: Vec) -> tuple[Fraction, Fraction]:
+    """(min, max) of f(y) over J(x) on an exact space: the values of
+    `support_extremes`.  The extrema over the polytope J(x) are taken at its
+    vertices, so this equals `eval_range` on `support_set(space, x)`."""
+    (lo, _), (hi, _) = support_extremes(space, x, y)
+    return lo, hi
 
 
 def functional_in_support(space: SpaceSpec, x: Vec, f: Vec) -> bool:

@@ -32,6 +32,8 @@ from bjlevel import (
 )
 from bjlevel import levels, simplex
 from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose
+from bjlevel.orthogonality import _dual_exact
+from bjlevel.support import _vertex_extremes
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, feasible_point, probe_points, random_operator, sphere_ball
 
 F = Fraction
@@ -48,6 +50,44 @@ def test_single_generator_subspace_matches_plain_orthogonality(l1_3, linf_3, hex
             lp_verdict = subspace_orthogonal(space, x, [b])
             direct = bj_orthogonal(space, x, b)
             assert lp_verdict.orthogonal == direct.orthogonal
+
+
+def _sparse_entry(rng: random.Random) -> Fraction:
+    """0 half of the time, else a small rational."""
+    return F(0) if rng.random() < 0.5 else F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def test_bj_orthogonal_equals_the_decision_over_the_listed_support_set():
+    # bj_orthogonal reads the extremes of f(y) over J(x) in closed form on
+    # l1 and over the signed unit vectors of J(x) on l-inf.  Taken over the
+    # sorted vertex list of support_set instead, the verdict, the witness and
+    # the margin must be the same, ties included: y_i = 0 on a zero of x
+    # leaves f_i free at both ends, and an end of the interval at exactly 0
+    # makes its vertex the witness.  On l1, y is moved along a coordinate of
+    # the support of x to put one end at 0.
+    rng = random.Random(20)
+    spaces = [l1(n) for n in range(1, 13)] + [linf(n) for n in range(1, 7)] + [polyhedral_space(HEXAGON_VERTICES)]
+    ties = zero_ends = interpolated = 0
+    for space in spaces:
+        n = space.dim
+        for trial in range(30):
+            x = tuple(_sparse_entry(rng) for _ in range(n))
+            if not any(x):
+                x = tuple(F(1) if i == trial % n else c for i, c in enumerate(x))
+            y = tuple(F(rng.randint(-2, 2)) if rng.random() < 0.7 else _sparse_entry(rng) for _ in range(n))
+            vertices = support_set(space, x).vertices
+            if space.kind == "lp" and space.p == 1 and trial % 3:
+                (lo, _), (hi, _) = _vertex_extremes(vertices, y)
+                k = rng.choice([i for i, c in enumerate(x) if c])
+                shift = (lo if trial % 3 == 1 else hi) * (1 if x[k] > 0 else -1)
+                y = tuple(c - shift if i == k else c for i, c in enumerate(y))
+            want = _dual_exact(*_vertex_extremes(vertices, y))
+            assert bj_orthogonal(space, x, y) == want, (space, x, y)
+            ties += any(a == b == 0 for a, b in zip(x, y))
+            ends = support_range(space, x, y)
+            zero_ends += 0 in ends
+            interpolated += ends[0] < 0 < ends[1]
+    assert min(ties, zero_ends, interpolated) > 50, (ties, zero_ends, interpolated)
 
 
 def test_preservation_verdicts_respected_by_direct_sampling(l1_3, linf_3, linf_2):

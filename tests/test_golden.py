@@ -3,12 +3,15 @@
 `tests/golden/cli_reports.jsonl` holds the exit code and stdout of
 ``preserve check``, ``level test``, ``isometry certify`` and ``isometry
 probe`` on the seeded battery below, one report per line, generated before
-the single-point path moved to integer arithmetic.  Certificates,
-counterexamples and witnesses are part of each report, so any change to the
-exact path that alters one of them, even to another valid one, fails here.
-Regenerate only on purpose:
+the single-point path moved to integer arithmetic.  `tests/golden/bj_reports.jsonl`
+holds the ``bj`` reports of the orthogonality battery, generated while J(x)
+was still read from its full vertex list.  Certificates, counterexamples and
+witnesses are part of each report, so any change to the exact path that
+alters one of them, even to another valid one, fails here.  Regenerate only
+on purpose, one file per battery:
 
-    PYTHONPATH=src python -m tests.test_golden > tests/golden/cli_reports.jsonl
+    PYTHONPATH=src python -m tests.test_golden cli_reports > tests/golden/cli_reports.jsonl
+    PYTHONPATH=src python -m tests.test_golden bj_reports > tests/golden/bj_reports.jsonl
 """
 
 import contextlib
@@ -25,7 +28,7 @@ from bjlevel.cli import main
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.jsonl")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _lp(p: str, dim: int) -> dict:
@@ -110,11 +113,56 @@ def battery_argvs(directory: str) -> list[list[str]]:
     return argvs
 
 
-def battery_reports(directory: str) -> list[str]:
+def _centroid(points: list[tuple]) -> tuple:
+    return tuple(sum(column) / len(points) for column in zip(*points))
+
+
+def _bj_points(rng: random.Random, vertices: list[tuple]) -> list[tuple]:
+    """Three ball vertices, the centroids of two vertex pairs and of one
+    vertex triple, and a generic point; a centroid at 0 is skipped."""
+    n = len(vertices[0])
+    chosen = rng.sample(vertices, 3)
+    for size in (2, 2, 3):
+        centroid = _centroid(rng.sample(vertices, size))
+        if any(centroid):
+            chosen.append(centroid)
+    chosen.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) or Fraction(1) for _ in range(n)))
+    return chosen
+
+
+def _bj_directions(rng: random.Random, n: int) -> list[tuple]:
+    """Two directions with entries in {-1, 0, 1} and one in {-2, ..., 2}, so
+    that y_i = 0 on zeros of x and ends of the interval at exactly 0 are
+    common, and one generic rational direction."""
+    small = [tuple(Fraction(rng.randint(-1, 1)) for _ in range(n)) for _ in range(2)]
+    return [*small, tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)),
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n))]
+
+
+def bj_battery_argvs(directory: str) -> list[list[str]]:
+    """The argv of every ``bj`` call of the orthogonality battery."""
+    argvs = []
+    for index, name in enumerate(("l1_3", "l1_4", "linf_3", "hexagon")):
+        space = SPACES[name]
+        space_path = os.path.join(directory, f"{name}.json")
+        with open(space_path, "w", encoding="utf-8") as handle:
+            json.dump(space, handle)
+        rng = random.Random(2000 + index)
+        for x in _bj_points(rng, _vertices(space)):
+            for y in _bj_directions(rng, space["dim"]):
+                vectors = [f"--{key}=" + ",".join(str(c) for c in vector) for key, vector in (("x", x), ("y", y))]
+                argvs.append(["bj", "--space", space_path, *vectors])
+    return argvs
+
+
+BATTERIES = {"cli_reports": (battery_argvs, 360), "bj_reports": (bj_battery_argvs, 112)}
+
+
+def battery_reports(name: str, directory: str) -> list[str]:
     """Each call's exit code and stdout line, with the input directory
     written as ``DIR`` so the reports do not depend on where they ran."""
     lines = []
-    for argv in battery_argvs(directory):
+    for argv in BATTERIES[name][0](directory):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -122,15 +170,23 @@ def battery_reports(directory: str) -> list[str]:
     return lines
 
 
-def test_cli_reports_equal_the_pinned_battery(tmp_path):
-    with open(GOLDEN, encoding="utf-8") as handle:
+def _assert_pinned(name: str, directory: str) -> None:
+    with open(os.path.join(GOLDEN, f"{name}.jsonl"), encoding="utf-8") as handle:
         expected = handle.readlines()
-    got = battery_reports(str(tmp_path))
-    assert len(got) == len(expected) == 360
+    got = battery_reports(name, directory)
+    assert len(got) == len(expected) == BATTERIES[name][1]
     for line, want in zip(got, expected):
         assert line == want
 
 
+def test_cli_reports_equal_the_pinned_battery(tmp_path):
+    _assert_pinned("cli_reports", str(tmp_path))
+
+
+def test_bj_reports_equal_the_pinned_battery(tmp_path):
+    _assert_pinned("bj_reports", str(tmp_path))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        sys.stdout.write("".join(battery_reports(tmp)))
+        sys.stdout.write("".join(battery_reports(sys.argv[1], tmp)))

@@ -17,6 +17,8 @@ from bjlevel import (
     polyhedral_space,
     subspace_orthogonal,
 )
+from bjlevel import simplex, support
+from bjlevel.linalg import unit
 
 from ._util import cube_cross_vertices, v
 
@@ -114,3 +116,51 @@ def test_witness_soundness_on_random_pairs(l1_3, linf_3, hexagon):
                 assert sum(fc * xc for fc, xc in zip(f, x)) == norm(space, x)
                 assert dual_norm(space, f) == 1
                 assert sum(fc * yc for fc, yc in zip(f, y)) == 0
+
+
+# On l1^4 at x = (1, 1, 1, 0), min f(y) over J(x) is 1e16 + 2 - 1e16 = 2 for
+# this y, so x is not orthogonal to y.  In floats 1e16 + 1 + 1 rounds to 1e16,
+# the lower end reads 0, and x would read as orthogonal to y.
+FLOAT_X = (1.0, 1.0, 1.0, 0.0)
+FLOAT_Y = (1e16, 1.0, 1.0, 1e16)
+EXACT_Y = tuple(F(c) for c in FLOAT_Y)
+
+
+def test_bj_orthogonal_decides_float_input_on_an_exact_space_in_rationals():
+    verdict = bj_orthogonal(l1(4), FLOAT_X, FLOAT_Y)
+    assert verdict == bj_orthogonal(l1(4), (1, 1, 1, 0), EXACT_Y)
+    assert (verdict.orthogonal, verdict.witness, verdict.margin) == (False, None, 2)
+    assert type(verdict.margin) is F
+
+
+def test_oracle_decides_float_input_on_an_exact_space_in_rationals():
+    verdict = bj_orthogonal_oracle(l1(4), FLOAT_X, FLOAT_Y)
+    assert verdict == bj_orthogonal_oracle(l1(4), (1, 1, 1, 0), EXACT_Y)
+    assert not verdict.orthogonal
+    assert verdict.margin == F(1, 5 * 10**15) and type(verdict.margin) is F
+
+
+def test_subspace_orthogonal_decides_float_input_on_an_exact_space_in_rationals():
+    assert not subspace_orthogonal(l1(4), FLOAT_X, [FLOAT_Y]).orthogonal
+    verdict = subspace_orthogonal(l1(4), FLOAT_X, [(0.0, 0.5, -0.5, 1.0)])
+    assert verdict.orthogonal
+    assert all(type(c) is F for c in verdict.witness)
+
+
+def test_bj_orthogonal_on_l1_lists_no_vertices_and_solves_no_lp(monkeypatch):
+    # J(x) on l1^n is the box pinned to sgn(x_i) on the support of x, so its
+    # extremes along y are read from x and y alone, even at e1 on l1^12,
+    # where J(x) has 2^11 vertices.
+    cases = []
+    for n in range(1, 13):
+        ys = ((F(1),) * n, tuple(F(k % 3 - 1, k + 1) for k in range(n)), unit(n, n - 1))
+        for x in (unit(n, 0), tuple(F(k % 2) for k in range(n)), tuple(F(k % 3 - 1) or F(1) for k in range(n))):
+            cases += [(l1(n), x, y, bj_orthogonal(l1(n), x, y)) for y in ys]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed J(x) or solved an LP")
+
+    monkeypatch.setattr(support, "_exact_vertices", refuse)
+    monkeypatch.setattr(simplex, "solve_standard_lp", refuse)
+    assert [bj_orthogonal(space, x, y) for space, x, y, _ in cases] == [want for *_, want in cases]
+    assert {want.orthogonal for *_, want in cases} == {True, False}

@@ -127,6 +127,14 @@ def test_support_range_is_the_range_over_the_support_vertices():
             assert support_range(space, x, x) == (norm(space, x), norm(space, x))
 
 
+def test_support_range_reads_float_input_on_an_exact_space_in_rationals():
+    # 1e16 + 1 + 1 rounds to 1e16 in floats; in rationals the lower end is 2.
+    x, y = (1.0, 1.0, 1.0, 0.0), (1e16, 1.0, 1.0, 1e16)
+    lo, hi = support_range(l1(4), x, y)
+    assert (lo, hi) == (2, 2 * 10**16 + 2)
+    assert type(lo) is type(hi) is F
+
+
 def test_support_range_rejects_zero_a_wrong_dimension_and_a_float_space(l1_3, linf_3, hexagon, l2_3):
     with pytest.raises(InputError, match="polyhedral"):
         support_range(l2_3, v("3,0,4"), v("1,1,1"))
