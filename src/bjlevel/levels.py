@@ -22,6 +22,7 @@ subspace LP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -58,6 +59,7 @@ from .spaces import (
     Operator,
     SpaceSpec,
     _facet_incidence,
+    _integer_dual_norm,
     _shared,
     dual_ball_vertices,
     dual_norm,
@@ -68,7 +70,14 @@ from .spaces import (
     polyhedral_space,
     require_dim,
 )
-from .support import _integer_norm_and_vertices, functional_in_support, support_range, support_set
+from .support import (
+    _integer_key,
+    _integer_norm_and_vertices,
+    _key_norm_and_vertices,
+    functional_in_support,
+    support_range,
+    support_set,
+)
 
 Scalar = Union[Fraction, float]
 
@@ -135,14 +144,15 @@ def _nonzero_point(op: Operator, x: Vec) -> Vec:
     return x
 
 
-def _image(codomain: SpaceSpec, m_rows, q, s: int) -> Optional[tuple[Fraction, tuple[Vec, ...]]]:
-    """(||Tx||, J(Tx)) for Tx = Mq / s, M the integer matrix ``m_rows``, from
-    one scan (`_integer_norm_and_vertices`); None when Tx = 0, that is Mq = 0.
-    J(Tx) = J(Mq), since J does not change under positive scaling."""
+def _image_key(codomain: SpaceSpec, m_rows, q, s: int) -> Optional[tuple]:
+    """The `_integer_key` of Tx = Mq / s, M the integer matrix ``m_rows``:
+    (face, n, d) with ||Tx|| = n / d and the face naming J(Tx), all ints; None
+    when Tx = 0, that is Mq = 0.  J(Tx) = J(Mq), since J does not change under
+    positive scaling.  `_key_norm_and_vertices` turns it into (||Tx||, J(Tx))."""
     mq = tuple(sum(map(mul, row, q)) for row in m_rows)
     if not any(mq):
         return None
-    return _integer_norm_and_vertices(codomain, mq, s)
+    return _integer_key(codomain, mq, s)
 
 
 @dataclass
@@ -151,7 +161,7 @@ class _Point:
 
     x = q / s with q integral, and T = M / D_T with M integral (``m_rows``).
     ||x|| with J(x), and ||Tx|| with J(Tx), each come from one scan: Tx is
-    Mq / (D_T s) (`_image`).  The vertices g of J(Tx) are kept as the integer
+    Mq / (D_T s) (`_image_key`).  The vertices g of J(Tx) are kept as the integer
     rows D_Q g (``q_rows``, D_Q the lcm of their denominators) and their
     adjoint images M^T (D_Q g) (``images``), so g(Ty) = (D_Q g).(My) / den
     and T^T g = image / den, with den = D_T D_Q.  This is the exact path's
@@ -181,7 +191,7 @@ class _Point:
     @cached_property
     def adj(self) -> list[Vec]:
         """The adjoint images T^T g = image / den as Fraction vectors, built
-        once per point, for the LPs and the level test."""
+        once per point, for the LPs."""
         return [tuple(Fraction(c, self.den) for c in image) for image in self.images]
 
 
@@ -189,10 +199,12 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     """The evaluation of T at x on the exact path, or None when Tx = 0."""
     q, s = integer_point(x)
     d_t, m_rows = integer_rows(op.matrix)
-    image = _image(op.codomain, m_rows, q, d_t * s)
-    if image is None:
+    key = _image_key(op.codomain, m_rows, q, d_t * s)
+    if key is None:
         return None
-    return _Point(q, s, d_t, m_rows, *_integer_norm_and_vertices(op.domain, q, s), *image)
+    return _Point(
+        q, s, d_t, m_rows, *_integer_norm_and_vertices(op.domain, q, s), *_key_norm_and_vertices(op.codomain, key)
+    )
 
 
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
@@ -234,21 +246,31 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
     attains the norm at x: f(x) = q(Tx) / scale = ||Tx|| / scale = ||x||.
     A functional with f(x) = ||x|| lies in J(x) exactly when ||f||_* = 1, so
-    x is a level vector iff ||T^T q||_* = scale, and (f, q, k) is then the
+    x is a level vector iff ||T^T q||_* = scale (`_smooth_image_is_level`,
+    in integers on the point's image M^T (D_Q q)), and (f, q, k) is then the
     only certificate, the one the LP would return; f is built only then.
     """
-    p_verts, q_verts, adj, scale = point.p_verts, point.q_verts, point.adj, point.scale
-    k = scale * scale
+    p_verts, q_verts, scale = point.p_verts, point.q_verts, point.scale
     if len(q_verts) == 1:
-        if dual_norm(op.domain, adj[0]) != scale:
+        image, den = point.images[0], point.den
+        if not _smooth_image_is_level(op.domain, image, den, scale):
             return None
-        return tuple(c / scale for c in adj[0]), q_verts[0], k
+        sn, sd = scale.numerator, scale.denominator
+        return tuple(Fraction(c * sd, den * sn) for c in image), q_verts[0], scale * scale
     negated = [vec_scale(-scale, p) for p in p_verts]
-    weights = convex_weights([negated, adj], (ZERO,) * op.domain.dim)
+    weights = convex_weights([negated, point.adj], (ZERO,) * op.domain.dim)
     if weights is None:
         return None
     lam, mu = weights
-    return combination(lam, p_verts), combination(mu, q_verts), k
+    return combination(lam, p_verts), combination(mu, q_verts), scale * scale
+
+
+def _smooth_image_is_level(domain: SpaceSpec, image: tuple[int, ...], den: int, scale: Fraction) -> bool:
+    """||image / den||_* == scale, for an integer image and den > 0, decided in
+    integers: `spaces._integer_dual_norm` gives ||image / den||_* =
+    top / (D den), so with scale = sn / sd the test is top sd == sn D den."""
+    top, d = _integer_dual_norm(domain, image)
+    return top * scale.denominator == scale.numerator * d * den
 
 
 def _float_pullback(op: Operator, g) -> list[float]:
@@ -499,13 +521,15 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     and in integers.  With D_F v the integer rows of F's vertices, a point of
     positive integer weights w is x = q / (D_F sum w) with q = sum w_i D_F v_i
     integral; with M = D_T T the integer matrix of T, Tx = Mq / (D_T D_F sum w).
-    So Tx = 0 exactly when Mq = 0, J(Tx) = J(Mq), since J does not change
-    under positive scaling, and ||Tx|| is one Fraction.  The reported point
-    keeps the vertices' own entry where they all agree and is q_k / (D_F sum w)
-    elsewhere.  Points with the same J_F, J(Tx) and ||Tx|| pose the same
-    problem, so within one call each distinct subproblem is solved once, and
-    its certificate checked once, when it is solved: the check reads only f,
-    g, the scale and T, which that key fixes.
+    So Tx = 0 exactly when Mq = 0, and J(Tx) = J(Mq), since J does not change
+    under positive scaling.  The reported point keeps the vertices' own entry
+    where they all agree and is q_k / (D_F sum w) elsewhere, each such entry
+    the one Fraction of the call kept for its lowest terms (num, den).
+    Points with the same J_F, J(Tx) and ||Tx|| pose the same problem, so
+    within one call each distinct subproblem is solved once, and its
+    certificate checked once, when it is solved: the check reads only f, g,
+    the scale and T, which that key fixes.  The key of a point is ints only
+    (`_face_level_number`), so a repeat builds no Fraction.
     """
     if not is_exact(op.domain):
         raise InputError("not_polyhedral", "enumeration needs a polyhedral domain")
@@ -516,8 +540,8 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     stream = RationalStream(seed)
     d_t, m_rows = integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
-    # and equal tuples of level numbers one tuple.
-    pool = {ZERO: ZERO}
+    # keyed on its lowest terms, and equal tuples of level numbers one tuple.
+    pool = {(0, 1): ZERO}
     number_rows: dict = {}
     probes = []
     values: set[Fraction] = set()
@@ -531,15 +555,16 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
                 weights = [stream.next_int(1000) + 1 for _ in face.vertices]
                 q = tuple(sum(map(mul, weights, column)) for column in columns)
                 den = d_f * sum(weights)
-                points.append(_shared(tuple(Fraction(c, den) if v is None else v for v, c in zip(fixed, q)), pool))
+                points.append(tuple(_pooled(c, den, pool) if v is None else v for v, c in zip(fixed, q)))
                 sums.append((q, den))
         # Faces have distinct J_F, so one memo per face is keyed on J_F too.
         memo: dict = {}
         numbers = tuple(
             _face_level_number(op, d_t, m_rows, p_verts, q, den, memo, pool) for q, den in sums
         )
-        numbers = number_rows.setdefault(numbers, numbers)
-        values.update(k for k in numbers if k is not None)
+        # Level numbers are pooled, so equal rows are equal object for object.
+        numbers = number_rows.setdefault(tuple(map(id, numbers)), numbers)
+        values.update(k for k in memo.values() if k is not None)
         probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
     bound = None
     if op.domain == op.codomain:
@@ -547,6 +572,17 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     return LevelNumberReport(
         tuple(sorted(values)), tuple(probes), bound, True, seed, samples_per_face
     )
+
+
+def _pooled(num: int, den: int, pool: dict) -> Fraction:
+    """num / den (den > 0) as the Fraction ``pool`` keeps for its lowest terms,
+    made on first use."""
+    g = math.gcd(num, den)
+    key = (num // g, den // g)
+    value = pool.get(key)
+    if value is None:
+        value = pool[key] = Fraction(*key)
+    return value
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -576,20 +612,29 @@ def _face_level_number(op: Operator, d_t: int, m_rows, p_verts, q, s: int, memo:
     """The level number of the point x = q / s of a proper face, with
     J(x) = conv(p_verts) and ||x|| = 1, or None when x is not a level vector.
 
-    ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s), and
-    (||Tx||, J(Tx)) comes from `_image`, as in `_evaluate`.  ``memo`` maps it
-    to the checked `_solve_level` answer.  A memo miss builds the `_Point` of
-    x, whose integer adjoint images M^T (D_Q g) are the exact path's one
-    source of T^T g, and checks the certificate it solves (`_checked`).
+    ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s).  ``memo``
+    maps the ints-only `_image_key` of Tx, (face, n, d) with J(Tx) named by
+    the face and ||Tx|| = n / d in lowest terms, to the level number of the
+    checked `_solve_level` answer (None when Tx = 0), pooled in ``pool``.  A
+    key names one (||Tx||, J(Tx)), so a repeat hashes ints only.  A memo miss
+    builds ||Tx|| and the vertex list of J(Tx) from the key
+    (`_key_norm_and_vertices`), then the `_Point` of x, whose integer adjoint
+    images M^T (D_Q g) are the exact path's one source of T^T g, and checks
+    the certificate it solves (`_checked`).
     """
-    image = _image(op.codomain, m_rows, q, d_t * s)
-    if image is None:
-        return ZERO
-    if image not in memo:
-        point = _Point(q, s, d_t, m_rows, ONE, p_verts, *image)
-        memo[image] = _checked(point, _solve_level(op, point))
-    found = memo[image]
-    return None if found is None else pool.setdefault(found[2], found[2])
+    key = _image_key(op.codomain, m_rows, q, d_t * s)
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    if key is None:
+        number = ZERO
+    else:
+        point = _Point(q, s, d_t, m_rows, ONE, p_verts, *_key_norm_and_vertices(op.codomain, key))
+        found = _checked(point, _solve_level(op, point))
+        number = None if found is None else _pooled(found[2].numerator, found[2].denominator, pool)
+    memo[key] = number
+    return number
 
 
 def level_count_bound(space: SpaceSpec, op: Operator) -> Fraction:

@@ -15,7 +15,7 @@ from typing import Union
 
 from .errors import InputError
 from .faces import convex_combination
-from .linalg import Vec, dot, is_zero_vec, kernel_basis, vec_add, vec_scale
+from .linalg import Vec, dot, is_zero_vec, kernel_basis, vec, vec_add, vec_scale
 from .spaces import (
     EXACT,
     FLOAT_TOL,
@@ -125,14 +125,19 @@ def minimize_norm_1d(
     Exact breakpoint scan on polyhedral-like spaces, ternary search to an
     interval of width 1e-10 on float paths.  The minimizer always lies in
     [-2||x||/||y||, 2||x||/||y||] because ||x + t y|| >= |t| ||y|| - ||x||.
+    On an exact space x and y convert exactly (`linalg.vec`), so float input
+    is decided in rationals.
     """
     require_dim(space, x)
     require_dim(space, y)
     if is_zero_vec(y):
         raise InputError("zero_vector", "direction y must be nonzero")
+    exact = is_exact(space)
+    if exact:
+        x, y = vec(x), vec(y)
     nx = norm(space, x)
     ny = norm(space, y)
-    if is_exact(space):
+    if exact:
         bracket = 2 * nx / ny
         candidates = [t for t in _breakpoints(space, x, y) if -bracket <= t <= bracket]
         candidates = [-bracket, *candidates, bracket]

@@ -320,22 +320,33 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
 def dual_norm(space: SpaceSpec, f: Vec) -> Union[Fraction, float]:
     """||f||_*, the largest value of f on the unit ball.
 
-    On exact spaces it is found on the ball's own vertices, without building
-    the dual space: max |f_i| on l1, sum |f_i| on l-inf, and on a polyhedral
-    ball the largest f . v over its vertices v, in integers: with q = s f
-    integral and each vertex read as the integer row D v (D the lcm of all
-    vertex denominators), f . v = (D v) . q / (D s).
+    On exact spaces f is scaled to the integer vector q = s f and read by
+    `_integer_dual_norm`, without building the dual space; f converts
+    exactly (`linalg.vec`), so float input is decided in rationals.
     """
     require_dim(space, f)
+    if not is_exact(space):
+        return norm(dual_space(space), f)
+    q, s = integer_point(vec(f))
+    top, d = _integer_dual_norm(space, q)
+    return Fraction(top, d * s)
+
+
+def _integer_dual_norm(space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:
+    """(top, D) with ||q / s||_* = top / (D s) for every integer s > 0, on an
+    exact space and an integer vector q.
+
+    The dual norm is found on the ball's own vertices: top = max |q_i| on
+    l1 and sum |q_i| on l-inf (D = 1), and on a polyhedral ball the largest
+    (D v) . q over the integer rows D v of its vertices (`_ball_rows`, D the
+    lcm of all vertex denominators), since f . v = (D v) . q / (D s).
+    """
     if space.kind == "polyhedral":
         d, rows = _ball_rows(space)
-        q, s = integer_point(vec(f))
-        return Fraction(max(sum(map(mul, row, q)) for row in rows), d * s)
+        return max(sum(map(mul, row, q)) for row in rows), d
     if space.p == 1:
-        return max(abs(c) for c in f)
-    if space.p == INF:
-        return sum((abs(c) for c in f), ZERO)
-    return norm(dual_space(space), f)
+        return max(map(abs, q)), 1
+    return sum(map(abs, q)), 1
 
 
 def ball_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
@@ -499,22 +510,27 @@ def _ball_rows(space: SpaceSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def _norm_and_face(space: SpaceSpec, x: Vec) -> tuple[Fraction, tuple[Vec, ...]]:
     """||x|| and the vertex list of J(x) on a polyhedral space: x is scaled
     to q = s x, integral (non-Fraction entries converted exactly), and read
-    by `_integer_norm_and_face`."""
-    return _integer_norm_and_face(space, *integer_point(vec(x)))
+    by `_integer_norm_and_face`.  J(x) is the facets that attain the norm,
+    in polar order, which is sorted."""
+    q, s = integer_point(vec(x))
+    top, d, face = _integer_norm_and_face(space, q)
+    facets = _polar_rows(space)[0]
+    return Fraction(top, d * s), tuple(facets[i] for i in face)
 
 
-def _integer_norm_and_face(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
-    """||x|| and the vertex list of J(x) for x = q / s on a polyhedral space,
-    with q an integer vector and s > 0 an integer.
+def _integer_norm_and_face(space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(top, D, face) for x = q / s on a polyhedral space, with q an integer
+    vector and s > 0 any integer: ||x|| = top / (D s), and J(x) is the polar
+    facets whose indices ``face`` lists, in increasing order.
 
-    Each facet reads f(x) = t_f / (D s) with t_f = (D f) . q.  The norm is the
-    largest of these and J(x) is the facets that attain it, in polar order,
-    which is sorted.
+    Each facet reads f(x) = t_f / (D s) with t_f = (D f) . q, D the lcm of
+    all facet denominators (`_polar_rows`).  The norm is the largest t_f and
+    J(x) is the facets that attain it; neither depends on s.
     """
-    facets, d, rows = _polar_rows(space)
+    _, d, rows = _polar_rows(space)
     values = [sum(map(mul, row, q)) for row in rows]
     top = max(values)
-    return Fraction(top, d * s), tuple(f for f, t in zip(facets, values) if t == top)
+    return top, d, tuple(i for i, t in enumerate(values) if t == top)
 
 
 def on_unit_sphere(space: SpaceSpec, x: Vec) -> bool:

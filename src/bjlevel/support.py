@@ -25,6 +25,7 @@ from .spaces import (
     _cross_polytope_vertices,
     _integer_norm_and_face,
     _norm_and_face,
+    _polar_rows,
     dual_norm,
     float_path,
     is_exact,
@@ -101,14 +102,49 @@ def _linf_face(space: SpaceSpec, x: Vec) -> list[tuple[int, Vec]]:
     return [(i, cross[2 * i + (c < 0)]) for i, c in enumerate(x) if abs(c) == value]
 
 
+def _integer_key(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int, int]:
+    """(face, n, d) for x = q / s on an exact space, q a nonzero integer
+    vector and s > 0 an integer, all in ints: ||x|| = n / d in lowest terms,
+    and ``face`` names J(x) as a face of the dual ball.
+
+    J does not change under positive scaling, so the face is read from q
+    itself: on l1 it is the sign pattern of q (J(x) is the box pinned to it),
+    on l-inf the indices 2i + (q_i < 0) of the entries of largest size
+    (J(x) is the hull of the signed units sgn(q_i) e_i there), and on a
+    polyhedral ball the indices of the polar facets that attain the norm
+    (`spaces._integer_norm_and_face`).  Each face names one J(x) and the
+    reduced pair names one ||x||, so equal keys are equal (||x||, J(x)).
+    """
+    if space.kind == "polyhedral":
+        top, d, face = _integer_norm_and_face(space, q)
+        s *= d
+    elif space.p == 1:
+        top, face = sum(map(abs, q)), tuple(map(sgn, q))
+    else:
+        top = max(map(abs, q))
+        face = tuple(2 * i + (c < 0) for i, c in enumerate(q) if abs(c) == top)
+    g = math.gcd(top, s)
+    return face, top // g, s // g
+
+
+def _key_norm_and_vertices(space: SpaceSpec, key: tuple[tuple[int, ...], int, int]) -> tuple[Fraction, tuple[Vec, ...]]:
+    """||x|| and the sorted vertex list of J(x) from the key of `_integer_key`."""
+    face, n, d = key
+    if space.kind == "polyhedral":
+        facets = _polar_rows(space)[0]
+        vertices = tuple(facets[i] for i in face)
+    elif space.p == 1:
+        vertices = _exact_vertices(space, face)
+    else:
+        cross = _cross_polytope_vertices(space.dim)
+        vertices = tuple(sorted(cross[i] for i in face))
+    return Fraction(n, d), vertices
+
+
 def _integer_norm_and_vertices(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
     """||x|| and the vertex list of J(x) for x = q / s on an exact space, with
-    q a nonzero integer vector and s > 0 an integer.  J does not change under
-    positive scaling, so J(x) is read from q itself."""
-    if space.kind == "polyhedral":
-        return _integer_norm_and_face(space, q, s)
-    top = sum(map(abs, q)) if space.p == 1 else max(map(abs, q))
-    return Fraction(top, s), _exact_vertices(space, q)
+    q a nonzero integer vector and s > 0 an integer (`_integer_key`)."""
+    return _key_norm_and_vertices(space, _integer_key(space, q, s))
 
 
 @float_path
@@ -144,10 +180,13 @@ def is_smooth(space: SpaceSpec, x: Vec) -> bool:
 def eval_range(
     support: SupportSet, y: Vec
 ) -> tuple[Union[Fraction, float], Union[Fraction, float]]:
-    """(min, max) of f(y) over J(x); extrema over the polytope = over vertices."""
+    """(min, max) of f(y) over J(x); extrema over the polytope = over vertices.
+    On an exact support set y converts exactly (`linalg.vec`), so float
+    input is decided in rationals."""
     if len(y) != len(support.base_point):
         raise DimensionMismatch("vector dimension does not match the support set")
     if support.mode == EXACT:
+        y = vec(y)
         values = [dot(f, y) for f in support.vertices]
     else:
         values = [sum(fc * float(yc) for fc, yc in zip(f, y)) for f in support.vertices]

@@ -32,11 +32,12 @@ from bjlevel import (
     preserves_bj_directional,
     search_non_level_vector,
     bj_orthogonal,
+    ball_vertices,
     support_set,
     zero_operator,
 )
 from bjlevel import levels, simplex, spaces, support
-from bjlevel.linalg import dot, integer_rows, kernel_basis, mat_vec, transpose, unit, vec_scale
+from bjlevel.linalg import dot, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
 
@@ -396,6 +397,79 @@ def test_enumeration_matches_is_level_vector(linf_3, l1_3, hexagon):
                         levels += 1
             assert report.values == tuple(sorted(found))
     assert levels > 0 and misses > 0
+
+
+def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monkeypatch):
+    # Enumeration's memo is keyed on ints (`_image_key`).  Per face it must
+    # solve one level problem for each distinct (||Tx||, J(Tx)) over the
+    # face's probe points with Tx != 0, computed here in Fractions: the key
+    # neither merges nor splits these classes.  The sphere ball's facets have
+    # large denominators (D > 1); two of the operators are not square.
+    sphere = polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40))
+    assert spaces._polar_rows(sphere)[1] > 1
+    hexagon = polyhedral_space(HEXAGON_VERTICES)
+    domains = (l1(3), linf(3), linf(4), hexagon, polyhedral_space(cube_cross_vertices(3)), sphere)
+    ops = [op for space in domains for op in seeded_operator_kinds(space, 2)]
+    stream = RationalStream(5)
+    ops.append(operator([[stream.next_fraction() for _ in range(3)] for _ in range(2)], linf(3), hexagon))
+    ops.append(operator([[stream.next_fraction() for _ in range(2)] for _ in range(3)], hexagon, sphere))
+    solved = []
+    solve = levels._solve_level
+
+    def counted(op, point):
+        solved.append(point.p_verts)
+        return solve(op, point)
+
+    monkeypatch.setattr(levels, "_solve_level", counted)
+    points = classes = shared_support = 0
+    for op in ops:
+        del solved[:]
+        report = enumerate_level_numbers(op, 6, 3)
+        for probe in report.per_face:
+            pairs = set()
+            for x in probe.points:
+                tx = op(x)
+                if not is_zero_vec(tx):
+                    pairs.add((norm(op.codomain, tx), support_set(op.codomain, tx).vertices))
+                    points += 1
+            j_face = support_set(op.domain, probe.points[0]).vertices
+            assert solved.count(j_face) == len(pairs), (op, probe.face_vertices)
+            classes += len(pairs)
+            shared_support += len(pairs) - len({j for _, j in pairs})
+    # Classes repeat within faces, and some share J(Tx) at another ||Tx||.
+    assert points > classes and shared_support > 0
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    [
+        lambda: l1(3),
+        lambda: linf(4),
+        lambda: polyhedral_space(HEXAGON_VERTICES),
+        lambda: polyhedral_space(cube_cross_vertices(3)),
+        lambda: polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40)),
+    ],
+    ids=["l1^3", "linf^4", "hexagon", "cube+2cross", "sphere-ball"],
+)
+def test_the_integer_smooth_image_test_is_the_dual_norm_test(make_space):
+    # On a smooth image, x is a level vector iff ||T^T q||_* = scale, decided
+    # in integers on T^T q = image / den.  The verdict must be dual_norm's,
+    # and the largest value on the ball's vertices', at equality and 10^-24
+    # to either side of it, and at a random scale, with den up to 10^12.
+    space = make_space()
+    rng = random.Random(space.dim + len(ball_vertices(space)))
+    verdicts = []
+    for _ in range(40):
+        image = tuple(rng.randint(-(10**6), 10**6) for _ in range(space.dim))
+        den = rng.randint(1, 10**12)
+        f = tuple(F(c, den) for c in image)
+        exact = max(dot(f, p) for p in ball_vertices(space))
+        tiny = F(1, 10**24)
+        for scale in (exact, exact + tiny, exact - tiny, F(rng.randint(1, 10**12), rng.randint(1, 10**12))):
+            verdict = levels._smooth_image_is_level(space, image, den, scale)
+            assert verdict == (dual_norm(space, f) == scale) == (exact == scale)
+            verdicts.append(verdict)
+    assert verdicts.count(True) == 40 and len(verdicts) == 160
 
 
 def _enumeration_spaces():

@@ -8,6 +8,7 @@ from bjlevel import (
     RationalStream,
     diagonal_operator,
     identity_operator,
+    l1,
     minimize_norm_1d,
     norm,
     preservation_sample_check,
@@ -22,6 +23,16 @@ F = Fraction
 
 def test_minimizer_paper_value(l1_3):
     assert minimize_norm_1d(l1_3, v("2,0,0"), v("1,1/2,0")) == (-2, 1)
+
+
+def test_minimizer_decides_float_input_on_an_exact_space_in_rationals():
+    # On l1^4 the minimum of ||x + t y|| is 3 - 1/(5 10^15), at t = -10^-16.
+    # Computed in floats it read (-1e-16, 3.0): x looked orthogonal to y.
+    x, y = (1.0, 1.0, 1.0, 0.0), (1e16, 1.0, 1.0, 1e16)
+    t, value = minimize_norm_1d(l1(4), x, y)
+    assert (t, value) == (F(-1, 10**16), 3 - F(1, 5 * 10**15))
+    assert type(t) is type(value) is F
+    assert (t, value) == minimize_norm_1d(l1(4), tuple(map(F, x)), tuple(map(F, y)))
 
 
 def test_minimizer_flat_segment(l1_3):

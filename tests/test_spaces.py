@@ -271,6 +271,15 @@ def test_polyhedral_dual_norm_reads_an_integer_table_of_the_ball_vertices():
     assert _ball_rows.cache_info().hits == hits + 1
 
 
+def test_dual_norm_decides_float_input_on_an_exact_space_in_rationals():
+    # 1e16 + 1 rounds to 1e16 in floats; dual_norm converts f exactly.
+    f = (1e16, 1.0)
+    for space in (linf(2), polyhedral_space(HEXAGON_VERTICES)):
+        value = dual_norm(space, f)
+        assert value == 10**16 + 1 and type(value) is F
+    assert dual_norm(l1(2), (0.1, 0.2)) == F(0.2)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_l1_and_linf_polars_are_the_closed_form_dual_vertices(dim):
     for space in (l1(dim), linf(dim)):

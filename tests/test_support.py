@@ -1,6 +1,7 @@
 """Supporting-functional sets: examples, smoothness, homogeneity."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from bjlevel import (
 )
 from bjlevel.linalg import dot, unit
 from bjlevel.spaces import _cross_polytope_vertices
-from bjlevel.support import _integer_norm_and_vertices, functional_in_support
+from bjlevel.support import _integer_key, _integer_norm_and_vertices, functional_in_support
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
@@ -131,6 +132,15 @@ def test_support_range_reads_float_input_on_an_exact_space_in_rationals():
     # 1e16 + 1 + 1 rounds to 1e16 in floats; in rationals the lower end is 2.
     x, y = (1.0, 1.0, 1.0, 0.0), (1e16, 1.0, 1.0, 1e16)
     lo, hi = support_range(l1(4), x, y)
+    assert (lo, hi) == (2, 2 * 10**16 + 2)
+    assert type(lo) is type(hi) is F
+
+
+def test_eval_range_reads_float_input_on_an_exact_space_in_rationals():
+    # The same y against the vertex list of J(x): in floats the range read
+    # (0.0, 2e16).
+    x, y = (1.0, 1.0, 1.0, 0.0), (1e16, 1.0, 1.0, 1e16)
+    lo, hi = eval_range(support_set(l1(4), x), y)
     assert (lo, hi) == (2, 2 * 10**16 + 2)
     assert type(lo) is type(hi) is F
 
@@ -298,3 +308,44 @@ def test_integer_norm_and_support_match_the_fraction_entry(make_space):
         s = rng.randint(1, 12)
         x = tuple(F(c, s) for c in q)
         assert _integer_norm_and_vertices(space, q, s) == (norm(space, x), support_set(space, x).vertices)
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    [
+        lambda: l1(3),
+        lambda: linf(4),
+        lambda: polyhedral_space(HEXAGON_VERTICES),
+        lambda: polyhedral_space(cube_cross_vertices(3)),
+        lambda: polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40)),
+    ],
+    ids=["l1^3", "linf^4", "hexagon", "cube+2cross", "sphere-ball"],
+)
+def test_integer_key_neither_merges_nor_splits_norm_and_support_set(make_space):
+    # Two points have equal `_integer_key` exactly when they have equal
+    # ||x|| and J(x).  Each q comes with -q, with each entry's sign flipped,
+    # with 2q, and over s and 2s, so that J(x) repeats at other norms and
+    # the norm repeats with other J(x).
+    space = make_space()
+    rng = random.Random(space.dim)
+    points = set()
+    for _ in range(25):
+        q = tuple(rng.randint(-3, 3) for _ in range(space.dim))
+        if not any(q):
+            continue
+        s = rng.randint(1, 6)
+        flips = [tuple(-c if j == i else c for j, c in enumerate(q)) for i in range(space.dim)]
+        for variant in (q, tuple(-c for c in q), tuple(2 * c for c in q), *flips):
+            points.update(((variant, s), (variant, 2 * s)))
+    by_key, by_pair = {}, {}
+    for q, s in points:
+        key = _integer_key(space, q, s)
+        face, n, d = key
+        assert all(type(c) is int for c in (*face, n, d)) and d > 0 and math.gcd(n, d) == 1
+        x = tuple(F(c, s) for c in q)
+        pair = (norm(space, x), support_set(space, x).vertices)
+        assert by_key.setdefault(key, pair) == pair, "the key merges two classes"
+        assert by_pair.setdefault(pair, key) == key, "the key splits a class"
+    supports = [j for _, j in by_pair]
+    norms = [n for n, _ in by_pair]
+    assert len(set(supports)) < len(by_pair) and len(set(norms)) < len(by_pair)
