@@ -49,6 +49,7 @@ from .spaces import (
     operator_to_dict,
     parse_rows,
     parse_vector,
+    polyhedral_space,
     space_from_dict,
     space_to_dict,
 )
@@ -353,16 +354,26 @@ def _selftest() -> dict:
     )
     check("identity case4 fails iv", case4.failed_conditions == ("iv",))
 
-    # The kernel condition on a line, against the subspace LP; the last two
-    # have an end of the interval [min f(b), max f(b)] at 0.
+    # The kernel condition on a line, against the subspace LP; the l1, l-inf
+    # and hexagon "zero end" cases have an end of the interval
+    # [min f(b), max f(b)] at 0.  The last two rows have denominators 2, 3
+    # and 5, 7, and the elimination of their integer rows ends on the
+    # negative pivot -4410: ker = span(-10/21, -5/7, 1).
     t110 = diagonal_operator(l1_3, [1, 1, 0])
     l1_edge = operator([[1, 1, 0], [0, 0, 1], [0, 0, 0]], l1_3)  # ker = span(e1 - e2)
     linf_edge = operator([[1, 0, -1], [0, 1, 0], [0, 0, 0]], linf_3)  # ker = span(e1 + e3)
+    hexagon = polyhedral_space([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    hexagon_edge = operator([[1, -1], [2, -2]], hexagon)  # ker = span(e1 + e2); J(e1) = conv{(1, 0), (1, -1)}
+    third, fifth, seventh = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
+    negative_pivot = operator([[-half, third, 0], [0, fifth, seventh], [0, 0, 0]], l1_3)
     for name, op, x, want in (
         ("kernel diag(1,1,0) l1 holds", t110, e1, True),
         ("kernel diag(1,1,0) l1 fails", t110, (Fraction(1), 0, Fraction(1, 2)), False),
         ("kernel l1 zero end holds", l1_edge, e1, True),
         ("kernel linf zero end holds", linf_edge, (Fraction(1), Fraction(1), 0), True),
+        ("kernel hexagon zero end holds", hexagon_edge, (Fraction(1), 0), True),
+        ("kernel l1 negative pivot holds", negative_pivot, (0, 0, Fraction(1)), True),
+        ("kernel l1 negative pivot fails", negative_pivot, (Fraction(1), Fraction(1), Fraction(1)), False),
     ):
         lp_route = subspace_orthogonal(op.domain, x, kernel_basis(op.matrix)).orthogonal
         check(name, kernel_condition(op, x) == want == lp_route)

@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .errors import InputError, InternalCheckError
 from .faces import extreme_points
 from .levels import LevelCertificate, is_level_vector, preserves_bj_at
-from .linalg import Vec, is_zero_vec, matrix_rank, vec_neg
+from .linalg import Vec, is_zero_vec, matrix_rank, vec, vec_neg
 from .oracle import sample_sphere
 from .orthogonality import bj_orthogonal
 from .spaces import (
@@ -172,8 +172,12 @@ def _rational_eigenvalue(op: Operator, x: Vec) -> Optional[Fraction]:
 
 
 def scalar_identity_test(op: Operator, candidates: list[Vec]) -> ScalarIdentityReport:
-    """Validate the four-part eigenvector criterion for T = lambda I."""
+    """Validate the four-part eigenvector criterion for T = lambda I.  The
+    candidates convert exactly (`linalg.vec`), so float input on an exact
+    space is decided in rationals."""
     space = op.domain
+    if is_exact(space):
+        candidates = [vec(x) for x in candidates]
     if op.codomain != space:
         raise InputError("bad_operator", "the identity test needs an operator on one space")
     if len(candidates) != space.dim:
@@ -224,8 +228,11 @@ def adjoint_level_transfer(op: Operator, x: Vec) -> TransferRecord:
 
     The certificate functional g at Tx serves as psi; the adjoint certificate
     is recomputed in the dual spaces and its level number checked against the
-    primal one.
+    primal one.  On an exact domain x converts exactly (`linalg.vec`), so
+    float input is decided in rationals.
     """
+    if is_exact(op.domain):
+        x = vec(x)
     require_dim(op.domain, x)
     if not on_unit_sphere(op.domain, x):
         raise InputError("not_unit", "x must lie on the unit sphere")

@@ -15,9 +15,11 @@ coefficients of the two support polytopes; when J(Tx) is one functional the
 level test is a dual-norm evaluation instead (see `_solve_level`).
 
 The necessary kernel condition, ker T inside the orthogonality set of x, is
-the closed-form interval test of `support.support_range` when ker T is a
-line in an exact domain; only larger kernels, and float domains, pose the
-subspace LP.
+decided in integers: the kernel is read as integer vectors from the integer
+matrix of T, Tx = 0 is tested on it, and when ker T is a line in an exact
+domain the Birkhoff-James interval is read on integer vectors
+(`support._integer_range`); only larger kernels, and float domains, pose
+the subspace LP.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .linalg import (
     Vec,
     combination,
     dot,
+    fraction_kernel,
+    int_mat_vec,
+    integer_kernel,
     integer_point,
     integer_rows,
     is_zero_vec,
@@ -73,9 +78,9 @@ from .spaces import (
 from .support import (
     _integer_key,
     _integer_norm_and_vertices,
+    _integer_range,
     _key_norm_and_vertices,
     functional_in_support,
-    support_range,
     support_set,
 )
 
@@ -149,7 +154,7 @@ def _image_key(codomain: SpaceSpec, m_rows, q, s: int) -> Optional[tuple]:
     (face, n, d) with ||Tx|| = n / d and the face naming J(Tx), all ints; None
     when Tx = 0, that is Mq = 0.  J(Tx) = J(Mq), since J does not change under
     positive scaling.  `_key_norm_and_vertices` turns it into (||Tx||, J(Tx))."""
-    mq = tuple(sum(map(mul, row, q)) for row in m_rows)
+    mq = int_mat_vec(m_rows, q)
     if not any(mq):
         return None
     return _integer_key(codomain, mq, s)
@@ -185,7 +190,7 @@ class _Point:
         self.scale = self.norm_tx / self.norm_x
         d_q, self.q_rows = integer_rows(self.q_verts)
         columns = tuple(zip(*self.m_rows))
-        self.images = tuple(tuple(sum(map(mul, column, g)) for column in columns) for g in self.q_rows)
+        self.images = tuple(int_mat_vec(columns, g) for g in self.q_rows)
         self.den = self.d_t * d_q
 
     @cached_property
@@ -402,7 +407,7 @@ def _counterexample(point: _Point, f: Vec, z: tuple[int, ...], zs: int) -> Vec:
     p, d = integer_point(f)
     c = Fraction(sum(map(mul, p, z)), d * zs) / point.norm_x
     y = tuple(c.numerator * zs * a - c.denominator * point.s * b for a, b in zip(point.q, z))
-    least = min(sum(map(mul, image, y)) for image in point.images)
+    least = min(int_mat_vec(point.images, y))
     if least <= 0:
         raise InternalCheckError("the separating direction does not separate")
     return tuple(Fraction(c * point.den, least) for c in y)
@@ -416,11 +421,10 @@ def _verified_margin(point: _Point, y: Vec) -> Fraction:
     D_P ys f(y) = (D_P f).yq, D_P the lcm of the denominators of J(x), and
     den ys g(Ty) = (D_Q g).(M yq)."""
     yq, ys = integer_point(y)
-    on_x = [sum(map(mul, p, yq)) for p in integer_rows(point.p_verts)[1]]
+    on_x = int_mat_vec(integer_rows(point.p_verts)[1], yq)
     if not min(on_x) <= 0 <= max(on_x):
         raise InternalCheckError("counterexample is not orthogonal to x")
-    ty = [sum(map(mul, row, yq)) for row in point.m_rows]
-    least = min(sum(map(mul, g, ty)) for g in point.q_rows)
+    least = min(int_mat_vec(point.q_rows, int_mat_vec(point.m_rows, yq)))
     if not least > 0:
         raise InternalCheckError("counterexample images remained orthogonal")
     return Fraction(least, point.den * ys)
@@ -460,19 +464,30 @@ def _preserves_float(op: Operator, x: Vec, tx: Vec) -> PreservationReport:
 def kernel_condition(op: Operator, x: Vec) -> bool:
     """Necessary condition for level vectors: Tx = 0 or ker T inside x-orthogonal set.
 
-    An injective T passes without forming Tx.  On an exact domain a kernel
-    span(b) is one Birkhoff-James question, x orthogonal to b, which holds
-    iff min f(b) <= 0 <= max f(b) over J(x) (`support_range`, no LP).  Kernels
-    of dimension >= 2, and float domains, go to the subspace LP.
+    Decided in integers, from T = M / D_T with M integral (`integer_rows`) and
+    x = q / s with q integral.  The kernel is read from M as integer vectors
+    (`linalg.integer_kernel`), so an injective T passes without forming Tx,
+    and Tx = 0 iff Mq = 0.  On an exact domain a kernel span(b) is one
+    Birkhoff-James question, x orthogonal to b, which holds iff
+    min f(b) <= 0 <= max f(b) over J(x) (James 1947).  Its integer kernel
+    vector v is a positive multiple of b and J(x) = J(q), so the two ends are
+    read, up to one positive factor, from q and v (`support._integer_range`),
+    with no Fraction, no vertex list and no LP.  Kernels of dimension >= 2,
+    and float domains, go to the subspace LP, on the Fraction basis of the
+    same elimination.
     """
     x = _nonzero_point(op, x)
-    basis = kernel_basis(op.matrix)
-    if not basis or is_zero_vec(op(x)):
+    m_rows = integer_rows(op.matrix)[1]
+    size, kernel = integer_kernel(m_rows)
+    if not kernel:
         return True
-    if len(basis) == 1 and is_exact(op.domain):
-        lo, hi = support_range(op.domain, x, basis[0])
+    q = integer_point(x)[0]
+    if not any(int_mat_vec(m_rows, q)):
+        return True
+    if len(kernel) == 1 and is_exact(op.domain):
+        lo, hi = _integer_range(op.domain, q, kernel[0])
         return lo <= 0 <= hi
-    return subspace_orthogonal(op.domain, x, basis).orthogonal
+    return subspace_orthogonal(op.domain, x, fraction_kernel(size, kernel)).orthogonal
 
 
 @dataclass(frozen=True, slots=True)
@@ -553,7 +568,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
                 # The draws of next_positive_fraction, without the common
                 # denominator 1000, which a convex combination divides out.
                 weights = [stream.next_int(1000) + 1 for _ in face.vertices]
-                q = tuple(sum(map(mul, weights, column)) for column in columns)
+                q = int_mat_vec(columns, weights)
                 den = d_f * sum(weights)
                 points.append(tuple(_pooled(c, den, pool) if v is None else v for v, c in zip(fixed, q)))
                 sums.append((q, den))

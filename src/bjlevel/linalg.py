@@ -3,13 +3,15 @@
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  Sizes
 stay at desk scale (dimension <= 12).  Ranks, kernels, affine ranks and the
 square solves of the facet scan share one fraction-free Gauss-Jordan
-elimination on integer rows (`_eliminate`).
+elimination on integer rows (`_eliminate`); kernels are read from it as
+integer vectors (`integer_kernel`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -74,6 +76,12 @@ def transpose(m: Mat) -> Mat:
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
+
+
+def int_mat_vec(rows: Sequence[Sequence[int]], q: Sequence[int]) -> tuple[int, ...]:
+    """The product of an integer matrix, given by its rows, and an integer
+    vector."""
+    return tuple(sum(map(mul, row, q)) for row in rows)
 
 
 def integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
@@ -172,24 +180,43 @@ def solve_square(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple
     return num, den
 
 
+def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(size, kernel) for the null space of the integer matrix ``rows``: one
+    integer vector per column fc with no pivot, ``size`` times the vector of
+    `kernel_basis` (1 at fc and -R[i][fc] at the pivot column of row i of the
+    reduced row echelon form R).
+
+    `_eliminate` leaves R[i][fc] = E[i][fc] / d in its integer rows E, d the
+    last pivot, so size = |d| makes every entry an integer, -E[i][fc] sgn(d),
+    and every vector a positive multiple of the Fraction one.
+    """
+    ncols = len(rows[0])
+    work = [list(row) for row in rows]
+    pivots, d = _eliminate(work, ncols)
+    size = abs(d)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = size
+        for row, pc in zip(work, pivots):
+            v[pc] = -row[fc] * size // d
+        kernel.append(tuple(v))
+    return size, kernel
+
+
+def fraction_kernel(size: int, kernel: Sequence[Sequence[int]]) -> list[Vec]:
+    """The vectors of `integer_kernel` divided by their free-column entry
+    ``size``: the basis of `kernel_basis`."""
+    return [tuple(Fraction(c, size) if c else ZERO for c in v) for v in kernel]
+
+
 def kernel_basis(m: Mat) -> list[Vec]:
     """Basis of the null space of m (possibly empty): one vector per column
     fc with no pivot, with 1 at fc and -R[i][fc] at the pivot column of row
-    i of the reduced row echelon form R."""
+    i of the reduced row echelon form R, read from `integer_kernel`."""
     if not m:
         return []
-    ncols = len(m[0])
-    rows = _integer_matrix(m)
-    pivots, d = _eliminate(rows, ncols)
-    basis: list[Vec] = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], d)
-        basis.append(tuple(v))
-    return basis
+    return fraction_kernel(*integer_kernel(_integer_matrix(m)))
 
 
 def affine_rank(points: Sequence[Vec]) -> int:

@@ -30,6 +30,7 @@ from .linalg import (
     ZERO,
     Mat,
     Vec,
+    int_mat_vec,
     integer_point,
     integer_rows,
     is_zero_vec,
@@ -343,7 +344,7 @@ def _integer_dual_norm(space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:
     """
     if space.kind == "polyhedral":
         d, rows = _ball_rows(space)
-        return max(sum(map(mul, row, q)) for row in rows), d
+        return max(int_mat_vec(rows, q)), d
     if space.p == 1:
         return max(map(abs, q)), 1
     return sum(map(abs, q)), 1
@@ -528,7 +529,7 @@ def _integer_norm_and_face(space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, i
     J(x) is the facets that attain it; neither depends on s.
     """
     _, d, rows = _polar_rows(space)
-    values = [sum(map(mul, row, q)) for row in rows]
+    values = int_mat_vec(rows, q)
     top = max(values)
     return top, d, tuple(i for i, t in enumerate(values) if t == top)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DimensionMismatch, InputError
-from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, is_zero_vec, vec
+from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, int_mat_vec, is_zero_vec, vec
 from .spaces import (
     EXACT,
     FLOAT,
@@ -224,13 +224,47 @@ def support_extremes(space: SpaceSpec, x: Vec, y: Vec) -> tuple[tuple[Fraction, 
     if space.kind == "polyhedral":
         return _vertex_extremes(_norm_and_face(space, x)[1], y)
     if space.p == 1:
+        pinned, free = _l1_box(x, y)
         signs = _pinned_signs(x)
-        pinned = sum((yc if s > 0 else -yc for s, yc in zip(signs, y) if s), ZERO)
-        free = sum((abs(yc) for s, yc in zip(signs, y) if not s), ZERO)
         f_lo = tuple(s if s else (ONE if yc < 0 else MINUS_ONE) for s, yc in zip(signs, y))
         f_hi = tuple(s if s else (MINUS_ONE if yc < 0 else ONE) for s, yc in zip(signs, y))
         return (pinned - free, f_lo), (pinned + free, f_hi)
     values = [(f[i] * y[i], f) for i, f in _linf_face(space, x)]
+    return min(values), max(values)
+
+
+def _l1_box(x, y) -> tuple:
+    """(pinned, free) for J(x) on l1, the box of sign vectors pinned to
+    sgn(x_i) where x_i != 0 and free elsewhere: f(y) ranges over
+    [pinned - free, pinned + free], with pinned = sum sgn(x_i) y_i over the
+    support of x and free = sum |y_i| over its zeros.  It reads signs and
+    sizes only, so x and y may be Fractions or ints, and x is nonzero."""
+    pinned = sum(yc if c > 0 else -yc for c, yc in zip(x, y) if c)
+    free = sum(abs(yc) for c, yc in zip(x, y) if not c)
+    return pinned, free
+
+
+def _integer_range(space: SpaceSpec, q: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int]:
+    """(lo, hi), a positive multiple of the min and max of f(b) over J(x) on an
+    exact space, for x = q / s and b = v / c (s, c > 0), q a nonzero integer
+    vector and v an integer one; all in ints.
+
+    J(x) = J(q), since J does not change under positive scaling, and
+    f(b) = f(v) / c.  J(q) is read as the face of `_integer_key`: on l1 the
+    sign pattern of q, and the range is that of `_l1_box`; on l-inf the
+    indices 2i + (q_i < 0) of the signed units sgn(q_i) e_i, each giving
+    sgn(q_i) v_i; on a polyhedral ball the indices of the polar facets f
+    that attain the norm, each giving (D f).v, D times f(v) (`_polar_rows`).
+    """
+    face = _integer_key(space, q, 1)[0]
+    if space.kind == "polyhedral":
+        rows = _polar_rows(space)[2]
+        values = int_mat_vec([rows[i] for i in face], v)
+    elif space.p == 1:
+        pinned, free = _l1_box(face, v)
+        return pinned - free, pinned + free
+    else:
+        values = [-v[i // 2] if i % 2 else v[i // 2] for i in face]
     return min(values), max(values)
 
 

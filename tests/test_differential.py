@@ -31,7 +31,7 @@ from bjlevel import (
     support_set,
 )
 from bjlevel import levels, simplex
-from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose
+from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec
 from bjlevel.orthogonality import _dual_exact
 from bjlevel.support import _vertex_extremes
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, feasible_point, probe_points, random_operator, sphere_ball
@@ -416,28 +416,38 @@ def test_the_counterexample_check_refuses_a_flipped_or_boundary_y():
 
 def kernel_operators(space, rng):
     """Seeded operators on ``space`` keyed by kind: a dense one of rank n - 1,
-    a diagonal one with one zero, one of rank n - 2 (a 2-D kernel, from
-    n = 3) and an injective one.  A rank-r map is a product of random n x r
-    and r x n integer matrices, redrawn until its kernel has dimension n - r."""
+    the same with row i divided by i + 2 (the lcm of all denominators then
+    differs from each row's own), a diagonal one with one zero, one of rank
+    n - 2 (a 2-D kernel, from n = 3) and an injective one.  Then maps onto a
+    space of dimension n - 1 and of another kind (l1 onto l-inf, l-inf and
+    polyhedral balls onto l1), of rank n - 1 and, from n = 3, n - 2.  A
+    rank-r map is a product of random m x r and r x n integer matrices,
+    redrawn until its kernel has dimension n - r."""
     n = space.dim
 
-    def of_rank(r):
+    def of_rank(r, m=n):
         while True:
-            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
             right = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(r)]
             rows = [[sum((a * right[k][c] for k, a in enumerate(row)), F(0)) for c in range(n)] for row in left]
             if len(kernel_basis(rows)) == n - r:
-                return operator(rows, space)
+                return rows
 
     diag = [rng.choice((-3, -1, 1, 2)) for _ in range(n)]
     diag[rng.randrange(n)] = 0
     ops = {
-        "dense rank n-1": of_rank(n - 1),
+        "dense rank n-1": operator(of_rank(n - 1), space),
+        "rows over distinct denominators": operator(
+            [[c / (i + 2) for c in row] for i, row in enumerate(of_rank(n - 1))], space
+        ),
         "diagonal with a zero": operator([[diag[r] if c == r else 0 for c in range(n)] for r in range(n)], space),
-        "injective": of_rank(n),
+        "injective": operator(of_rank(n), space),
     }
+    codomain = linf(n - 1) if space.kind == "lp" and space.p == 1 else l1(n - 1)
+    ops["onto n-1, rank n-1"] = operator(of_rank(n - 1, n - 1), space, codomain)
     if n >= 3:
-        ops["2-D kernel"] = of_rank(n - 2)
+        ops["2-D kernel"] = operator(of_rank(n - 2), space)
+        ops["onto n-1, rank n-2"] = operator(of_rank(n - 2, n - 1), space, codomain)
     return ops
 
 
@@ -468,20 +478,24 @@ def test_kernel_condition_matches_the_subspace_lp_and_the_oracle():
     # On a 1-D kernel span(b) the condition is the closed-form interval
     # min f(b) <= 0 <= max f(b) over J(x); it must give the verdict of the
     # subspace LP and of the definition-level oracle.  2-D kernels take the
-    # LP itself; injective maps and x in ker T pass.
-    verdicts = {"1-D": set(), "2-D": set()}
+    # LP itself; injective maps and x in ker T pass.  Each probe point is
+    # also given as floats, which convert exactly: the verdict is that of
+    # the rational point they denote.
+    verdicts = {"1-D": set(), "2-D": set(), "onto n-1": set(), "float": set()}
     zero_ends = 0
     for space in kernel_condition_spaces():
         rng = random.Random(repr(space))
         for kind, op in kernel_operators(space, rng).items():
             basis = kernel_basis(op.matrix)
+            points = kernel_probe_points(space, rng)
+            points += [tuple(float(c) for c in x) for x in points[::2]]
             if not basis:
-                assert all(kernel_condition(op, x) for x in kernel_probe_points(space, rng)), kind
+                assert all(kernel_condition(op, x) for x in points), kind
                 continue
             assert kernel_condition(op, basis[0])  # x in ker T
-            for x in kernel_probe_points(space, rng):
+            for x in points:
                 holds = kernel_condition(op, x)
-                if all(c == 0 for c in op(x)):
+                if all(c == 0 for c in op(vec(x))):
                     assert holds
                     continue
                 assert holds == subspace_orthogonal(space, x, basis).orthogonal, (space, kind, x)
@@ -489,7 +503,11 @@ def test_kernel_condition_matches_the_subspace_lp_and_the_oracle():
                     assert holds == bj_orthogonal_oracle(space, x, basis[0]).orthogonal, (space, kind, x)
                     zero_ends += 0 in support_range(space, x, basis[0])
                 verdicts["1-D" if len(basis) == 1 else "2-D"].add(holds)
-    assert verdicts == {"1-D": {True, False}, "2-D": {True, False}}
+                if kind.startswith("onto"):
+                    verdicts["onto n-1"].add(holds)
+                if type(x[0]) is float:
+                    verdicts["float"].add(holds)
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
     assert zero_ends > 0
 
 

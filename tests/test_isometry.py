@@ -14,6 +14,7 @@ from bjlevel import (
     extreme_points,
     identity_operator,
     is_level_vector,
+    l1,
     l2,
     linf,
     norm,
@@ -128,6 +129,24 @@ def test_scalar_identity_input_errors(linf_3):
         scalar_identity_test(op, [v("1,0,0"), v("0,1,0")])
     with pytest.raises(InputError):
         scalar_identity_test(op, [v("1,0,0"), v("0,1,0"), v("0,0,1/2")])
+
+
+def test_scalar_identity_decides_float_candidates_on_an_exact_space_in_rationals():
+    # T(1/2, 1/2) = (1/2 + 2^-61, 1/2) is not a multiple of (1/2, 1/2), but
+    # in floats 1/2 + 2^-61 rounds to 1/2.
+    op = operator([[1, F(1, 2**60)], [0, 1]], l1(2))
+    exact = scalar_identity_test(op, [(F(1, 2), F(1, 2)), (F(1), F(0))])
+    floats = scalar_identity_test(op, [(0.5, 0.5), (1.0, 0.0)])
+    assert not exact.eigenvectors
+    assert floats == exact
+
+
+def test_adjoint_transfer_decides_float_input_on_an_exact_space_in_rationals():
+    # 2^-1100 underflows to 0.0 in floats, so T(1.0, 0.0) read as Tx = 0.
+    op = diagonal_operator(l1(2), [F(1, 2**1100)] * 2)
+    record = adjoint_level_transfer(op, (1.0, 0.0))
+    assert record.level_number == F(1, 2**2200)
+    assert record == adjoint_level_transfer(op, (F(1), F(0)))
 
 
 def test_adjoint_transfer_diag123_linf(linf_3):

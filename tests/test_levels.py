@@ -36,7 +36,7 @@ from bjlevel import (
     support_set,
     zero_operator,
 )
-from bjlevel import levels, simplex, spaces, support
+from bjlevel import levels, linalg, simplex, spaces, support
 from bjlevel.linalg import dot, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
@@ -238,6 +238,44 @@ def test_kernel_condition_on_a_line_lists_no_vertices_and_solves_no_lp(monkeypat
     assert {want for _, _, want in cases} == {True, False}
     with pytest.raises(AssertionError):
         kernel_condition(diagonal_operator(l1(3), [1, 0, 0]), v("1,1,1"))
+
+
+def test_kernel_condition_on_an_exact_domain_decides_in_integers(monkeypatch, hexagon):
+    # The 1-D kernel and injective paths read Tx = 0 and the kernel from the
+    # integer matrix of T: no Fraction matrix-vector product, no Fraction
+    # kernel basis and no LP.  A 2-D kernel still builds its Fraction basis
+    # from the same elimination and reaches the subspace LP.
+    cases = []
+    for space in (l1(4), linf(4), polyhedral_space(cube_cross_vertices(3)), hexagon):
+        n = space.dim
+        for op in (
+            operator([[F(1, 2), F(-1, 3)] + [0] * (n - 2)] + [unit(n, i) for i in range(2, n)] + [[0] * n], space),
+            operator([[F(k + 1, i + 2) if k <= i else 0 for k in range(n)] for i in range(n)], space),  # injective
+        ):
+            basis = kernel_basis(op.matrix)
+            for x in (unit(n, 0), tuple(F(k % 3 - 1, k + 1) for k in range(n)), (F(1),) * n, (0.5,) * n):
+                if not basis or not any(op(x)):
+                    want = True
+                else:
+                    want = bj_orthogonal(space, x, basis[0]).orthogonal
+                cases.append((op, x, want))
+    assert {want for _, _, want in cases} == {True, False}
+
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(what)
+
+        return refused
+
+    for module in (linalg, levels):
+        monkeypatch.setattr(module, "mat_vec", refuse("formed Tx in Fractions"))
+        monkeypatch.setattr(module, "kernel_basis", refuse("built the Fraction kernel"))
+    monkeypatch.setattr(spaces.Operator, "__call__", refuse("formed Tx in Fractions"))
+    monkeypatch.setattr(simplex, "solve_standard_lp", refuse("solved an LP"))
+    assert [kernel_condition(op, x) for op, x, _ in cases] == [want for _, _, want in cases]
+    two_d = diagonal_operator(l1(3), [1, 0, 0])
+    with pytest.raises(AssertionError, match="^solved an LP$"):
+        kernel_condition(two_d, v("1,1,1"))
 
 
 def test_kernel_condition_holds_on_level_vectors(l1_3, linf_3):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bjlevel.linalg import affine_rank, kernel_basis, matrix_rank, solve_square
+from bjlevel.linalg import _eliminate, affine_rank, integer_kernel, integer_rows, kernel_basis, matrix_rank, solve_square
 
 from ._util import fraction_rref, fraction_solve
 
@@ -160,8 +160,31 @@ def test_integer_rank_kernel_and_affine_rank_equal_fraction_gauss_jordan(kind, s
     if kind == "zero":
         assert rank == 0
     assert matrix_rank(rows) == rank
-    assert tuple(kernel_basis(rows)) == oracle_kernel(rows)
+    basis = kernel_basis(rows)
+    assert tuple(basis) == oracle_kernel(rows)
     assert affine_rank(rows) == oracle_affine_rank(rows)
+    # The integer kernel of the rows over their common denominator: each
+    # vector is ``size`` > 0 times the Fraction one, whose entry at its free
+    # column is 1.
+    size, kernel = integer_kernel(integer_rows(rows)[1])
+    assert size > 0 and len(kernel) == len(basis)
+    for v, b in zip(kernel, basis):
+        assert all(type(c) is int for c in v)
+        assert v == tuple(size * c for c in b)
+
+
+def test_the_kernel_battery_reaches_a_negative_last_pivot():
+    # A kernel read with d in place of |d| is a negative multiple of the
+    # Fraction basis exactly when the last pivot is negative; the battery
+    # above must hold such cases.
+    negative = 0
+    for kind in KINDS:
+        for shape in SHAPES:
+            for seed in range(4):
+                rows = [list(row) for row in integer_rows(seeded_matrix(kind, shape, seed))[1]]
+                pivots, d = _eliminate(rows, shape[1])
+                negative += d < 0 and len(pivots) < shape[1]
+    assert negative >= 20
 
 
 def test_empty_and_by_hand_ranks_and_kernels():
@@ -175,6 +198,9 @@ def test_empty_and_by_hand_ranks_and_kernels():
     assert kernel_basis(m) == [(F(1), F(0), F(0), F(0)), (F(0), F(1, 2), F(-3, 2), F(1))]
     # Column 1 has no pivot; the pivot step of column 2 rescales row 0 there.
     assert kernel_basis(((F(1), F(2), F(0)), (F(0), F(0), F(3)))) == [(F(-2), F(1), F(0))]
+    # The last pivot is -2, so the integer kernel is scaled by |d| = 2.
+    assert integer_kernel([[-2, 1, 0]]) == (2, [(1, 2, 0), (0, 0, 2)])
+    assert kernel_basis(((F(-2), F(1), F(0)),)) == [(F(1, 2), F(1), F(0)), (F(0), F(0), F(1))]
     # Ints and floats are read exactly, as Fractions.
     assert matrix_rank([[1, 0.5], [2, 1]]) == 1
     assert affine_rank([(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2))]) == 1

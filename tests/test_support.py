@@ -26,8 +26,8 @@ from bjlevel import (
     support_set,
 )
 from bjlevel.linalg import dot, unit
-from bjlevel.spaces import _cross_polytope_vertices
-from bjlevel.support import _integer_key, _integer_norm_and_vertices, functional_in_support
+from bjlevel.spaces import _cross_polytope_vertices, _polar_rows
+from bjlevel.support import _integer_key, _integer_norm_and_vertices, _integer_range, functional_in_support
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
@@ -349,3 +349,37 @@ def test_integer_key_neither_merges_nor_splits_norm_and_support_set(make_space):
     supports = [j for _, j in by_pair]
     norms = [n for n, _ in by_pair]
     assert len(set(supports)) < len(by_pair) and len(set(norms)) < len(by_pair)
+
+
+@pytest.mark.parametrize(
+    "make_space, zero_ends_seen",
+    [
+        (lambda: l1(4), True),
+        (lambda: linf(4), True),
+        (lambda: polyhedral_space(HEXAGON_VERTICES), True),
+        (lambda: polyhedral_space(cube_cross_vertices(3)), True),
+        (lambda: polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40)), False),
+    ],
+    ids=["l1^4", "linf^4", "hexagon", "cube+2cross", "sphere-ball"],
+)
+def test_integer_range_is_the_support_range_times_the_polar_lcm(make_space, zero_ends_seen):
+    # The kernel condition's integer reader gives the range of f(v) over
+    # J(q) scaled by D, the lcm of the polar facets' denominators on a
+    # polyhedral ball and 1 on l1 and l-inf: the same signs, and so the same
+    # verdict lo <= 0 <= hi.  Small entries make zeros and ties in q, so J(q)
+    # is often a face of several vertices, and ends at 0 occur but on the
+    # sphere ball, whose facets are in general position.
+    space = make_space()
+    scale = _polar_rows(space)[1] if space.kind == "polyhedral" else 1
+    rng = random.Random(repr(space))
+    zero_ends = 0
+    for _ in range(60):
+        q = tuple(rng.randint(-2, 2) for _ in range(space.dim))
+        if not any(q):
+            continue
+        v = tuple(rng.randint(-3, 3) for _ in range(space.dim))
+        lo, hi = support_range(space, tuple(F(c) for c in q), tuple(F(c) for c in v))
+        assert _integer_range(space, q, v) == (scale * lo, scale * hi), (q, v)
+        assert _integer_range(space, tuple(3 * c for c in q), v) == (scale * lo, scale * hi)
+        zero_ends += 0 in (lo, hi) and lo != hi
+    assert zero_ends > 0 or not zero_ends_seen

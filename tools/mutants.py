@@ -46,7 +46,8 @@ def _mutant(name: str, path: str, old: str, new: str, *selection: str) -> Mutant
 
 
 MUTANTS = (
-    # One fraction-free elimination (linalg._eliminate, kernel_basis).
+    # One fraction-free elimination (linalg._eliminate, integer_kernel,
+    # kernel_basis).
     _mutant(
         "bareiss-no-division",
         "linalg.py",
@@ -57,8 +58,15 @@ MUTANTS = (
     _mutant(
         "kernel-not-over-d",
         "linalg.py",
-        "v[pc] = Fraction(-row[fc], d)",
-        "v[pc] = Fraction(-row[fc])",
+        "return [tuple(Fraction(c, size) if c else ZERO for c in v) for v in kernel]",
+        "return [tuple(Fraction(c) if c else ZERO for c in v) for v in kernel]",
+        "tests/test_linalg.py",
+    ),
+    _mutant(
+        "integer-kernel-scaled-by-d-not-abs-d",
+        "linalg.py",
+        "size = abs(d)",
+        "size = d",
         "tests/test_linalg.py",
     ),
     _mutant(
@@ -68,7 +76,22 @@ MUTANTS = (
         "row[j] = row[j]",
         "tests/test_linalg.py",
     ),
-    # The Birkhoff-James interval (levels.kernel_condition, support.support_extremes).
+    # The kernel condition in integers and the Birkhoff-James interval
+    # (levels.kernel_condition, support._integer_range, support_extremes).
+    _mutant(
+        "kernel-image-test-all-not-any",
+        "levels.py",
+        "if not any(int_mat_vec(m_rows, q)):",
+        "if not all(int_mat_vec(m_rows, q)):",
+        "tests/test_levels.py",
+    ),
+    _mutant(
+        "polyhedral-range-over-every-facet",
+        "support.py",
+        "values = int_mat_vec([rows[i] for i in face], v)",
+        "values = int_mat_vec(rows, v)",
+        "tests/test_differential.py",
+    ),
     _mutant(
         "kernel-interval-strict-lo",
         "levels.py",
@@ -88,16 +111,16 @@ MUTANTS = (
     _mutant(
         "l1-free-sum-without-abs",
         "support.py",
-        "free = sum((abs(yc) for s, yc in zip(signs, y) if not s), ZERO)",
-        "free = sum((yc for s, yc in zip(signs, y) if not s), ZERO)",
+        "free = sum(abs(yc) for c, yc in zip(x, y) if not c)",
+        "free = sum(yc for c, yc in zip(x, y) if not c)",
         "tests/test_support.py",
         "tests/test_differential.py",
     ),
     _mutant(
         "l1-pinned-sign-flipped",
         "support.py",
-        "pinned = sum((yc if s > 0 else -yc for",
-        "pinned = sum((-yc if s > 0 else yc for",
+        "pinned = sum(yc if c > 0 else -yc for",
+        "pinned = sum(-yc if c > 0 else yc for",
         "tests/test_support.py",
     ),
     _mutant(
