@@ -80,6 +80,7 @@ from .support import (
     _integer_norm_and_vertices,
     _integer_range,
     _key_norm_and_vertices,
+    _single_functional,
     functional_in_support,
     support_set,
 )
@@ -220,24 +221,25 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     point = _evaluate(op, x)
     if point is None:
         return LevelCertificate(x, None, None, Fraction(0), EXACT)
-    found = _checked(point, _solve_level(op, point))
+    found = _checked(point.d_t, point.m_rows, point.scale, _solve_level(op, point))
     return None if found is None else LevelCertificate(x, *found, EXACT)
 
 
-def _checked(point: _Point, found: Optional[tuple]) -> Optional[tuple]:
-    """``found`` from `_solve_level`, once T^T g = scale f is verified for it.
+def _checked(d_t: int, m_rows, scale: Fraction, found: Optional[tuple]) -> Optional[tuple]:
+    """``found``, a level certificate (f, g, k) at scale ||Tx||/||x|| or None,
+    once T^T g = scale f is verified for it.
 
-    In integers, from M = D_T T and the certificate's own g, not from the
-    point's images: with g = gq / gs, f = fq / fs and scale = sn / sd,
-    T^T g = M^T gq / (D_T gs), so the equation reads
+    In integers, from M = D_T T (``m_rows``) and the certificate's own g, not
+    from any cached adjoint image: with g = gq / gs, f = fq / fs and
+    scale = sn / sd, T^T g = M^T gq / (D_T gs), so the equation reads
     (M^T gq) sd fs = sn D_T gs fq.
     """
     if found is None:
         return None
     (fq, fs), (gq, gs) = integer_point(found[0]), integer_point(found[1])
-    sn, sd = point.scale.numerator, point.scale.denominator
-    left, right = sd * fs, sn * point.d_t * gs
-    if any(sum(map(mul, column, gq)) * left != right * c for column, c in zip(zip(*point.m_rows), fq)):
+    sn, sd = scale.numerator, scale.denominator
+    left, right = sd * fs, sn * d_t * gs
+    if any(sum(map(mul, column, gq)) * left != right * c for column, c in zip(zip(*m_rows), fq)):
         raise InternalCheckError("level certificate fails its defining equation")
     return found
 
@@ -251,17 +253,17 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
     attains the norm at x: f(x) = q(Tx) / scale = ||Tx|| / scale = ||x||.
     A functional with f(x) = ||x|| lies in J(x) exactly when ||f||_* = 1, so
-    x is a level vector iff ||T^T q||_* = scale (`_smooth_image_is_level`,
-    in integers on the point's image M^T (D_Q q)), and (f, q, k) is then the
-    only certificate, the one the LP would return; f is built only then.
+    x is a level vector iff ||T^T q||_* = scale (`_adjoint_dual_norm`, in
+    integers on the point's image M^T (D_Q q)), and (f, q, k) is then the
+    only certificate, the one the LP would return (`_smooth_certificate`);
+    f is built only then.
     """
     p_verts, q_verts, scale = point.p_verts, point.q_verts, point.scale
     if len(q_verts) == 1:
         image, den = point.images[0], point.den
-        if not _smooth_image_is_level(op.domain, image, den, scale):
+        if _adjoint_dual_norm(op.domain, image, den) != (scale.numerator, scale.denominator):
             return None
-        sn, sd = scale.numerator, scale.denominator
-        return tuple(Fraction(c * sd, den * sn) for c in image), q_verts[0], scale * scale
+        return _smooth_certificate(image, den, scale, q_verts[0])
     negated = [vec_scale(-scale, p) for p in p_verts]
     weights = convex_weights([negated, point.adj], (ZERO,) * op.domain.dim)
     if weights is None:
@@ -270,12 +272,22 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     return combination(lam, p_verts), combination(mu, q_verts), scale * scale
 
 
-def _smooth_image_is_level(domain: SpaceSpec, image: tuple[int, ...], den: int, scale: Fraction) -> bool:
-    """||image / den||_* == scale, for an integer image and den > 0, decided in
-    integers: `spaces._integer_dual_norm` gives ||image / den||_* =
-    top / (D den), so with scale = sn / sd the test is top sd == sn D den."""
+def _adjoint_dual_norm(domain: SpaceSpec, image: tuple[int, ...], den: int) -> tuple[int, int]:
+    """||image / den||_* as (n, d) in lowest terms, for an integer image and
+    den > 0, in integers: `spaces._integer_dual_norm` gives top / (D den).
+    With image / den = T^T q for a smooth J(Tx) = {q}, x is a level vector
+    exactly when this is ||Tx||/||x||."""
     top, d = _integer_dual_norm(domain, image)
-    return top * scale.denominator == scale.numerator * d * den
+    d *= den
+    g = math.gcd(top, d)
+    return top // g, d // g
+
+
+def _smooth_certificate(image: tuple[int, ...], den: int, scale: Fraction, q: Vec) -> tuple:
+    """The level certificate (f, q, scale^2) on a smooth image J(Tx) = {q}
+    with T^T q = image / den and ||T^T q||_* = scale: f = T^T q / scale."""
+    sn, sd = scale.numerator, scale.denominator
+    return tuple(Fraction(c * sd, den * sn) for c in image), q, scale * scale
 
 
 def _float_pullback(op: Operator, g) -> list[float]:
@@ -328,9 +340,10 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
 
     Holds exactly when some g in J(Tx) pulls back to (||Tx||/||x||) f under
     the adjoint; the witness g is returned.  On the exact path f in J(x) is
-    tested against the evaluation's ||x||, so x is scanned once.
+    tested against the evaluation's ||x||, so x is scanned once.  f converts
+    exactly (`linalg.vec`), so float input is decided in rationals.
     """
-    x = _nonzero_point(op, x)
+    x, f = _nonzero_point(op, x), vec(f)
     require_dim(op.domain, f)
     point = _evaluate(op, x) if is_exact(op.domain) and is_exact(op.codomain) else None
     if point is None:
@@ -344,7 +357,7 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
     if point is None:
         return DirectionalPreservation(True, None)
-    g, _ = _membership(point, vec(f))
+    g, _ = _membership(point, f)
     return DirectionalPreservation(g is not None, g)
 
 
@@ -540,11 +553,16 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     under positive scaling.  The reported point keeps the vertices' own entry
     where they all agree and is q_k / (D_F sum w) elsewhere, each such entry
     the one Fraction of the call kept for its lowest terms (num, den).
-    Points with the same J_F, J(Tx) and ||Tx|| pose the same problem, so
-    within one call each distinct subproblem is solved once, and its
-    certificate checked once, when it is solved: the check reads only f, g,
-    the scale and T, which that key fixes.  The key of a point is ints only
-    (`_face_level_number`), so a repeat builds no Fraction.
+
+    A point is decided from the ints-only key (face, n, d) of Tx
+    (`_face_level_number`).  When J(Tx) is one functional q, x is a level
+    vector iff ||Tx|| = c_q = ||T^T q||_*, which depends on T and q alone:
+    the call keeps one table of c_q per smooth J(Tx) met, keyed on its face,
+    and each such point costs one comparison, with no LP.  Otherwise the
+    point's problem is fixed by J_F, J(Tx) and ||Tx||, so within one face
+    each distinct one is solved once (an LP).  Every certificate is checked
+    once, when it is first built: the check reads only f, g, the scale and
+    T, which the key fixes.  The table and the memos live for one call.
     """
     if not is_exact(op.domain):
         raise InputError("not_polyhedral", "enumeration needs a polyhedral domain")
@@ -557,6 +575,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     # Equal coordinates and level numbers of the report share one Fraction,
     # keyed on its lowest terms, and equal tuples of level numbers one tuple.
     pool = {(0, 1): ZERO}
+    smooth: dict = {}
     number_rows: dict = {}
     probes = []
     values: set[Fraction] = set()
@@ -575,11 +594,11 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         # Faces have distinct J_F, so one memo per face is keyed on J_F too.
         memo: dict = {}
         numbers = tuple(
-            _face_level_number(op, d_t, m_rows, p_verts, q, den, memo, pool) for q, den in sums
+            _face_level_number(op, d_t, m_rows, p_verts, q, den, memo, smooth, pool) for q, den in sums
         )
         # Level numbers are pooled, so equal rows are equal object for object.
         numbers = number_rows.setdefault(tuple(map(id, numbers)), numbers)
-        values.update(k for k in memo.values() if k is not None)
+        values.update(k for k in numbers if k is not None)
         probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
     bound = None
     if op.domain == op.codomain:
@@ -623,32 +642,74 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
     return tuple(table)
 
 
-def _face_level_number(op: Operator, d_t: int, m_rows, p_verts, q, s: int, memo: dict, pool: dict) -> Optional[Fraction]:
+@dataclass(slots=True)
+class _SmoothImage:
+    """A smooth J(Tx) = {q} met by an enumeration: T^T q = image / den, its
+    dual norm c_q = n / d in lowest terms (``norm`` = (n, d)), and the
+    pooled level number c_q^2 once a point has needed its checked
+    certificate."""
+
+    norm: tuple[int, int]
+    image: tuple[int, ...]
+    den: int
+    q: Vec
+    number: Optional[Fraction] = None
+
+
+def _smooth_image(op: Operator, d_t: int, m_rows, face: tuple[int, ...]) -> Optional[_SmoothImage]:
+    """The table entry for the face of J(Tx) (`_integer_key`), or None when
+    it names more than one functional: with q = gq / D_Q, the adjoint image
+    M^T gq over den = D_T D_Q, and its dual norm (`_adjoint_dual_norm`)."""
+    q = _single_functional(op.codomain, face)
+    if q is None:
+        return None
+    gq, d_q = integer_point(q)
+    image = int_mat_vec(tuple(zip(*m_rows)), gq)
+    den = d_t * d_q
+    return _SmoothImage(_adjoint_dual_norm(op.domain, image, den), image, den, q)
+
+
+def _face_level_number(
+    op: Operator, d_t: int, m_rows, p_verts, q, s: int, memo: dict, smooth: dict, pool: dict
+) -> Optional[Fraction]:
     """The level number of the point x = q / s of a proper face, with
     J(x) = conv(p_verts) and ||x|| = 1, or None when x is not a level vector.
 
-    ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s).  ``memo``
-    maps the ints-only `_image_key` of Tx, (face, n, d) with J(Tx) named by
-    the face and ||Tx|| = n / d in lowest terms, to the level number of the
-    checked `_solve_level` answer (None when Tx = 0), pooled in ``pool``.  A
-    key names one (||Tx||, J(Tx)), so a repeat hashes ints only.  A memo miss
-    builds ||Tx|| and the vertex list of J(Tx) from the key
-    (`_key_norm_and_vertices`), then the `_Point` of x, whose integer adjoint
-    images M^T (D_Q g) are the exact path's one source of T^T g, and checks
-    the certificate it solves (`_checked`).
+    ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s), read as
+    its ints-only `_image_key` (face, n, d): J(Tx) named by the face and
+    ||Tx|| = n / d in lowest terms.  Tx = 0 gives 0.  ``smooth`` maps each
+    face of J(Tx) met in the call to its `_SmoothImage`, or None when J(Tx)
+    has several vertices.  On a smooth image x is a level vector iff
+    (n, d) = c_q, and the number is c_q^2; its certificate
+    (T^T q / c_q, q, c_q^2) is built and checked (`_checked`) once per
+    entry, at the first point it certifies.  Otherwise ``memo`` maps the key
+    to the level number of the checked `_solve_level` answer on the `_Point`
+    of x, built from the key (`_key_norm_and_vertices`) on a miss.  Numbers
+    are pooled in ``pool``.
     """
     key = _image_key(op.codomain, m_rows, q, d_t * s)
+    if key is None:
+        return ZERO
+    face, n, d = key
+    try:
+        entry = smooth[face]
+    except KeyError:
+        entry = smooth[face] = _smooth_image(op, d_t, m_rows, face)
+    if entry is not None:
+        if (n, d) != entry.norm:
+            return None
+        if entry.number is None:
+            scale = Fraction(n, d)
+            _checked(d_t, m_rows, scale, _smooth_certificate(entry.image, entry.den, scale, entry.q))
+            entry.number = _pooled(n * n, d * d, pool)
+        return entry.number
     try:
         return memo[key]
     except KeyError:
         pass
-    if key is None:
-        number = ZERO
-    else:
-        point = _Point(q, s, d_t, m_rows, ONE, p_verts, *_key_norm_and_vertices(op.codomain, key))
-        found = _checked(point, _solve_level(op, point))
-        number = None if found is None else _pooled(found[2].numerator, found[2].denominator, pool)
-    memo[key] = number
+    point = _Point(q, s, d_t, m_rows, ONE, p_verts, *_key_norm_and_vertices(op.codomain, key))
+    found = _checked(d_t, m_rows, point.scale, _solve_level(op, point))
+    number = memo[key] = None if found is None else _pooled(found[2].numerator, found[2].denominator, pool)
     return number
 
 

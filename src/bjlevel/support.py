@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DimensionMismatch, InputError
 from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, int_mat_vec, is_zero_vec, vec
@@ -139,6 +139,21 @@ def _key_norm_and_vertices(space: SpaceSpec, key: tuple[tuple[int, ...], int, in
         cross = _cross_polytope_vertices(space.dim)
         vertices = tuple(sorted(cross[i] for i in face))
     return Fraction(n, d), vertices
+
+
+def _single_functional(space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]:
+    """The one functional q of J(x) when the face of `_integer_key` names a
+    singleton J(x) = {q} (x is a smooth point), else None; q is the shared
+    vertex `_key_norm_and_vertices` lists.  On l1 the face is the sign pattern
+    of x, one functional when it has no zero; on l-inf and on a polyhedral
+    ball the face has one index, a signed unit or a polar facet."""
+    if space.p == 1:
+        return tuple(_pinned_signs(face)) if all(face) else None
+    if len(face) != 1:
+        return None
+    if space.kind == "polyhedral":
+        return _polar_rows(space)[0][face[0]]
+    return _cross_polytope_vertices(space.dim)[face[0]]
 
 
 def _integer_norm_and_vertices(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
@@ -277,10 +292,13 @@ def support_range(space: SpaceSpec, x: Vec, y: Vec) -> tuple[Fraction, Fraction]
 
 
 def functional_in_support(space: SpaceSpec, x: Vec, f: Vec) -> bool:
-    """Exact membership test f in J(x) (checks f(x) = ||x|| and ||f||* = 1)."""
+    """Membership test f in J(x) (checks f(x) = ||x|| and ||f||* = 1), exact
+    on an exact space, where x and f convert exactly (`linalg.vec`), so float
+    input is decided in rationals."""
     require_dim(space, x)
     require_dim(space, f)
     if not is_exact(space):
         fx = sum(float(fc) * float(xc) for fc, xc in zip(f, x))
         return abs(fx - float(norm(space, x))) <= FLOAT_TOL and abs(dual_norm(space, f) - 1.0) <= FLOAT_TOL
+    x, f = vec(x), vec(f)
     return dot(f, x) == norm(space, x) and dual_norm(space, f) == 1

@@ -110,6 +110,19 @@ def test_directional_rejects_non_supporting_functional(l1_3):
         preserves_bj_directional(op, v("1,0,0"), v("0,1,0"))
 
 
+def test_directional_decides_a_float_functional_in_rationals():
+    # f = (1.0, 1 - 2^-53) is not in J(x) at x = (1, 1) on l1(2), exactly:
+    # f(x) = 2 - 2^-53, though the float sum rounds to ||x|| = 2.  It is
+    # refused as the same f in Fractions is.
+    op = identity_operator(l1(2))
+    f = (1.0, 1.0 - 2.0**-53)
+    for functional in (f, tuple(F(c) for c in f)):
+        with pytest.raises(InputError) as err:
+            preserves_bj_directional(op, (1, 1), functional)
+        assert err.value.code == "not_supporting"
+    assert preserves_bj_directional(op, (1, 1), (1.0, 1.0)).holds
+
+
 def test_preservation_fails_for_diag211_with_verified_counterexample(l1_3):
     op = diagonal_operator(l1_3, [2, 1, 1])
     report = preserves_bj_at(op, v("1,0,0"))
@@ -439,10 +452,12 @@ def test_enumeration_matches_is_level_vector(linf_3, l1_3, hexagon):
 
 def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monkeypatch):
     # Enumeration's memo is keyed on ints (`_image_key`).  Per face it must
-    # solve one level problem for each distinct (||Tx||, J(Tx)) over the
-    # face's probe points with Tx != 0, computed here in Fractions: the key
-    # neither merges nor splits these classes.  The sphere ball's facets have
-    # large denominators (D > 1); two of the operators are not square.
+    # solve one level problem for each distinct (||Tx||, J(Tx)) with J(Tx)
+    # not a singleton over the face's probe points, computed here in
+    # Fractions: the key neither merges nor splits these classes.  A smooth
+    # image J(Tx) = {q} never reaches `_solve_level`; the call reads
+    # ||T^T q||_* once for each distinct such q.  The sphere ball's facets
+    # have large denominators (D > 1); two of the operators are not square.
     sphere = polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40))
     assert spaces._polar_rows(sphere)[1] > 1
     hexagon = polyhedral_space(HEXAGON_VERTICES)
@@ -451,31 +466,91 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
     stream = RationalStream(5)
     ops.append(operator([[stream.next_fraction() for _ in range(3)] for _ in range(2)], linf(3), hexagon))
     ops.append(operator([[stream.next_fraction() for _ in range(2)] for _ in range(3)], hexagon, sphere))
-    solved = []
-    solve = levels._solve_level
+    solved, dual_norms = [], []
+    solve, adjoint_dual_norm = levels._solve_level, levels._adjoint_dual_norm
 
     def counted(op, point):
+        assert len(point.q_verts) > 1, "a smooth image reached the level LP"
         solved.append(point.p_verts)
         return solve(op, point)
 
+    def counted_dual_norm(*args):
+        dual_norms.append(args)
+        return adjoint_dual_norm(*args)
+
     monkeypatch.setattr(levels, "_solve_level", counted)
-    points = classes = shared_support = 0
+    monkeypatch.setattr(levels, "_adjoint_dual_norm", counted_dual_norm)
+    points = classes = shared_support = smooth_points = smooth_images = 0
     for op in ops:
-        del solved[:]
+        del solved[:], dual_norms[:]
         report = enumerate_level_numbers(op, 6, 3)
+        smooth = set()
         for probe in report.per_face:
             pairs = set()
             for x in probe.points:
                 tx = op(x)
-                if not is_zero_vec(tx):
-                    pairs.add((norm(op.codomain, tx), support_set(op.codomain, tx).vertices))
+                if is_zero_vec(tx):
+                    continue
+                image_support = support_set(op.codomain, tx).vertices
+                if len(image_support) == 1:
+                    smooth.add(image_support)
+                    smooth_points += 1
+                else:
+                    pairs.add((norm(op.codomain, tx), image_support))
                     points += 1
             j_face = support_set(op.domain, probe.points[0]).vertices
             assert solved.count(j_face) == len(pairs), (op, probe.face_vertices)
             classes += len(pairs)
             shared_support += len(pairs) - len({j for _, j in pairs})
-    # Classes repeat within faces, and some share J(Tx) at another ||Tx||.
+        assert len(dual_norms) == len(smooth), op
+        smooth_images += len(smooth)
+    # Classes repeat within faces, and some share J(Tx) at another ||Tx||;
+    # smooth images repeat across the points of a call.
     assert points > classes and shared_support > 0
+    assert smooth_points > smooth_images > 0
+
+
+def test_the_smooth_table_is_per_functional_and_the_comparison_per_point():
+    # One smooth J(Tx) = {q} is met at points of several faces, at several
+    # ||Tx||: the call reads c_q = ||T^T q||_* once, and each point is level
+    # exactly when its own ||Tx|| is c_q.  Some points of each such q are
+    # level vectors and some are not, and every number must be the point's
+    # is_level_vector verdict.  Codomains: the sphere ball (D_Q > 1), the
+    # hexagon and l1; three of the operators are not square.
+    sphere = polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40))
+    assert spaces._polar_rows(sphere)[1] > 1
+    hexagon = polyhedral_space(HEXAGON_VERTICES)
+    stream = RationalStream(5)
+
+    def dense(rows, cols):
+        return [[stream.next_fraction() for _ in range(cols)] for _ in range(rows)]
+
+    ops = [
+        operator(dense(3, 2), hexagon, sphere),
+        operator(dense(3, 3), l1(3), sphere),
+        operator(dense(2, 3), linf(3), hexagon),
+        operator(dense(2, 3), sphere, l1(2)),
+        *seeded_operator_kinds(sphere, 5),
+    ]
+    for op in ops:
+        report = enumerate_level_numbers(op, 6, 5)
+        by_q = {}
+        for face, probe in enumerate(report.per_face):
+            for x, number in zip(probe.points, probe.level_numbers):
+                cert = is_level_vector(op, x)
+                assert number == (None if cert is None else cert.level_number)
+                tx = op(x)
+                if is_zero_vec(tx):
+                    continue
+                image_support = support_set(op.codomain, tx).vertices
+                if len(image_support) == 1:
+                    faces, norms, verdicts = by_q.setdefault(image_support, (set(), set(), set()))
+                    faces.add(face)
+                    norms.add(norm(op.codomain, tx))
+                    verdicts.add(cert is not None)
+        assert any(
+            len(faces) > 1 and len(norms) > 1 and verdicts == {True, False} for faces, norms, verdicts in by_q.values()
+        ), op
 
 
 @pytest.mark.parametrize(
@@ -490,10 +565,11 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
     ids=["l1^3", "linf^4", "hexagon", "cube+2cross", "sphere-ball"],
 )
 def test_the_integer_smooth_image_test_is_the_dual_norm_test(make_space):
-    # On a smooth image, x is a level vector iff ||T^T q||_* = scale, decided
-    # in integers on T^T q = image / den.  The verdict must be dual_norm's,
-    # and the largest value on the ball's vertices', at equality and 10^-24
-    # to either side of it, and at a random scale, with den up to 10^12.
+    # On a smooth image, x is a level vector iff ||T^T q||_* = scale, read
+    # in integers on T^T q = image / den as a pair in lowest terms.  It must
+    # be dual_norm's value, and the largest value on the ball's vertices', so
+    # the verdict is theirs at equality and 10^-24 to either side of it, and
+    # at a random scale, with den up to 10^12.
     space = make_space()
     rng = random.Random(space.dim + len(ball_vertices(space)))
     verdicts = []
@@ -502,9 +578,11 @@ def test_the_integer_smooth_image_test_is_the_dual_norm_test(make_space):
         den = rng.randint(1, 10**12)
         f = tuple(F(c, den) for c in image)
         exact = max(dot(f, p) for p in ball_vertices(space))
+        n, d = levels._adjoint_dual_norm(space, image, den)
+        assert F(n, d) == dual_norm(space, f) == exact and (n, d) == (exact.numerator, exact.denominator)
         tiny = F(1, 10**24)
         for scale in (exact, exact + tiny, exact - tiny, F(rng.randint(1, 10**12), rng.randint(1, 10**12))):
-            verdict = levels._smooth_image_is_level(space, image, den, scale)
+            verdict = (n, d) == (scale.numerator, scale.denominator)
             assert verdict == (dual_norm(space, f) == scale) == (exact == scale)
             verdicts.append(verdict)
     assert verdicts.count(True) == 40 and len(verdicts) == 160
@@ -574,16 +652,26 @@ def test_enumeration_reports_are_pinned():
 
 
 def test_enumeration_checks_each_certificate_it_solves(linf_3, monkeypatch):
-    # A certificate that fails T^T g = ||Tx|| f is caught when it is solved.
-    solve = levels._solve_level
+    # A smooth image's certificate (T^T q / c_q, q, c_q^2), built by the
+    # call's table and not by `_solve_level`, is checked against
+    # T^T g = ||Tx|| f when it is first built: a corrupted one raises.
+    certificate = levels._smooth_certificate
 
     def corrupted(*args):
-        found = solve(*args)
-        return None if found is None else (tuple(2 * c for c in found[0]), *found[1:])
+        f, *rest = certificate(*args)
+        return (tuple(2 * c for c in f), *rest)
 
-    monkeypatch.setattr(levels, "_solve_level", corrupted)
+    def refused(op, point):
+        assert len(point.q_verts) > 1, "a smooth image reached the level LP"
+        return solve(op, point)
+
+    solve = levels._solve_level
+    monkeypatch.setattr(levels, "_solve_level", refused)
+    op = diagonal_operator(linf_3, [3, 2, 1])
+    assert enumerate_level_numbers(op, 0, 0).values == (1, 4, 9)
+    monkeypatch.setattr(levels, "_smooth_certificate", corrupted)
     with pytest.raises(InternalCheckError):
-        enumerate_level_numbers(diagonal_operator(linf_3, [3, 2, 1]), 0, 0)
+        enumerate_level_numbers(op, 0, 0)
 
 
 def test_the_exact_path_builds_no_fraction_transpose(hexagon, monkeypatch):

@@ -264,6 +264,17 @@ def test_support_sets_take_int_and_float_entries():
         assert support_set(space, x).vertices == support_set(space, exact).vertices == tight_facets(space, exact)
 
 
+def test_support_membership_decides_float_functionals_in_rationals():
+    # f = (1.0, 1 - 2^-53) has f(x) = 2 - 2^-53 at x = (1, 1) on l1(2), not
+    # ||x|| = 2, though the float sum rounds to 2.0: it is not in J(x), as
+    # the same f in Fractions is not.
+    space, x = l1(2), (1, 1)
+    f = (1.0, 1.0 - 2.0**-53)
+    assert not functional_in_support(space, x, f)
+    assert not functional_in_support(space, x, tuple(F(c) for c in f))
+    assert functional_in_support(space, (1.0, 1.0), (1.0, 1.0))
+
+
 def test_l1_support_vertices_are_pinned_sign_patterns_with_shared_entries():
     for x in [v("1,0,0"), v("0,-2,0,3"), v("0,0,0,0,1/2"), v("-1,1")]:
         n = len(x)

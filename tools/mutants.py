@@ -142,15 +142,15 @@ MUTANTS = (
     _mutant(
         "check-without-d_t",
         "levels.py",
-        "left, right = sd * fs, sn * point.d_t * gs",
+        "left, right = sd * fs, sn * d_t * gs",
         "left, right = sd * fs, sn * gs",
         "tests/test_levels.py",
     ),
     _mutant(
         "check-swaps-sn-and-sd",
         "levels.py",
-        "    sn, sd = point.scale.numerator, point.scale.denominator\n    left, right",
-        "    sd, sn = point.scale.numerator, point.scale.denominator\n    left, right",
+        "    sn, sd = scale.numerator, scale.denominator\n    left, right",
+        "    sd, sn = scale.numerator, scale.denominator\n    left, right",
         "tests/test_levels.py",
     ),
     _mutant(
@@ -175,14 +175,45 @@ MUTANTS = (
         "return dot(y, b_eq) >= 0 and",
         "tests/test_simplex.py",
     ),
-    # Enumeration's integer memo key and the integer smooth-image test.
+    # Enumeration's integer memo key, its per-call table of smooth images
+    # (levels._face_level_number) and the integer smooth-image test.
     Mutant(
         "memo-key-without-norm",
         (
-            ("levels.py", "        return memo[key]\n", "        return memo[key and key[0]]\n"),
-            ("levels.py", "    memo[key] = number\n", "    memo[key and key[0]] = number\n"),
+            ("levels.py", "        return memo[key]\n", "        return memo[key[0]]\n"),
+            ("levels.py", "    number = memo[key] = None if", "    number = memo[key[0]] = None if"),
         ),
         ("tests/test_levels.py::test_enumeration_solves_one_problem_per_class_of_image_norm_and_support",),
+    ),
+    Mutant(
+        "smooth-table-outlives-the-call",
+        (
+            ("levels.py", "    smooth: dict = {}\n", "    smooth = _SMOOTH\n"),
+            ("levels.py", "Scalar = Union[Fraction, float]\n", "Scalar = Union[Fraction, float]\n_SMOOTH: dict = {}\n"),
+        ),
+        ("tests/test_levels.py",),
+    ),
+    Mutant(
+        "smooth-table-keyed-without-the-face",
+        (
+            ("levels.py", "        entry = smooth[face]\n", "        entry = smooth[n, d]\n"),
+            ("levels.py", "        entry = smooth[face] = _smooth_image(", "        entry = smooth[n, d] = _smooth_image("),
+        ),
+        ("tests/test_levels.py",),
+    ),
+    _mutant(
+        "smooth-table-skips-the-point-comparison",
+        "levels.py",
+        "        if (n, d) != entry.norm:\n            return None\n",
+        "",
+        "tests/test_levels.py::test_the_smooth_table_is_per_functional_and_the_comparison_per_point",
+    ),
+    _mutant(
+        "smooth-table-certificate-unchecked",
+        "levels.py",
+        "            _checked(d_t, m_rows, scale, _smooth_certificate(",
+        "            (d_t, m_rows, scale, _smooth_certificate(",
+        "tests/test_levels.py::test_enumeration_checks_each_certificate_it_solves",
     ),
     _mutant(
         "linf-key-without-sign-bit",
