@@ -32,9 +32,10 @@ from .levels import (
     preserves_bj_at,
     preserves_bj_directional,
 )
-from .linalg import kernel_basis
+from .linalg import kernel_basis, vec_scale
 from .oracle import minimize_norm_1d, preservation_sample_check
 from .orthogonality import _dual_exact, bj_orthogonal, bj_orthogonal_oracle, subspace_orthogonal
+from .simplex import convex_weights
 from .spaces import (
     Operator,
     SpaceSpec,
@@ -377,6 +378,23 @@ def _selftest() -> dict:
     ):
         lp_route = subspace_orthogonal(op.domain, x, kernel_basis(op.matrix)).orthogonal
         check(name, kernel_condition(op, x) == want == lp_route)
+
+    # Level tests on an edge image J(Tx) = [q0, q1], one per domain kind,
+    # each decided inside (0, 1) and against the level LP over the vertices
+    # of J(x) and J(Tx).
+    l1_2 = l1(2)
+    for name, op, x, want in (
+        ("edge image l1", operator([[1, 0], [0, -1]], l1_2, hexagon), (Fraction(1), Fraction(-1)), Fraction(1, 4)),
+        ("edge image linf", operator([[0, -1], [1, 0]], linf_2, l1_2), (Fraction(0), Fraction(1)), Fraction(1)),
+        ("edge image polyhedral", operator([[0, 1], [1, 0]], hexagon, l1_2), (Fraction(-1), Fraction(0)), Fraction(1)),
+    ):
+        tx = op(x)
+        scale = norm(op.codomain, tx) / norm(op.domain, x)
+        p_verts, q_verts = support_set(op.domain, x).vertices, support_set(op.codomain, tx).vertices
+        columns = [[vec_scale(-scale, f) for f in p_verts], [adjoint(op)(g) for g in q_verts]]
+        lp_route = convex_weights(columns, (Fraction(0),) * op.domain.dim) is not None
+        cert = is_level_vector(op, x)
+        check(name, len(q_verts) == 2 and lp_route and cert is not None and cert.level_number == want)
 
     sample = preservation_sample_check(t211, e1, 60, 11)
     check("sample check finds violation", len(sample.violations) > 0)

@@ -18,7 +18,7 @@ from .errors import InputError, InternalCheckError
 from .faces import extreme_points
 from .levels import LevelCertificate, is_level_vector, preserves_bj_at
 from .linalg import Vec, is_zero_vec, matrix_rank, vec, vec_neg
-from .oracle import sample_sphere
+from .oracle import MAX_PROBE_SAMPLES, require_sample_budget, sample_sphere
 from .orthogonality import bj_orthogonal
 from .spaces import (
     EXACT,
@@ -100,6 +100,7 @@ def probe_scalar_isometry_grid(
     """
     if space != op.domain:
         raise InputError("bad_operator", "probe space must be the operator domain")
+    require_sample_budget(n, MAX_PROBE_SAMPLES, f"{n:,} samples")
     mode = arithmetic_mode(space)
     if is_zero_operator(op):
         return IsometryReport(CERTIFIED, Fraction(0), None, (), mode)

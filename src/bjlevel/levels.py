@@ -12,7 +12,8 @@ of Birkhoff-James orthogonality at x is the same condition quantified over
 every f in J(x), i.e. the polytope containment (||Tx||/||x||) J(x) inside
 (adjoint T)(J(Tx)).  Both are decided by small exact LPs over the vertex
 coefficients of the two support polytopes; when J(Tx) is one functional the
-level test is a dual-norm evaluation instead (see `_solve_level`).
+level test is a dual-norm evaluation instead, and when it is an edge, one
+interval in a single variable (see `_solve_level`).
 
 The necessary kernel condition, ker T inside the orthogonality set of x, is
 decided in integers: the kernel is read as integer vectors from the integer
@@ -53,7 +54,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .oracle import RationalStream, sample_sphere
+from .oracle import RationalStream, require_sample_budget, sample_sphere
 from .orthogonality import subspace_orthogonal
 from .simplex import convex_weights, convex_weights_or_farkas
 from .spaces import (
@@ -63,6 +64,7 @@ from .spaces import (
     FLOAT_TOL,
     Operator,
     SpaceSpec,
+    _ball_rows,
     _facet_incidence,
     _integer_dual_norm,
     _shared,
@@ -74,6 +76,7 @@ from .spaces import (
     norm_squared,
     polyhedral_space,
     require_dim,
+    sgn,
 )
 from .support import (
     _integer_key,
@@ -86,6 +89,17 @@ from .support import (
 )
 
 Scalar = Union[Fraction, float]
+
+# Enumeration's desk-scale guard on faces x samples per face, the probe
+# points of a call.  Timed on a 2.0 GHz Xeon core on seeded dense operators
+# of l-inf^n, once the probe table is built, a point takes about 0.4-0.9
+# n^2 us (3.8 us in 2-D, 8.8 us in 4-D, 24 us in 8-D), and the report keeps
+# about 0.5 KB a point: so at most 20,000,000 / n^2 points, and 500,000 in
+# any dimension (about 270 MB).  The largest calls accepted on l-inf^2 to
+# l-inf^8 take 2 to 9 s.  A point whose J(Tx) has three or more vertices
+# and misses the memo poses an LP, whose cost this count does not bound.
+_MAX_ENUMERATION_POINTS = 500_000
+_MAX_ENUMERATION_COST = 20_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +228,13 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
 
 
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
-    """A level certificate for x, or None when x is not a level vector."""
+    """A level certificate for x, or None when x is not a level vector.
+
+    On the exact path T is evaluated at x once (`_evaluate`) and the level
+    problem is decided by `_solve_level`: by one dual norm when J(Tx) is one
+    functional, by one interval in t when it is an edge, and by the level LP
+    otherwise.  Every certificate is checked against T^T g = scale f
+    (`_checked`)."""
     x = _nonzero_point(op, x)
     if _mode_pair(op) == FLOAT:
         return _level_vector_float(op, x, op(x))[0]
@@ -249,14 +269,22 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     the level number is k = scale^2.  J(x) and J(Tx) are read as the vertex
     lists of ``point``, and T^T g from its adjoint images.
 
-    When J(Tx) is one functional q (Tx is a smooth point), no LP is needed.
-    Then g = q, and T^T g = scale f fixes f = T^T q / scale.  This f already
-    attains the norm at x: f(x) = q(Tx) / scale = ||Tx|| / scale = ||x||.
-    A functional with f(x) = ||x|| lies in J(x) exactly when ||f||_* = 1, so
-    x is a level vector iff ||T^T q||_* = scale (`_adjoint_dual_norm`, in
-    integers on the point's image M^T (D_Q q)), and (f, q, k) is then the
-    only certificate, the one the LP would return (`_smooth_certificate`);
-    f is built only then.
+    For any g in J(Tx), T^T g = scale f fixes f = T^T g / scale, and this f
+    already attains the norm at x: f(x) = g(Tx) / scale = ||Tx|| / scale =
+    ||x||.  A functional with f(x) = ||x|| lies in J(x) exactly when
+    ||f||_* = 1 (it is never less), so x is a level vector iff some g in
+    J(Tx) has ||T^T g||_* = scale, and J(x) is not needed to decide it:
+    - When J(Tx) is one functional q (Tx is a smooth point), g = q is
+      forced: x is a level vector iff ||T^T q||_* = scale
+      (`_adjoint_dual_norm`, in integers on the point's image M^T (D_Q q)),
+      and (f, q, k) is then the only certificate, the one the LP would
+      return (`_smooth_certificate`); f is built only then.
+    - When J(Tx) is an edge [q0, q1], g = (1 - t) q0 + t q1 for one t in
+      [0, 1], and the t with ||T^T g||_* <= scale form an interval, read in
+      integers from linear bounds (`_edge_certificate`); the certificate is
+      taken at its least t.
+    Only when J(Tx) has three or more vertices is an LP solved, over the
+    vertices of J(x) and J(Tx).
     """
     p_verts, q_verts, scale = point.p_verts, point.q_verts, point.scale
     if len(q_verts) == 1:
@@ -264,6 +292,8 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
         if _adjoint_dual_norm(op.domain, image, den) != (scale.numerator, scale.denominator):
             return None
         return _smooth_certificate(image, den, scale, q_verts[0])
+    if len(q_verts) == 2:
+        return _edge_certificate(op.domain, point)
     negated = [vec_scale(-scale, p) for p in p_verts]
     weights = convex_weights([negated, point.adj], (ZERO,) * op.domain.dim)
     if weights is None:
@@ -284,10 +314,84 @@ def _adjoint_dual_norm(domain: SpaceSpec, image: tuple[int, ...], den: int) -> t
 
 
 def _smooth_certificate(image: tuple[int, ...], den: int, scale: Fraction, q: Vec) -> tuple:
-    """The level certificate (f, q, scale^2) on a smooth image J(Tx) = {q}
+    """The level certificate (f, q, scale^2) for the functional q of a smooth
+    image J(Tx) = {q}, or a point q of an edge image (`_edge_certificate`),
     with T^T q = image / den and ||T^T q||_* = scale: f = T^T q / scale."""
     sn, sd = scale.numerator, scale.denominator
     return tuple(Fraction(c * sd, den * sn) for c in image), q, scale * scale
+
+
+def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
+    """The level certificate on an edge image J(Tx) = [q0, q1], q0 < q1, at
+    the least t in [0, 1] with ||T^T g_t||_* <= scale for g_t = (1 - t) q0
+    + t q1, or None when there is no such t.
+
+    With a_j = M^T (D_Q q_j) the point's integer images, T^T g_t = w_t / den
+    for w_t = (1 - t) a0 + t a1, and ||w||_* = max_r r.w / D over the integer
+    rows r of `_edge_rows`.  For scale = sn / sd each row bounds t by
+    (1 - t) P + t R <= 0, with P and R the integers sd r.a_j - sn den D:
+    nothing when P, R <= 0, no t when P, R > 0, t >= P / (P - R) when only P
+    is positive and t <= -P / (R - P) when only R is.  So the feasible t are
+    one interval [lo, hi] of integer fractions (num, den), den > 0.  Since
+    ||T^T g||_* >= scale on all of J(Tx), its t are those with equality.
+    At t = u / v, g_t = ((v - u) Q0 + u Q1) / (v D_Q) on the integer rows
+    Q_j = D_Q q_j, and f = T^T g_t / scale is checked to have ||f||_* = 1.
+    """
+    (q0, q1), (a0, a1) = point.q_rows, point.images
+    d, v0, v1 = _edge_rows(domain, a0, a1)
+    sn, sd = point.scale.numerator, point.scale.denominator
+    bound = sn * point.den * d
+    lo, hi = (0, 1), (1, 1)
+    for r0, r1 in zip(v0, v1):
+        p, r = sd * r0 - bound, sd * r1 - bound
+        if p > 0:
+            if r > 0:
+                return None
+            if p * lo[1] > lo[0] * (p - r):
+                lo = (p, p - r)
+        elif r > 0 and -p * hi[1] < hi[0] * (r - p):
+            hi = (-p, r - p)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    u, v = lo
+    w = tuple((v - u) * c0 + u * c1 for c0, c1 in zip(a0, a1))
+    if _adjoint_dual_norm(domain, w, v * point.den) != (sn, sd):
+        raise InternalCheckError("edge level certificate does not have dual norm 1")
+    d_q = point.den // point.d_t
+    g = tuple(Fraction((v - u) * c0 + u * c1, v * d_q) for c0, c1 in zip(q0, q1))
+    return _smooth_certificate(w, v * point.den, point.scale, g)
+
+
+def _edge_rows(domain: SpaceSpec, a0: tuple[int, ...], a1: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+    """(D, v0, v1) with v_j[i] = r_i . a_j for integer rows r_i such that
+    ||w||_* = max_i r_i . w / D at every w on the segment [a0, a1].
+
+    On a polyhedral ball the rows are the integer rows D v of its vertices
+    (`spaces._ball_rows`), and on l1 (D = 1) the rows +e_k and -e_k.  On
+    l-inf ||w||_* = sum |w_k| (D = 1), and the rows are the sign vectors of
+    w_t on the pieces of [0, 1] between the points t_k = a0_k / (a0_k - a1_k)
+    where a coordinate changes sign: coordinate k has the sign of a0_k
+    before t_k and that of a1_k after it, and a coordinate that keeps one
+    sign on [0, 1] has the sign of whichever of a0_k, a1_k is not 0.  Every
+    w_t then has its own sign vector among the rows, and no sign vector
+    exceeds sum |w_k|.
+    """
+    if domain.kind == "polyhedral":
+        d, rows = _ball_rows(domain)
+        return d, int_mat_vec(rows, a0), int_mat_vec(rows, a1)
+    if domain.p == 1:
+        return 1, (*a0, *(-c for c in a0)), (*a1, *(-c for c in a1))
+    base = [sgn(c0) or sgn(c1) for c0, c1 in zip(a0, a1)]
+    # (k, n, m) with t_k = n / m and m > 0, for each coordinate that changes sign.
+    crossings = [(k, abs(c0), abs(c0 - c1)) for k, (c0, c1) in enumerate(zip(a0, a1)) if c0 * c1 < 0]
+    rows = [base]
+    for _, n, m in crossings:
+        row = list(base)
+        for k, nk, mk in crossings:
+            if nk * m <= n * mk:  # t_k <= n / m: coordinate k has changed sign
+                row[k] = -base[k]
+        rows.append(row)
+    return 1, int_mat_vec(rows, a0), int_mat_vec(rows, a1)
 
 
 def _float_pullback(op: Operator, g) -> list[float]:
@@ -570,6 +674,13 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         raise InputError("bad_count", "samples_per_face must be >= 0")
     table = _probe_table(op.domain)
     _mode_pair(op)  # a float codomain is rejected as by is_level_vector
+    dim = op.domain.dim
+    require_sample_budget(
+        len(table) * samples_per_face,
+        min(_MAX_ENUMERATION_POINTS, _MAX_ENUMERATION_COST // dim**2),
+        f"{len(table):,} faces x {samples_per_face:,} samples = "
+        f"{len(table) * samples_per_face:,} probe points in {dim}-D",
+    )
     stream = RationalStream(seed)
     d_t, m_rows = integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,

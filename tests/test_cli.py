@@ -203,6 +203,26 @@ def test_oracle_preserve_report(files, capsys):
     assert len(report["result"]["violations"]) > 0
 
 
+@pytest.mark.parametrize(
+    "command, samples, error",
+    [
+        (["oracle", "preserve", "--x", "1,0,0"], "-5", "bad_count"),
+        (["oracle", "preserve", "--x", "1,0,0"], "2501", "too_many_samples"),
+        (["level", "enumerate"], "-1", "bad_count"),
+        (["level", "enumerate"], "1000000000", "too_many_samples"),
+        (["isometry", "probe"], "0", "bad_count"),
+        (["isometry", "probe"], "100000000", "too_many_samples"),
+    ],
+)
+def test_sample_counts_are_guarded(files, capsys, command, samples, error):
+    # A count below the least or above the desk-scale cap exits 2 with one
+    # JSON line, before anything is sampled.
+    argv = [*command[:2], "--space", files["l1_3"], "--op", files["diag123"], *command[2:], "--samples", samples]
+    code, out = run(capsys, argv)
+    assert code == 2 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == error
+
+
 def test_input_error_exit_code(files, capsys):
     code, out = run(capsys, ["bj", "--space", "missing.json", "--x", "1,0", "--y", "0,1"])
     assert code == 2

@@ -279,3 +279,21 @@ def test_certification_matches_per_point_reference(linf_3, l1_3, hexagon):
             verdicts.append((space, report.verdict))
     for space in (linf_3, l1_3, hexagon):
         assert (space, "certified") in verdicts and (space, "refuted") in verdicts
+
+
+def test_probe_sample_count_is_capped_before_sampling(l1_3, monkeypatch):
+    # 5,000 samples pass the guard and 5,001 do not, before the sample list
+    # is drawn.
+    from bjlevel import oracle
+
+    def refused(seed):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(oracle, "RationalStream", refused)
+    op = diagonal_operator(l1_3, [1, 2, 3])
+    with pytest.raises(AssertionError, match="sampling started"):
+        probe_scalar_isometry_grid(op, l1_3, 5_000, 1)
+    for samples in (5_001, 10**8):
+        with pytest.raises(InputError) as err:
+            probe_scalar_isometry_grid(op, l1_3, samples, 1)
+        assert err.value.code == "too_many_samples" and "guard of 5,000" in str(err.value)

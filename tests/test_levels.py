@@ -456,7 +456,8 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
     # not a singleton over the face's probe points, computed here in
     # Fractions: the key neither merges nor splits these classes.  A smooth
     # image J(Tx) = {q} never reaches `_solve_level`; the call reads
-    # ||T^T q||_* once for each distinct such q.  The sphere ball's facets
+    # ||T^T q||_* once for each distinct such q (the edge path's check of
+    # its own certificate is not such a read).  The sphere ball's facets
     # have large denominators (D > 1); two of the operators are not square.
     sphere = polyhedral_space(sphere_ball(random.Random(8), 3, 5, scale=40))
     assert spaces._polar_rows(sphere)[1] > 1
@@ -466,8 +467,8 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
     stream = RationalStream(5)
     ops.append(operator([[stream.next_fraction() for _ in range(3)] for _ in range(2)], linf(3), hexagon))
     ops.append(operator([[stream.next_fraction() for _ in range(2)] for _ in range(3)], hexagon, sphere))
-    solved, dual_norms = [], []
-    solve, adjoint_dual_norm = levels._solve_level, levels._adjoint_dual_norm
+    solved, dual_norms, in_edge = [], [], []
+    solve, adjoint_dual_norm, edge = levels._solve_level, levels._adjoint_dual_norm, levels._edge_certificate
 
     def counted(op, point):
         assert len(point.q_verts) > 1, "a smooth image reached the level LP"
@@ -475,11 +476,20 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
         return solve(op, point)
 
     def counted_dual_norm(*args):
-        dual_norms.append(args)
+        if not in_edge:
+            dual_norms.append(args)
         return adjoint_dual_norm(*args)
+
+    def marked_edge(*args):
+        in_edge.append(True)
+        try:
+            return edge(*args)
+        finally:
+            in_edge.pop()
 
     monkeypatch.setattr(levels, "_solve_level", counted)
     monkeypatch.setattr(levels, "_adjoint_dual_norm", counted_dual_norm)
+    monkeypatch.setattr(levels, "_edge_certificate", marked_edge)
     points = classes = shared_support = smooth_points = smooth_images = 0
     for op in ops:
         del solved[:], dual_norms[:]
@@ -730,3 +740,178 @@ def test_a_certificate_failing_its_equation_is_refused(samples, hexagon, monkeyp
         enumerate_level_numbers(op, samples, 1)
     with pytest.raises(InternalCheckError):
         is_level_vector(op, v("1,1"))
+
+
+def _level_lp(op, point):
+    """The level LP over the vertices of J(x) and J(Tx): (f, g, k) or None."""
+    negated = [vec_scale(-point.scale, p) for p in point.p_verts]
+    weights = simplex.convex_weights([negated, point.adj], (F(0),) * op.domain.dim)
+    if weights is None:
+        return None
+    lam, mu = weights
+    return linalg.combination(lam, point.p_verts), linalg.combination(mu, point.q_verts), point.scale**2
+
+
+def _edge_t_by_lp(op, point, sign):
+    """The least (sign 1) or greatest (sign -1) t with (1 - t) q0 + t q1 in
+    a level certificate, by the level LP with the objective min sign t, or
+    None when it is infeasible."""
+    negated = [vec_scale(-point.scale, p) for p in point.p_verts]
+    columns = negated + list(point.adj)
+    rows = [[c[k] for c in columns] for k in range(op.domain.dim)]
+    rows.append([F(1)] * len(negated) + [F(0), F(0)])
+    rows.append([F(0)] * len(negated) + [F(1), F(1)])
+    cost = [F(0)] * (len(negated) + 1) + [F(sign)]
+    result = simplex.solve_standard_lp(rows, [F(0)] * op.domain.dim + [F(1), F(1)], cost)
+    return None if result.x is None else result.x[-1]
+
+
+def _edge_battery(seed, tries):
+    """Operators and points with an edge image J(Tx), between l1, l-inf and
+    polyhedral spaces of dimensions 2 and 3, square and not."""
+    rng = random.Random(seed)
+    hexagon, cube_cross = polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))
+    spaces_ = (l1(2), l1(3), linf(2), linf(3), hexagon, cube_cross)
+    for _ in range(tries):
+        domain, codomain = rng.choice(spaces_), rng.choice(spaces_)
+        matrix = [
+            [F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(domain.dim)] for _ in range(codomain.dim)
+        ]
+        op = operator(matrix, domain, codomain)
+        x = tuple(F(rng.randint(-2, 2)) for _ in range(domain.dim))
+        if not any(x):
+            continue
+        point = levels._evaluate(op, x)
+        if point is not None and len(point.q_verts) == 2:
+            yield op, x, point
+
+
+def _kind(space):
+    return space.kind if space.kind == "polyhedral" else {1: "l1", "inf": "linf"}[space.p]
+
+
+def test_the_edge_image_test_agrees_with_the_level_lp():
+    # On J(Tx) = [q0, q1] the level test is one interval in t, with no LP:
+    # its verdict is the LP's, its certificate verifies (T^T g = scale f,
+    # ||f||_* = 1, g on the edge), and it sits at the least feasible t, which
+    # the LP with the objective min t finds independently.  Every domain kind
+    # meets t = 0, t inside (0, 1) and no feasible t; some operators are not
+    # square, and some intervals have more than one point.
+    seen, same_as_lp, wide = set(), 0, 0
+    for op, x, point in _edge_battery(24, 6000):
+        found = levels._checked(point.d_t, point.m_rows, point.scale, levels._solve_level(op, point))
+        lp = _level_lp(op, point)
+        assert (found is None) == (lp is None), (op, x)
+        least = _edge_t_by_lp(op, point, 1)
+        q0, q1 = point.q_verts
+        if found is None:
+            assert least is None
+            outcome = "none"
+        else:
+            f, g, k = found
+            assert dual_norm(op.domain, f) == 1 and k == point.scale**2
+            assert g == tuple((1 - least) * a + least * b for a, b in zip(q0, q1)), (op, x)
+            outcome = "t=0" if least == 0 else "t=1" if least == 1 else "inside"
+            same_as_lp += found == lp
+            wide += _edge_t_by_lp(op, point, -1) > least
+        seen.add((_kind(op.domain), outcome))
+        if op.domain.dim != op.codomain.dim:
+            seen.add((_kind(op.domain), "non-square"))
+    # How many certificates equal the LP's is reported, not pinned: the LP
+    # may return the other end of the interval.
+    kinds = ("l1", "linf", "polyhedral")
+    assert {(k, o) for k in kinds for o in ("t=0", "inside", "none", "non-square")} <= seen, (seen, same_as_lp)
+    assert wide > 0, (seen, same_as_lp)
+
+
+# One edge image per domain kind, each decided at a t inside (0, 1): the
+# operator, its domain and codomain, x, the level number and g.
+EDGE_CASES = (
+    ([[1, 0], [0, -1]], "l1", "hexagon", "1,-1", F(1, 4), "1/2,1/2"),
+    ([[0, -1], [1, 0]], "linf", "l1", "0,1", 1, "-1,0"),
+    ([[0, 1], [1, 0]], "hexagon", "l1", "-1,0", 1, "0,-1"),
+)
+
+
+def _edge_case(hexagon, matrix, domain, codomain):
+    spaces_ = {"l1": l1(2), "linf": linf(2), "hexagon": hexagon}
+    return operator(matrix, spaces_[domain], spaces_[codomain])
+
+
+@pytest.mark.parametrize("matrix, domain, codomain, x, k, g", EDGE_CASES)
+def test_edge_image_certificates_are_pinned(matrix, domain, codomain, x, k, g, hexagon):
+    op = _edge_case(hexagon, matrix, domain, codomain)
+    assert len(support_set(op.codomain, op(v(x))).vertices) == 2
+    cert = is_level_vector(op, v(x))
+    assert (cert.level_number, cert.g) == (k, v(g))
+    certificate_is_sound(op, cert)
+
+
+def test_edge_images_are_decided_without_an_lp(hexagon, monkeypatch):
+    # is_level_vector and enumeration decide edge images with the simplex
+    # refused; every codomain is 2-D, so no J(Tx) has three vertices.  A
+    # J(Tx) with three vertices still reaches the LP.
+    ops = [_edge_case(hexagon, *case[:3]) for case in EDGE_CASES]
+    ops += [op for space in (l1(2), linf(2), hexagon) for op in seeded_operator_kinds(space, 4)]
+    stream = RationalStream(9)
+    ops.append(operator([[stream.next_fraction() for _ in range(3)] for _ in range(2)], linf(3), hexagon))
+    ops.append(operator([[stream.next_fraction() for _ in range(3)] for _ in range(2)], l1(3), linf(2)))
+    reports = [enumerate_level_numbers(op, 4, 2) for op in ops]
+    edges = []
+    edge = levels._edge_certificate
+
+    def counted(domain, point):
+        edges.append(point)
+        return edge(domain, point)
+
+    def refused(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(simplex, "solve_standard_lp", refused)
+    monkeypatch.setattr(levels, "_edge_certificate", counted)
+    verdicts = set()
+    for op, report in zip(ops, reports):
+        assert enumerate_level_numbers(op, 4, 2) == report
+        for probe in report.per_face:
+            for x, k in zip(probe.points, probe.level_numbers):
+                cert = is_level_vector(op, x)
+                assert (None if cert is None else cert.level_number) == k
+                verdicts.add(cert is not None)
+    assert verdicts == {True, False} and len(edges) > 20
+    with pytest.raises(AssertionError, match="the simplex ran"):
+        is_level_vector(identity_operator(linf(3)), v("1,1,1"))
+
+
+def test_an_edge_certificate_without_dual_norm_one_is_refused(hexagon, monkeypatch):
+    # With its bounds dropped the interval is all of [0, 1], and the
+    # certificate at t = 0 still satisfies T^T g = scale f, but its f has
+    # ||f||_* > 1, outside J(x): the dual-norm check refuses it.
+    matrix, domain, codomain, x, _, _ = EDGE_CASES[0]
+    op = _edge_case(hexagon, matrix, domain, codomain)
+    assert is_level_vector(op, v(x)) is not None
+    monkeypatch.setattr(levels, "_edge_rows", lambda domain, a0, a1: (1, (), ()))
+    with pytest.raises(InternalCheckError, match="dual norm"):
+        is_level_vector(op, v(x))
+
+
+def _refused_stream(seed):
+    raise AssertionError("sampling started")
+
+
+def test_enumeration_caps_faces_times_samples_before_sampling(monkeypatch):
+    # linf^4 has 40 antipodal face pairs; the cap is 500,000 probe points
+    # there, so 12,500 samples a face pass the guard and 12,501 do not.
+    op = diagonal_operator(linf(4), [1, 2, 3, 4])
+    monkeypatch.setattr(levels, "RationalStream", _refused_stream)
+    with pytest.raises(AssertionError, match="sampling started"):
+        enumerate_level_numbers(op, 12_500, 1)
+    for samples in (12_501, 10**9):
+        with pytest.raises(InputError) as err:
+            enumerate_level_numbers(op, samples, 1)
+        assert err.value.code == "too_many_samples" and "guard of 500,000" in str(err.value)
+    # In 7-D the cap is 20,000,000 / 7^2 = 408,163 points over 1,093 faces.
+    op = identity_operator(linf(7))
+    with pytest.raises(AssertionError, match="sampling started"):
+        enumerate_level_numbers(op, 373, 1)
+    with pytest.raises(InputError, match="guard of 408,163"):
+        enumerate_level_numbers(op, 374, 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bjlevel import (
+    InputError,
     RationalStream,
     diagonal_operator,
     identity_operator,
@@ -118,3 +119,29 @@ def test_preservation_check_deterministic(l1_3):
     assert preservation_sample_check(op, v("1,0,0"), 40, 12) == preservation_sample_check(
         op, v("1,0,0"), 40, 12
     )
+
+
+def _refused_stream(seed):
+    raise AssertionError("sampling started")
+
+
+def test_preservation_sample_counts_are_guarded_before_sampling(l1_3, monkeypatch):
+    # A negative count is refused, as sample_sphere refuses one below 1, and
+    # the cap, 2,500 samples at a point with one supporting functional, and
+    # 3,600,000 / (|J(x)| n) with more, is checked before the first draw.
+    from bjlevel import oracle
+
+    op = diagonal_operator(l1_3, [2, 1, 1])
+    assert preservation_sample_check(op, v("1,0,0"), 0, 1).checked == 0
+    monkeypatch.setattr(oracle, "RationalStream", _refused_stream)
+    with pytest.raises(InputError) as err:
+        preservation_sample_check(op, v("1,0,0"), -3, 1)
+    assert err.value.code == "bad_count"
+    smooth, e1 = v("1/2,1/4,1/4"), v("1,0,0")  # |J(x)| = 1 and 4
+    for x, limit in ((smooth, 2_500), (e1, 2_500), (v("1,0,0,0,0,0,0,0,0,0,0,0"), 146)):
+        op = identity_operator(l1(len(x)))
+        with pytest.raises(AssertionError, match="sampling started"):
+            preservation_sample_check(op, x, limit, 1)
+        with pytest.raises(InputError) as err:
+            preservation_sample_check(op, x, limit + 1, 1)
+        assert err.value.code == "too_many_samples" and f"guard of {limit:,}" in str(err.value)

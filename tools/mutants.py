@@ -215,6 +215,35 @@ MUTANTS = (
         "            (d_t, m_rows, scale, _smooth_certificate(",
         "tests/test_levels.py::test_enumeration_checks_each_certificate_it_solves",
     ),
+    # The level test on an edge image J(Tx) = [q0, q1] (levels._edge_certificate).
+    _mutant(
+        "edge-bound-strict",
+        "levels.py",
+        "        if p > 0:\n            if r > 0:\n",
+        "        if p >= 0:\n            if r >= 0:\n",
+        "tests/test_levels.py::test_the_edge_image_test_agrees_with_the_level_lp",
+    ),
+    _mutant(
+        "edge-greatest-t",
+        "levels.py",
+        "    u, v = lo\n",
+        "    u, v = hi\n",
+        "tests/test_levels.py::test_the_edge_image_test_agrees_with_the_level_lp",
+    ),
+    _mutant(
+        "edge-dual-norm-check-dropped",
+        "levels.py",
+        "    if _adjoint_dual_norm(domain, w, v * point.den) != (sn, sd):\n",
+        "    if False:\n",
+        "tests/test_levels.py::test_an_edge_certificate_without_dual_norm_one_is_refused",
+    ),
+    _mutant(
+        "edge-q0-and-q1-swapped",
+        "levels.py",
+        "    (q0, q1), (a0, a1) = point.q_rows, point.images\n",
+        "    (q1, q0), (a1, a0) = point.q_rows, point.images\n",
+        "tests/test_levels.py::test_the_edge_image_test_agrees_with_the_level_lp",
+    ),
     _mutant(
         "linf-key-without-sign-bit",
         "support.py",
