@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .errors import InputError, InternalCheckError
 from .faces import extreme_points
 from .levels import LevelCertificate, is_level_vector, preserves_bj_at
-from .linalg import Vec, is_zero_vec, matrix_rank, vec, vec_neg
+from .linalg import Vec, is_zero_vec, matrix_rank, vec
 from .oracle import MAX_PROBE_SAMPLES, require_sample_budget, sample_sphere
 from .orthogonality import bj_orthogonal
 from .spaces import (
@@ -63,31 +63,31 @@ def certify_scalar_isometry_polyhedral(op: Operator) -> IsometryReport:
     """Exact certificate via preservation at every extreme point of the ball.
 
     One point of each antipodal pair {v, -v} is decided: J(-v) = -J(v) and
-    T(-v) = -Tv, so preservation at -v is the same condition as at v, and v
-    is skipped once -v has held.  ``checked_points`` still lists every
-    extreme point visited, skipped ones included, in the ball's order.
+    T(-v) = -Tv, so preservation at -v is the same condition as at v.  The
+    ball is centrally symmetric (`polyhedral_space` checks it) and negation
+    reverses lexicographic order, so in the sorted list of N extreme points
+    the antipode of the i-th is the (N-1-i)-th: the first N/2 are decided,
+    and the rest are their antipodes.  ``checked_points`` still lists every
+    extreme point visited, in the ball's order: up to the refuted one, or all
+    N.
     """
     if not is_exact(op.domain):
         raise InputError("not_polyhedral", "certification needs a polyhedral domain")
     if is_zero_operator(op):
         return IsometryReport(CERTIFIED, Fraction(0), None, (), EXACT)
-    checked = []
-    held = set()
-    for v in extreme_points(op.domain):
-        checked.append(v)
-        if vec_neg(v) in held:
-            continue
+    points = extreme_points(op.domain)
+    decided = points[: len(points) // 2]
+    for i, v in enumerate(decided):
         report = preserves_bj_at(op, v)
         if not report.holds:
             y, _ = report.counterexample
-            return IsometryReport(REFUTED, None, (v, y), tuple(checked), EXACT)
-        held.add(v)
-    scales = {norm(op.codomain, op(v)) / norm(op.domain, v) for v in checked}
+            return IsometryReport(REFUTED, None, (v, y), points[: i + 1], EXACT)
+    scales = {norm(op.codomain, op(v)) / norm(op.domain, v) for v in decided}
     if len(scales) != 1:
         raise InternalCheckError(
             "preservation held at every extreme point but ||Tv||/||v|| is not constant"
         )
-    return IsometryReport(CERTIFIED, scales.pop(), None, tuple(checked), EXACT)
+    return IsometryReport(CERTIFIED, scales.pop(), None, points, EXACT)
 
 
 def probe_scalar_isometry_grid(

@@ -79,8 +79,9 @@ from .spaces import (
     sgn,
 )
 from .support import (
+    _face_range,
+    _face_vertices,
     _integer_key,
-    _integer_norm_and_vertices,
     _integer_range,
     _key_norm_and_vertices,
     _single_functional,
@@ -181,7 +182,11 @@ class _Point:
 
     x = q / s with q integral, and T = M / D_T with M integral (``m_rows``).
     ||x|| with J(x), and ||Tx|| with J(Tx), each come from one scan: Tx is
-    Mq / (D_T s) (`_image_key`).  The vertices g of J(Tx) are kept as the integer
+    Mq / (D_T s) (`_image_key`).  J(x) is kept as the face that names it
+    (``p_face``, from `_integer_key`), and its vertices are listed
+    (`support._face_vertices`) only where they are all needed: the level LP
+    and the membership loop of `preserves_bj_at`, which stops at the first
+    vertex that fails.  The vertices g of J(Tx) are kept as the integer
     rows D_Q g (``q_rows``, D_Q the lcm of their denominators) and their
     adjoint images M^T (D_Q g) (``images``), so g(Ty) = (D_Q g).(My) / den
     and T^T g = image / den, with den = D_T D_Q.  This is the exact path's
@@ -193,7 +198,7 @@ class _Point:
     d_t: int
     m_rows: tuple
     norm_x: Fraction
-    p_verts: tuple[Vec, ...]
+    p_face: tuple[int, ...]
     norm_tx: Fraction
     q_verts: tuple[Vec, ...]
     scale: Fraction = field(init=False)  # ||Tx|| / ||x||
@@ -222,9 +227,8 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     key = _image_key(op.codomain, m_rows, q, d_t * s)
     if key is None:
         return None
-    return _Point(
-        q, s, d_t, m_rows, *_integer_norm_and_vertices(op.domain, q, s), *_key_norm_and_vertices(op.codomain, key)
-    )
+    p_face, n, d = _integer_key(op.domain, q, s)
+    return _Point(q, s, d_t, m_rows, Fraction(n, d), p_face, *_key_norm_and_vertices(op.codomain, key))
 
 
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
@@ -266,8 +270,8 @@ def _checked(d_t: int, m_rows, scale: Fraction, found: Optional[tuple]) -> Optio
 
 def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     """(f, g, k) with f in J(x), g in J(Tx) and T^T g = scale f, or None;
-    the level number is k = scale^2.  J(x) and J(Tx) are read as the vertex
-    lists of ``point``, and T^T g from its adjoint images.
+    the level number is k = scale^2.  J(Tx) is read as the vertex list of
+    ``point``, and T^T g from its adjoint images.
 
     For any g in J(Tx), T^T g = scale f fixes f = T^T g / scale, and this f
     already attains the norm at x: f(x) = g(Tx) / scale = ||Tx|| / scale =
@@ -284,9 +288,9 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
       integers from linear bounds (`_edge_certificate`); the certificate is
       taken at its least t.
     Only when J(Tx) has three or more vertices is an LP solved, over the
-    vertices of J(x) and J(Tx).
+    vertices of J(x) and J(Tx), and only then is J(x) listed from its face.
     """
-    p_verts, q_verts, scale = point.p_verts, point.q_verts, point.scale
+    q_verts, scale = point.q_verts, point.scale
     if len(q_verts) == 1:
         image, den = point.images[0], point.den
         if _adjoint_dual_norm(op.domain, image, den) != (scale.numerator, scale.denominator):
@@ -294,6 +298,7 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
         return _smooth_certificate(image, den, scale, q_verts[0])
     if len(q_verts) == 2:
         return _edge_certificate(op.domain, point)
+    p_verts = tuple(_face_vertices(op.domain, point.p_face))
     negated = [vec_scale(-scale, p) for p in p_verts]
     weights = convex_weights([negated, point.adj], (ZERO,) * op.domain.dim)
     if weights is None:
@@ -489,13 +494,19 @@ def _membership(point: _Point, f: Vec) -> tuple[Optional[tuple], Optional[tuple[
 def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     """Decide local preservation of Birkhoff-James orthogonality at x.
 
-    Checks every vertex f of J(x) for membership of scale f, scale =
-    ||Tx||/||x||, in the adjoint image of J(Tx): one LP per vertex, none when
-    J(Tx) is one functional.  The first failure yields z with a.z < scale f(z)
-    for every adjoint image a = T^T g of a vertex g of J(Tx), and with it the
-    counterexample (`_counterexample`), re-verified by `_verified_margin`.
-    All of it reads one evaluation of T at x (`_evaluate`) and runs in
-    integers, but for the membership LPs when J(Tx) has several vertices.
+    Checks every vertex f of J(x), in sorted order, for membership of
+    scale f, scale = ||Tx||/||x||, in the adjoint image of J(Tx): one LP per
+    vertex, none when J(Tx) is one functional.  The first failure yields z
+    with a.z < scale f(z) for every adjoint image a = T^T g of a vertex g of
+    J(Tx), and with it the counterexample (`_counterexample`), re-verified by
+    `_verified_margin`.  The vertices of J(x) are made one at a time from its
+    face (`support._face_vertices`), and the loop stops at the first failure.
+    When J(Tx) = {g} the only member is scale f = T^T g, so J(x) is
+    preserved iff it is {T^T g / scale}: the first vertex or the second
+    fails, or J(x) has one vertex, and the other 2^(#zeros) - 2 vertices of
+    an l1 box are never made.  All of it reads one evaluation of T at x
+    (`_evaluate`) and runs in integers, but for the membership LPs when J(Tx)
+    has several vertices.
     """
     x = _nonzero_point(op, x)
     if _mode_pair(op) == FLOAT:
@@ -503,11 +514,11 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     point = _evaluate(op, x)
     if point is None:
         return PreservationReport(True, None, None, EXACT)
-    for f in point.p_verts:
+    for f in _face_vertices(op.domain, point.p_face):
         _, z = _membership(point, f)
         if z is not None:
             y = _counterexample(point, f, *z)
-            return PreservationReport(False, f, (y, _verified_margin(point, y)), EXACT)
+            return PreservationReport(False, f, (y, _verified_margin(op.domain, point, y)), EXACT)
     return PreservationReport(True, None, None, EXACT)
 
 
@@ -530,16 +541,18 @@ def _counterexample(point: _Point, f: Vec, z: tuple[int, ...], zs: int) -> Vec:
     return tuple(Fraction(c * point.den, least) for c in y)
 
 
-def _verified_margin(point: _Point, y: Vec) -> Fraction:
+def _verified_margin(domain: SpaceSpec, point: _Point, y: Vec) -> Fraction:
     """The least g(Ty) over the vertices g of J(Tx), once y is verified as a
-    counterexample: x is orthogonal to y (the values f(y) over the vertices
-    f of J(x) straddle 0) and Tx is not orthogonal to Ty (every g(Ty) > 0).
-    Integer dot products on the same vertex lists, with y = yq / ys:
-    D_P ys f(y) = (D_P f).yq, D_P the lcm of the denominators of J(x), and
-    den ys g(Ty) = (D_Q g).(M yq)."""
+    counterexample: x is orthogonal to y (the range of f(y) over J(x)
+    contains 0, James 1947) and Tx is not orthogonal to Ty (every
+    g(Ty) > 0).  In integers, with y = yq / ys: the range is read, up to one
+    positive factor, from the point's face of J(x) and yq
+    (`support._face_range`: closed form on l1, the face's signed units on
+    l-inf, its facet rows on a polyhedral ball), with no vertex list and no
+    second scan, and den ys g(Ty) = (D_Q g).(M yq) on J(Tx)'s integer rows."""
     yq, ys = integer_point(y)
-    on_x = int_mat_vec(integer_rows(point.p_verts)[1], yq)
-    if not min(on_x) <= 0 <= max(on_x):
+    lo, hi = _face_range(domain, point.p_face, yq)
+    if not lo <= 0 <= hi:
         raise InternalCheckError("counterexample is not orthogonal to x")
     least = min(int_mat_vec(point.q_rows, int_mat_vec(point.m_rows, yq)))
     if not least > 0:
@@ -690,7 +703,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
     number_rows: dict = {}
     probes = []
     values: set[Fraction] = set()
-    for face, first, p_verts, d_f, columns, fixed in table:
+    for face, first, p_face, d_f, columns, fixed in table:
         points = [first]
         sums = [(tuple(map(sum, columns)), d_f * len(face.vertices))]  # the first point's weights are all 1
         if face.dim > 0:
@@ -705,7 +718,7 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         # Faces have distinct J_F, so one memo per face is keyed on J_F too.
         memo: dict = {}
         numbers = tuple(
-            _face_level_number(op, d_t, m_rows, p_verts, q, den, memo, smooth, pool) for q, den in sums
+            _face_level_number(op, d_t, m_rows, p_face, q, den, memo, smooth, pool) for q, den in sums
         )
         # Level numbers are pooled, so equal rows are equal object for object.
         numbers = number_rows.setdefault(tuple(map(id, numbers)), numbers)
@@ -737,11 +750,12 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
 
     The first probe point of a 0-face is its vertex, and of a larger face its
     centroid, with equal entries sharing one Fraction.  Both lie in the
-    relative interior of F, where J(x) is the same polytope J_F, read here as
-    `support_set` there.  D_F is the lcm of the denominators of F's vertices,
-    ``columns[k]`` holds coordinate k of each integer vertex row D_F v, and
-    ``fixed[k]`` is the first vertex's own entry when every vertex of F has
-    that value at k, else None.
+    relative interior of F, where J(x) is the same polytope J_F, named here
+    by its face of the dual ball as `support._integer_key` reads it there
+    (listed only by a level LP).  D_F is the lcm of the denominators of F's
+    vertices, ``columns[k]`` holds coordinate k of each integer vertex row
+    D_F v, and ``fixed[k]`` is the first vertex's own entry when every vertex
+    of F has that value at k, else None.
     """
     pool = {ZERO: ZERO}
     table = []
@@ -749,7 +763,8 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
         point = face.vertices[0] if face.dim == 0 else _shared(face.centroid(), pool)
         d_f, rows = integer_rows(face.vertices)
         fixed = tuple(c if all(v[k] == c for v in face.vertices) else None for k, c in enumerate(face.vertices[0]))
-        table.append((face, point, support_set(space, point).vertices, d_f, tuple(zip(*rows)), fixed))
+        j_face = _integer_key(space, *integer_point(point))[0]
+        table.append((face, point, j_face, d_f, tuple(zip(*rows)), fixed))
     return tuple(table)
 
 
@@ -781,10 +796,11 @@ def _smooth_image(op: Operator, d_t: int, m_rows, face: tuple[int, ...]) -> Opti
 
 
 def _face_level_number(
-    op: Operator, d_t: int, m_rows, p_verts, q, s: int, memo: dict, smooth: dict, pool: dict
+    op: Operator, d_t: int, m_rows, p_face, q, s: int, memo: dict, smooth: dict, pool: dict
 ) -> Optional[Fraction]:
-    """The level number of the point x = q / s of a proper face, with
-    J(x) = conv(p_verts) and ||x|| = 1, or None when x is not a level vector.
+    """The level number of the point x = q / s of a proper face, with J(x)
+    named by ``p_face`` (`_integer_key`) and ||x|| = 1, or None when x is not
+    a level vector.
 
     ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s), read as
     its ints-only `_image_key` (face, n, d): J(Tx) named by the face and
@@ -818,7 +834,7 @@ def _face_level_number(
         return memo[key]
     except KeyError:
         pass
-    point = _Point(q, s, d_t, m_rows, ONE, p_verts, *_key_norm_and_vertices(op.codomain, key))
+    point = _Point(q, s, d_t, m_rows, ONE, p_face, *_key_norm_and_vertices(op.codomain, key))
     found = _checked(d_t, m_rows, point.scale, _solve_level(op, point))
     number = memo[key] = None if found is None else _pooled(found[2].numerator, found[2].denominator, pool)
     return number

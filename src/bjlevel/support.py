@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import DimensionMismatch, InputError
 from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, int_mat_vec, is_zero_vec, vec
@@ -71,20 +71,29 @@ def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
     if space.kind == "polyhedral":
         return _norm_and_face(space, x)[1]
     if space.p == 1:
-        # Dual cube: signs are pinned on the support of x, free elsewhere;
-        # every entry is one of the shared Fractions 1 and -1.
-        zeros = [i for i, c in enumerate(x) if c == 0]
-        if len(zeros) > MAX_CUBE_DIM:
-            raise InputError("dim_too_large", "2^(#zeros) support vertices exceed the guard")
-        base = _pinned_signs(x)
-        out = []
-        for signs in itertools.product((ONE, MINUS_ONE), repeat=len(zeros)):
-            f = list(base)
-            for pos, s in zip(zeros, signs):
-                f[pos] = s
-            out.append(tuple(f))
-        return tuple(sorted(out))
+        return tuple(_box_vertices(x))
     return tuple(sorted(f for _, f in _linf_face(space, x)))
+
+
+def _box_vertices(x) -> Iterator[Vec]:
+    """The vertices of J(x) on l1, in sorted order, made one at a time: the
+    dual cube's sign vectors with the signs pinned on the support of x and
+    free elsewhere, every entry one of the shared Fractions 1 and -1.  They
+    differ only on the zeros of x, where `itertools.product` runs through
+    -1 < 1 in lexicographic order, so no sort is needed.  The guard on the
+    number of zeros is checked at the call, before any vertex is made."""
+    zeros = [i for i, c in enumerate(x) if c == 0]
+    if len(zeros) > MAX_CUBE_DIM:
+        raise InputError("dim_too_large", "2^(#zeros) support vertices exceed the guard")
+    base = _pinned_signs(x)
+
+    def filled(signs):
+        f = list(base)
+        for pos, s in zip(zeros, signs):
+            f[pos] = s
+        return tuple(f)
+
+    return map(filled, itertools.product((MINUS_ONE, ONE), repeat=len(zeros)))
 
 
 def _pinned_signs(x: Vec) -> list[Fraction]:
@@ -130,15 +139,22 @@ def _integer_key(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[tuple[in
 def _key_norm_and_vertices(space: SpaceSpec, key: tuple[tuple[int, ...], int, int]) -> tuple[Fraction, tuple[Vec, ...]]:
     """||x|| and the sorted vertex list of J(x) from the key of `_integer_key`."""
     face, n, d = key
+    return Fraction(n, d), tuple(_face_vertices(space, face))
+
+
+def _face_vertices(space: SpaceSpec, face: tuple[int, ...]) -> Iterator[Vec]:
+    """The vertices of J(x), in sorted order, from its face as `_integer_key`
+    names it: the polar facets it indexes on a polyhedral ball (in polar
+    order, which is sorted), the signed units on l-inf, and on l1 the box
+    pinned to the sign pattern, made one at a time (`_box_vertices`), so a
+    caller that stops early never lists the other 2^(#zeros) - 1."""
     if space.kind == "polyhedral":
         facets = _polar_rows(space)[0]
-        vertices = tuple(facets[i] for i in face)
-    elif space.p == 1:
-        vertices = _exact_vertices(space, face)
-    else:
-        cross = _cross_polytope_vertices(space.dim)
-        vertices = tuple(sorted(cross[i] for i in face))
-    return Fraction(n, d), vertices
+        return (facets[i] for i in face)
+    if space.p == 1:
+        return _box_vertices(face)
+    cross = _cross_polytope_vertices(space.dim)
+    return iter(sorted(cross[i] for i in face))
 
 
 def _single_functional(space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]:
@@ -154,12 +170,6 @@ def _single_functional(space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]
     if space.kind == "polyhedral":
         return _polar_rows(space)[0][face[0]]
     return _cross_polytope_vertices(space.dim)[face[0]]
-
-
-def _integer_norm_and_vertices(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[Fraction, tuple[Vec, ...]]:
-    """||x|| and the vertex list of J(x) for x = q / s on an exact space, with
-    q a nonzero integer vector and s > 0 an integer (`_integer_key`)."""
-    return _key_norm_and_vertices(space, _integer_key(space, q, s))
 
 
 @float_path
@@ -262,16 +272,23 @@ def _l1_box(x, y) -> tuple:
 def _integer_range(space: SpaceSpec, q: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int]:
     """(lo, hi), a positive multiple of the min and max of f(b) over J(x) on an
     exact space, for x = q / s and b = v / c (s, c > 0), q a nonzero integer
-    vector and v an integer one; all in ints.
+    vector and v an integer one; all in ints.  J(x) = J(q), since J does not
+    change under positive scaling, and f(b) = f(v) / c: the range is that of
+    `_face_range` on the face of q (`_integer_key`)."""
+    return _face_range(space, _integer_key(space, q, 1)[0], v)
 
-    J(x) = J(q), since J does not change under positive scaling, and
-    f(b) = f(v) / c.  J(q) is read as the face of `_integer_key`: on l1 the
-    sign pattern of q, and the range is that of `_l1_box`; on l-inf the
-    indices 2i + (q_i < 0) of the signed units sgn(q_i) e_i, each giving
-    sgn(q_i) v_i; on a polyhedral ball the indices of the polar facets f
-    that attain the norm, each giving (D f).v, D times f(v) (`_polar_rows`).
+
+def _face_range(space: SpaceSpec, face: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int]:
+    """(lo, hi), a positive multiple of the min and max of f(v) over J(x) on an
+    exact space, for J(x) named by its face as `_integer_key` names it and an
+    integer vector v; all in ints, with no vertex list and no scan.
+
+    On l1 the face is the sign pattern of x, and the range is that of
+    `_l1_box`; on l-inf it holds the indices 2i + (x_i < 0) of the signed
+    units sgn(x_i) e_i, each giving sgn(x_i) v_i; on a polyhedral ball the
+    indices of the polar facets f that attain the norm, each giving (D f).v,
+    D times f(v) (`_polar_rows`).
     """
-    face = _integer_key(space, q, 1)[0]
     if space.kind == "polyhedral":
         rows = _polar_rows(space)[2]
         values = int_mat_vec([rows[i] for i in face], v)

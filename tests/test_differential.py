@@ -390,28 +390,33 @@ def test_integer_reverification_agrees_with_the_oracle():
 
 def test_the_counterexample_check_refuses_a_flipped_or_boundary_y():
     # `_verified_margin` accepts a refutation's y and refuses -y (every g(Ty)
-    # < 0), x itself (not orthogonal to x), and a y with f(y) = 0 = g(Ty),
+    # < 0), x itself (not orthogonal to x: the range of f(x) over J(x) read
+    # on the point's face is all positive), and a y with f(y) = 0 = g(Ty),
     # orthogonal on both sides, which a non-strict comparison would accept.
-    checked = 0
-    for name in ("l1^3", "linf^3", "cube-cross"):
-        space = REVERIFY_CASES[name][0]()
+    # At the vertices of l1^4 and l1^5, J(x) is a box of 2^(n-1) vertices.
+    checked, boxes = 0, 0
+    cases = [(name, REVERIFY_CASES[name][0](), 6) for name in ("l1^3", "linf^3", "cube-cross")]
+    cases += [(f"l1^{n} vertices", l1(n), 0) for n in (4, 5)]
+    for name, space, midpoints in cases:
         rng = random.Random(name)
         for op in reverify_operators(space, space, 5):
-            for x in vertices_and_edge_midpoints(space, rng, 6):
+            points = vertices_and_edge_midpoints(space, rng, midpoints) if midpoints else ball_vertices(space)
+            for x in points:
                 report = preserves_bj_at(op, x)
                 point = levels._evaluate(op, x)
                 if report.holds or len(point.q_verts) != 1:
                     continue
                 y, _ = report.counterexample
-                assert levels._verified_margin(point, y) == 1
+                assert levels._verified_margin(op.domain, point, y) == 1
                 f, a = report.failing_functional, mat_vec(transpose(op.matrix), point.q_verts[0])
-                boundary = (f[1] * a[2] - f[2] * a[1], f[2] * a[0] - f[0] * a[2], f[0] * a[1] - f[1] * a[0])
-                assert any(boundary) and dot(f, boundary) == 0 == dot(a, boundary)
-                for wrong in (tuple(-c for c in y), x, boundary):
-                    with pytest.raises(InternalCheckError):
-                        levels._verified_margin(point, wrong)
+                boundary = kernel_basis([f, a])[0]
+                assert dot(f, boundary) == 0 == dot(a, boundary)
+                for wrong, reason in ((tuple(-c for c in y), "remained"), (x, "not orthogonal to x"), (boundary, "remained")):
+                    with pytest.raises(InternalCheckError, match=reason):
+                        levels._verified_margin(op.domain, point, wrong)
                 checked += 1
-    assert checked >= 10
+                boxes += len(support_set(space, x).vertices) == 2 ** (space.dim - 1) > 4
+    assert checked >= 10 and boxes >= 4, (checked, boxes)
 
 
 def kernel_operators(space, rng):

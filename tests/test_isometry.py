@@ -19,6 +19,7 @@ from bjlevel import (
     linf,
     norm,
     operator,
+    polyhedral_space,
     preserves_bj_at,
     preserves_bj_directional,
     probe_scalar_isometry_grid,
@@ -27,7 +28,7 @@ from bjlevel import (
     zero_operator,
 )
 
-from ._util import seeded_operator_kinds, v
+from ._util import cube_cross_vertices, seeded_operator_kinds, v
 
 F = Fraction
 
@@ -267,18 +268,31 @@ def _reference_certification(op):
 def test_certification_matches_per_point_reference(linf_3, l1_3, hexagon):
     # One preservation check per antipodal pair must give the report of the
     # full per-point loop: verdict, scale, witness and every visited point.
-    verdicts = []
-    for space in (linf_3, l1_3, hexagon):
-        ops = [op for seed in range(1, 5) for op in seeded_operator_kinds(space, seed)]
-        if space == hexagon:
-            ops.append(operator([["1", "-1"], ["1", "0"]], space))  # permutes the six vertices: an isometry
-        for op in ops:
-            report = certify_scalar_isometry_polyhedral(op)
-            got = (report.verdict, report.scale, report.witness, report.checked_points)
-            assert got == _reference_certification(op)
-            verdicts.append((space, report.verdict))
-    for space in (linf_3, l1_3, hexagon):
-        assert (space, "certified") in verdicts and (space, "refuted") in verdicts
+    # The pair of the i-th sorted extreme point is the (N-1-i)-th, so only
+    # the first N/2 are decided; the l1^2 diagonal fails only at the last of
+    # them.  The 3 -> 4 operators are not square, one of them an isometric
+    # embedding of l1^3 into l-inf^4.
+    cube_cross = polyhedral_space(cube_cross_vertices(3))
+    balls = (linf_3, l1_3, hexagon, l1(4), linf(4), cube_cross)
+    for space in balls + (l1(2),):
+        points = extreme_points(space)
+        assert all(points[len(points) - 1 - i] == tuple(-c for c in p) for i, p in enumerate(points))
+    cases = [(space, op) for space in balls for seed in range(1, 5) for op in seeded_operator_kinds(space, seed)]
+    cases.append((hexagon, operator([["1", "-1"], ["1", "0"]], hexagon)))  # permutes the six vertices: an isometry
+    cases.append((l1(2), diagonal_operator(l1(2), [1, 2])))
+    embedding = [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]
+    cases += [(l1_3, operator(m, l1_3, linf(4))) for m in (embedding, [[1, 2, 0], [0, 1, -1], [3, 0, 1], [1, 1, 1]])]
+    verdicts, last_decided = [], 0
+    for space, op in cases:
+        report = certify_scalar_isometry_polyhedral(op)
+        got = (report.verdict, report.scale, report.witness, report.checked_points)
+        assert got == _reference_certification(op)
+        verdicts.append((space, report.verdict, op.codomain == space))
+        last_decided += report.verdict == "refuted" and 2 * len(report.checked_points) == len(extreme_points(space))
+    for space in balls:
+        assert (space, "certified", True) in verdicts and (space, "refuted", True) in verdicts
+    assert (l1_3, "certified", False) in verdicts and (l1_3, "refuted", False) in verdicts
+    assert last_decided > 0
 
 
 def test_probe_sample_count_is_capped_before_sampling(l1_3, monkeypatch):

@@ -36,7 +36,7 @@ from bjlevel import (
     support_set,
     zero_operator,
 )
-from bjlevel import levels, linalg, simplex, spaces, support
+from bjlevel import isometry, levels, linalg, simplex, spaces, support
 from bjlevel.linalg import dot, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
@@ -472,7 +472,7 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
 
     def counted(op, point):
         assert len(point.q_verts) > 1, "a smooth image reached the level LP"
-        solved.append(point.p_verts)
+        solved.append(_j_vertices(op.domain, point))
         return solve(op, point)
 
     def counted_dual_norm(*args):
@@ -637,7 +637,7 @@ def test_probe_points_have_the_face_support_set_and_unit_norm():
                 assert probe.face_vertices == face.vertices and probe.points[0] == first
                 for x in probe.points:
                     assert norm(space, x) == 1
-                    assert support_set(space, x).vertices == j_face
+                    assert support_set(space, x).vertices == tuple(support._face_vertices(space, j_face))
 
 
 def test_enumeration_reports_are_pinned():
@@ -742,21 +742,27 @@ def test_a_certificate_failing_its_equation_is_refused(samples, hexagon, monkeyp
         is_level_vector(op, v("1,1"))
 
 
+def _j_vertices(domain, point):
+    """The vertex list of J(x), from the face a `levels._Point` names it by."""
+    return tuple(support._face_vertices(domain, point.p_face))
+
+
 def _level_lp(op, point):
     """The level LP over the vertices of J(x) and J(Tx): (f, g, k) or None."""
-    negated = [vec_scale(-point.scale, p) for p in point.p_verts]
+    p_verts = _j_vertices(op.domain, point)
+    negated = [vec_scale(-point.scale, p) for p in p_verts]
     weights = simplex.convex_weights([negated, point.adj], (F(0),) * op.domain.dim)
     if weights is None:
         return None
     lam, mu = weights
-    return linalg.combination(lam, point.p_verts), linalg.combination(mu, point.q_verts), point.scale**2
+    return linalg.combination(lam, p_verts), linalg.combination(mu, point.q_verts), point.scale**2
 
 
 def _edge_t_by_lp(op, point, sign):
     """The least (sign 1) or greatest (sign -1) t with (1 - t) q0 + t q1 in
     a level certificate, by the level LP with the objective min sign t, or
     None when it is infeasible."""
-    negated = [vec_scale(-point.scale, p) for p in point.p_verts]
+    negated = [vec_scale(-point.scale, p) for p in _j_vertices(op.domain, point)]
     columns = negated + list(point.adj)
     rows = [[c[k] for c in columns] for k in range(op.domain.dim)]
     rows.append([F(1)] * len(negated) + [F(0), F(0)])
@@ -892,6 +898,118 @@ def test_an_edge_certificate_without_dual_norm_one_is_refused(hexagon, monkeypat
     monkeypatch.setattr(levels, "_edge_rows", lambda domain, a0, a1: (1, (), ()))
     with pytest.raises(InternalCheckError, match="dual norm"):
         is_level_vector(op, v(x))
+
+
+def _full_list_preservation(op, x):
+    """`preserves_bj_at` as it was with J(x) listed in full: every vertex of
+    `support_set` in sorted order (sorted here, not taken on trust), the
+    first failure's counterexample re-verified in Fractions on the two
+    vertex lists."""
+    point = levels._evaluate(op, x)
+    if point is None:
+        return levels.PreservationReport(True, None, None, "exact")
+    p_verts = sorted(support_set(op.domain, x).vertices)
+    for f in p_verts:
+        _, z = levels._membership(point, f)
+        if z is not None:
+            y = levels._counterexample(point, f, *z)
+            on_x = [dot(p, y) for p in p_verts]
+            assert min(on_x) <= 0 <= max(on_x)
+            margin = min(dot(g, op(y)) for g in point.q_verts)
+            assert margin > 0
+            return levels.PreservationReport(False, f, (y, margin), "exact")
+    return levels.PreservationReport(True, None, None, "exact")
+
+
+def _record_boxes(monkeypatch):
+    """Patch the l1 box builder to record, per box asked for, its sign
+    pattern and how many vertices were drawn, and to refuse a third."""
+    box, drawn = support._box_vertices, []
+
+    def recorded(x):
+        record = [tuple(x), 0]
+        drawn.append(record)
+        for f in box(x):
+            record[1] += 1
+            if record[1] > 2:
+                raise AssertionError("listed a J(x) box")
+            yield f
+
+    monkeypatch.setattr(support, "_box_vertices", recorded)
+    return drawn
+
+
+def test_smooth_and_edge_images_list_no_j_x(monkeypatch):
+    # A smooth-image refutation at a vertex of l1^6, where J(x) is a box of
+    # 32 vertices, draws at most two of them: the only member of the image is
+    # T^T g, so the first vertex or the second fails.  is_level_vector on a
+    # smooth or an edge image never asks for J(x).  The box builder refuses
+    # a third vertex; a J(Tx) with three vertices still lists J(x) for the
+    # level LP.
+    rng = random.Random(25)
+    space = l1(6)
+    op = operator([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(6)] for _ in range(6)], space)
+    vertices = ball_vertices(space)
+    want = [preserves_bj_at(op, x) for x in vertices]
+    assert want == [_full_list_preservation(op, x) for x in vertices]
+    assert not any(r.holds for r in want)
+    certified = isometry.certify_scalar_isometry_polyhedral(op)
+    cases, kinds = [], set()
+    for n in (4, 5):
+        for codomain in (linf(2), linf(3), polyhedral_space(HEXAGON_VERTICES)):
+            for _ in range(12):
+                lop = operator([[rng.randint(-2, 2) for _ in range(n)] for _ in range(codomain.dim)], l1(n), codomain)
+                for x in rng.sample(list(ball_vertices(l1(n))), 4) + [v("1,-1" + ",0" * (n - 2)), v("0,1,1" + ",0" * (n - 3))]:
+                    tx = lop(x)
+                    if is_zero_vec(tx) or len(support_set(codomain, tx).vertices) > 2:
+                        continue
+                    cert = is_level_vector(lop, x)
+                    cases.append((lop, x, cert))
+                    kinds.add((len(support_set(codomain, tx).vertices), cert is not None))
+    assert kinds == {(1, True), (1, False), (2, True), (2, False)}
+    drawn = _record_boxes(monkeypatch)
+    assert [preserves_bj_at(op, x) for x in vertices] == want
+    assert isometry.certify_scalar_isometry_polyhedral(op) == certified
+    assert drawn and all(count <= 2 for _, count in drawn)
+    assert any(count == 1 and face.count(0) == 5 for face, count in drawn)  # J(x), stopped at once
+    del drawn[:]
+    assert all(is_level_vector(lop, x) == cert for lop, x, cert in cases) and drawn == []
+    reaches = operator([[1, 0, 0]] * 3, l1(3), linf(3))  # T e1 = (1, 1, 1): J(Tx) has three vertices
+    with pytest.raises(AssertionError, match="listed a J"):
+        is_level_vector(reaches, v("1,0,0"))
+
+
+def test_preservation_reports_equal_the_full_list_loop():
+    # The lazy walk of J(x) gives the reports of the loop over its full
+    # vertex list: holds, failing functional, counterexample and margin, on
+    # vertices and on points with zeros and ties, smooth images and not.
+    seen = set()
+    rng = random.Random(7)
+    balls = [l1(n) for n in (3, 4, 5)] + [linf(n) for n in (3, 4, 5)]
+    balls += [polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))]
+    for space in balls:
+        points = rng.sample(list(ball_vertices(space)), 6)
+        points += [tuple(F(rng.randint(-1, 1)) for _ in range(space.dim)) for _ in range(6)]
+        for op in [op for seed in (1, 2) for op in seeded_operator_kinds(space, seed)]:
+            for x in points:
+                if not any(x):
+                    continue
+                report = preserves_bj_at(op, x)
+                assert report == _full_list_preservation(op, x), (op, x)
+                seen.add((space, report.holds))
+    assert seen == {(space, holds) for space in balls for holds in (True, False)}
+
+
+def test_a_smooth_image_refutation_can_fail_at_the_second_vertex(l1_2):
+    # J(Tx) = {(1, 1)} at x = (1, 0), scale 3: T^T (1, 1) / 3 = (1, -1) is the
+    # first vertex of J(x), which is preserved, and (1, 1) fails.
+    op = operator([[2, -1], [1, -2]], l1_2)
+    x = v("1,0")
+    assert support_set(l1_2, op(x)).vertices == (v("1,1"),)
+    assert support_set(l1_2, x).vertices == (v("1,-1"), v("1,1"))
+    report = preserves_bj_at(op, x)
+    assert (report.holds, report.failing_functional, report.counterexample) == (False, v("1,1"), (v("1/6,-1/6"), 1))
+    assert report == _full_list_preservation(op, x)
 
 
 def _refused_stream(seed):

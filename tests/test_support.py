@@ -27,7 +27,7 @@ from bjlevel import (
 )
 from bjlevel.linalg import dot, unit
 from bjlevel.spaces import _cross_polytope_vertices, _polar_rows
-from bjlevel.support import _integer_key, _integer_norm_and_vertices, _integer_range, functional_in_support
+from bjlevel.support import _integer_key, _integer_range, _key_norm_and_vertices, functional_in_support
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
@@ -318,7 +318,7 @@ def test_integer_norm_and_support_match_the_fraction_entry(make_space):
             continue
         s = rng.randint(1, 12)
         x = tuple(F(c, s) for c in q)
-        assert _integer_norm_and_vertices(space, q, s) == (norm(space, x), support_set(space, x).vertices)
+        assert _key_norm_and_vertices(space, _integer_key(space, q, s)) == (norm(space, x), support_set(space, x).vertices)
 
 
 @pytest.mark.parametrize(

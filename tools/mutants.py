@@ -244,6 +244,37 @@ MUTANTS = (
         "    (q1, q0), (a1, a0) = point.q_rows, point.images\n",
         "tests/test_levels.py::test_the_edge_image_test_agrees_with_the_level_lp",
     ),
+    # J(x) carried as its face on the single-point path (levels._Point,
+    # support._face_vertices, support._face_range) and certification by
+    # antipodal index pairs (isometry.certify_scalar_isometry_polyhedral).
+    _mutant(
+        "face-range-orthogonality-strict-lo",
+        "levels.py",
+        "    if not lo <= 0 <= hi:\n",
+        "    if not lo < 0 <= hi:\n",
+        "tests/test_differential.py::test_the_counterexample_check_refuses_a_flipped_or_boundary_y",
+    ),
+    _mutant(
+        "antipode-pairing-off-by-one",
+        "isometry.py",
+        "decided = points[: len(points) // 2]",
+        "decided = points[: (len(points) - 1) // 2]",
+        "tests/test_isometry.py::test_certification_matches_per_point_reference",
+    ),
+    _mutant(
+        "smooth-walk-fails-the-first-vertex",
+        "levels.py",
+        "return (None, (z, sd * d * point.den)) if any(z) else",
+        "return (None, (z, sd * d * point.den)) if True else",
+        "tests/test_levels.py::test_a_smooth_image_refutation_can_fail_at_the_second_vertex",
+    ),
+    _mutant(
+        "box-vertices-out-of-order",
+        "support.py",
+        "itertools.product((MINUS_ONE, ONE), repeat=len(zeros))",
+        "itertools.product((ONE, MINUS_ONE), repeat=len(zeros))",
+        "tests/test_levels.py::test_preservation_reports_equal_the_full_list_loop",
+    ),
     _mutant(
         "linf-key-without-sign-bit",
         "support.py",
