@@ -595,9 +595,9 @@ def kernel_condition(op: Operator, x: Vec) -> bool:
     """Necessary condition for level vectors: Tx = 0 or ker T inside x-orthogonal set.
 
     Decided in integers, from T = M / D_T with M integral (`integer_rows`) and
-    x = q / s with q integral.  The kernel is read from M as integer vectors
-    (`linalg.integer_kernel`), so an injective T passes without forming Tx,
-    and Tx = 0 iff Mq = 0.  On an exact domain a kernel span(b) is one
+    x = q / s with q integral.  The kernel is back-substituted in integers
+    from the echelon form of M (`linalg.integer_kernel`), so an injective T
+    passes without forming Tx, and Tx = 0 iff Mq = 0.  On an exact domain a kernel span(b) is one
     Birkhoff-James question, x orthogonal to b, which holds iff
     min f(b) <= 0 <= max f(b) over J(x) (James 1947).  Its integer kernel
     vector v is a positive multiple of b and J(x) = J(q), so the two ends are

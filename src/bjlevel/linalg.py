@@ -2,9 +2,10 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  Sizes
 stay at desk scale (dimension <= 12).  Ranks, kernels, affine ranks and the
-square solves of the facet scan share one fraction-free Gauss-Jordan
-elimination on integer rows (`_eliminate`); kernels are read from it as
-integer vectors (`integer_kernel`).
+square solves of the facet scan share one fraction-free forward elimination
+on integer rows (`_echelon`, Bareiss 1968), which stops at echelon form:
+ranks are read off it, and kernels (`integer_kernel`) and square solves are
+back-substituted from it in integers, each division exact and checked.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
+
+from .errors import InternalCheckError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -85,36 +88,36 @@ def int_mat_vec(rows: Sequence[Sequence[int]], q: Sequence[int]) -> tuple[int, .
 
 
 def integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
-    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators."""
-    s = math.lcm(*(c.denominator for c in p))
-    return tuple(c.numerator * (s // c.denominator) for c in p), s
+    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators,
+    each entry read once and exactly (`as_integer_ratio`), int and float too."""
+    ratios = [c.as_integer_ratio() for c in p]
+    s = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (s // d) for n, d in ratios), s
 
 
 def integer_rows(points: Sequence[Vec]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """D, the lcm of all the points' denominators, and each point's integer
-    row D p."""
-    d = math.lcm(*(c.denominator for p in points for c in p))
-    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in p) for p in points)
+    row D p, read as `integer_point` reads one point."""
+    ratios = [[c.as_integer_ratio() for c in p] for p in points]
+    d = math.lcm(*(den for row in ratios for _, den in row))
+    return d, tuple(tuple(n * (d // den) for n, den in row) for row in ratios)
 
 
-def _eliminate(rows: list[list[int]], ncols: int, stop_at_free: bool = False) -> Optional[tuple[list[int], int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
-    rows in place, over their first ``ncols`` columns; columns past those are
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free forward elimination (Bareiss 1968) of the integer rows
+    in place, over their first ``ncols`` columns; columns past those are
     carried along, as a right-hand side.
 
     Returns (pivot columns, d): row i of the result is the pivot row of
-    column pivots[i], and the rows past the rank are zero.  After each step
-    every entry is a minor of the (row-permuted) input, so each division by
-    the previous pivot is exact and no rational is ever built.  Every pivot
-    entry is then the last pivot d and the rest of a pivot column is zero, so
-    those columns are left unwritten, and off them the reduced row echelon
-    form is the result divided by d.  Left of the current pivot only the
-    columns with no pivot change, and only in the pivot rows above.  With
-    ``stop_at_free`` it returns None at the first column with no pivot.
+    column pivots[i], and d is the last pivot.  Each step writes only the
+    rows below the pivot, right of the pivot column, and every entry it
+    writes is a minor of the (row-permuted) input, so each division by the
+    previous pivot is exact and no rational is ever built.  The entries left
+    behind, left of each row's pivot and in the rows past the rank, are
+    stale: they are read as zero.
     """
     prev = 1
     pivots: list[int] = []
-    free: list[int] = []
     nrows = len(rows)
     r = 0
     for c in range(ncols):
@@ -123,29 +126,33 @@ def _eliminate(rows: list[list[int]], ncols: int, stop_at_free: bool = False) ->
         if not rows[r][c]:
             swap = next((i for i in range(r + 1, nrows) if rows[i][c]), None)
             if swap is None:
-                if stop_at_free:
-                    return None
-                free.append(c)
                 continue
             rows[r], rows[swap] = rows[swap], rows[r]
         pivot_row = rows[r]
         pivot = pivot_row[c]
         tail = pivot_row[c + 1 :]
-        for i in range(nrows):
-            if i != r:
-                row = rows[i]
-                a = row[c]
-                row[c + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(row[c + 1 :], tail)]
-        if free:
-            # The pivot row is zero in every free column left of c, and so is
-            # every row below it.
-            for row in rows[:r]:
-                for j in free:
-                    row[j] = pivot * row[j] // prev
+        for row in rows[r + 1 :]:
+            a = row[c]
+            row[c + 1 :] = [(pivot * x - a * y) // prev for x, y in zip(row[c + 1 :], tail)]
         pivots.append(c)
         prev = pivot
         r += 1
     return pivots, prev
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], fc: int, value: int) -> list[int]:
+    """The solution v of E v = 0, E the `_echelon` rows, with v[fc] = value
+    and 0 at every other column with no pivot, from the last pivot row up.
+    With ``value`` a multiple of the last pivot, v is integral by Cramer's
+    rule, so every division is exact: a remainder is an error."""
+    v = [0] * len(rows[0])
+    v[fc] = value
+    for row, pc in zip(reversed(rows[: len(pivots)]), reversed(pivots)):
+        entry, rem = divmod(-sum(map(mul, row[pc + 1 :], v[pc + 1 :])), row[pc])
+        if rem:
+            raise InternalCheckError("back-substitution division is not exact")
+        v[pc] = entry
+    return v
 
 
 def _integer_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -157,27 +164,25 @@ def _integer_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
-    return len(_eliminate(_integer_matrix(rows), len(rows[0]))[0])
+    return len(_echelon(_integer_matrix(rows), len(rows[0]))[0])
 
 
 def solve_square(m: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
     """Solve m x = b for a square integer matrix m and an integer vector b.
 
     Returns ``(num, den)`` with x = num / den and den > 0, or None when m is
-    singular.  `_eliminate` reduces [m | b] until every diagonal entry equals
-    the last pivot, which is +-det(m), and the right-hand column holds that
-    pivot times x.  ``num`` and ``den`` need not be coprime.
+    singular.  `_echelon` reduces [m | b], whose last pivot d is +-det(m),
+    and ``num`` = |d| x is the kernel vector of [m | b] that is -|d| at the
+    right-hand column, back-substituted.  ``num`` and ``den`` need not be
+    coprime.
     """
     n = len(m)
     rows = [[*row, bi] for row, bi in zip(m, b, strict=True)]
-    reduced = _eliminate(rows, n, stop_at_free=True)
-    if reduced is None:
+    pivots, d = _echelon(rows, n)
+    if len(pivots) < n:
         return None
-    den = reduced[1]
-    num = tuple(row[n] for row in rows)
-    if den < 0:
-        return tuple(-x for x in num), -den
-    return num, den
+    den = abs(d)
+    return tuple(_back_substitute(rows, pivots, n, -den)[:n]), den
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
@@ -186,22 +191,16 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, 
     `kernel_basis` (1 at fc and -R[i][fc] at the pivot column of row i of the
     reduced row echelon form R).
 
-    `_eliminate` leaves R[i][fc] = E[i][fc] / d in its integer rows E, d the
-    last pivot, so size = |d| makes every entry an integer, -E[i][fc] sgn(d),
-    and every vector a positive multiple of the Fraction one.
+    R's entries are quotients of minors over the last pivot d of `_echelon`,
+    so with size = |d| the vector is integral: it is back-substituted from
+    the echelon rows with ``size`` at fc, and is a positive multiple of the
+    Fraction one.
     """
     ncols = len(rows[0])
     work = [list(row) for row in rows]
-    pivots, d = _eliminate(work, ncols)
+    pivots, d = _echelon(work, ncols)
     size = abs(d)
-    kernel = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[fc] = size
-        for row, pc in zip(work, pivots):
-            v[pc] = -row[fc] * size // d
-        kernel.append(tuple(v))
-    return size, kernel
+    return size, [tuple(_back_substitute(work, pivots, fc, size)) for fc in range(ncols) if fc not in pivots]
 
 
 def fraction_kernel(size: int, kernel: Sequence[Sequence[int]]) -> list[Vec]:
@@ -225,4 +224,4 @@ def affine_rank(points: Sequence[Vec]) -> int:
     if len(points) <= 1:
         return 0
     _, (base, *rest) = integer_rows(points)
-    return len(_eliminate([[x - y for x, y in zip(row, base)] for row in rest], len(base))[0])
+    return len(_echelon([[x - y for x, y in zip(row, base)] for row in rest], len(base))[0])

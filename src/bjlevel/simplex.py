@@ -1,10 +1,11 @@
 """Exact-rational simplex for small dense problems.
 
 Solves  min c.x  s.t.  A x = b, x >= 0  entirely over Fractions using the
-two-phase method with Bland's anti-cycling rule.  Problem sizes in this
-package stay around a few dozen variables and about a dozen rows, so a dense
-tableau with reduced costs recomputed per iteration is plenty fast and keeps
-the implementation easy to audit.
+two-phase method with Bland's anti-cycling rule.  Rows stay at desk scale
+(the dimension plus one per convex block, about a dozen), but columns need
+not: the level LP at a vertex of l1^12 takes one per vertex of J(x) and of
+J(Tx), 2^11 + 2^11 = 4,096.  The tableau is dense, with reduced costs
+recomputed per iteration, which keeps the implementation easy to audit.
 """
 
 from __future__ import annotations

@@ -404,7 +404,8 @@ def _facet_incidence(points: tuple[Vec, ...]) -> tuple[tuple[Vec, frozenset[int]
 
     Each point p is scaled once to the integer vector q = s p, with s > 0
     the lcm of its denominators, so f(p_i) = 1 reads f . q_i = s_i, and each
-    subset is solved by fraction-free integer elimination into f = num / den
+    subset is solved in integers (`linalg.solve_square`: fraction-free
+    elimination to echelon form, then back-substitution) into f = num / den
     with den > 0.  Validity and incidence are decided in integers too, on one
     point of each antipodal pair: with t = num . q, f is valid iff
     |t| <= den s there, tight on q iff t = den s and on -q iff t = -den s.

@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from bjlevel import Operator, RationalStream, SpaceSpec, ball_vertices, operator, polar_vertices
+from bjlevel import Operator, RationalStream, SpaceSpec, ball_vertices, norm, operator, polar_vertices
 from bjlevel.linalg import dot, matrix_rank
 from bjlevel.simplex import solve_standard_lp
 
@@ -68,6 +68,45 @@ def fraction_rref(rows):
         if r == len(work):
             break
     return work, pivots
+
+
+def isometry_group(space: SpaceSpec) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Every linear isometry of a polyhedral space, as its matrix.
+
+    A linear map is an isometry iff it maps the ball's vertex set onto
+    itself.  A backtracking search maps the first basis b_1..b_n of vertices
+    (in list order) to vertices w_1..w_n, one at a time, keeping w_k only
+    where ||w_k -+ w_i|| = ||b_k -+ b_i|| for every i < k.  Each full map is
+    solved for T with T b_i = w_i (`fraction_solve`), and T is kept only if
+    it is a bijection of the vertex set.  No support set, LP or
+    certification code is used."""
+    verts = list(ball_vertices(space))
+    basis: list[tuple[Fraction, ...]] = []
+    for p in verts:
+        if len(basis) < space.dim and matrix_rank(basis + [p]) > len(basis):
+            basis.append(p)
+
+    def gaps(p, q):
+        return norm(space, tuple(a - b for a, b in zip(p, q))), norm(space, tuple(a + b for a, b in zip(p, q)))
+
+    basis_gaps = [[gaps(p, q) for q in basis] for p in basis]
+    vertex_set = set(verts)
+    group = []
+
+    def extend(images: list[tuple[Fraction, ...]]) -> None:
+        k = len(images)
+        if k == len(basis):
+            # Row r of T solves b_i . t = w_i[r] for every i.
+            matrix = tuple(fraction_solve(basis, [w[r] for w in images]) for r in range(k))
+            if {tuple(dot(row, p) for row in matrix) for p in verts} == vertex_set:
+                group.append(matrix)
+            return
+        for w in verts:
+            if all(gaps(w, images[i]) == basis_gaps[k][i] for i in range(k)):
+                extend(images + [w])
+
+    extend([])
+    return group
 
 
 def feasible_point(a_eq, b_eq):

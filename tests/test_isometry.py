@@ -9,6 +9,7 @@ from bjlevel import (
     adjoint,
     adjoint_level_transfer,
     bj_orthogonal,
+    bj_orthogonal_oracle,
     certify_scalar_isometry_polyhedral,
     diagonal_operator,
     extreme_points,
@@ -28,7 +29,7 @@ from bjlevel import (
     zero_operator,
 )
 
-from ._util import cube_cross_vertices, seeded_operator_kinds, v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, isometry_group, seeded_operator_kinds, v
 
 F = Fraction
 
@@ -311,3 +312,35 @@ def test_probe_sample_count_is_capped_before_sampling(l1_3, monkeypatch):
         with pytest.raises(InputError) as err:
             probe_scalar_isometry_grid(op, l1_3, samples, 1)
         assert err.value.code == "too_many_samples" and "guard of 5,000" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "make_space, order",
+    [
+        (lambda: polyhedral_space(HEXAGON_VERTICES), 12),
+        (lambda: linf(3), 48),
+        (lambda: l1(3), 48),
+        (lambda: polyhedral_space(cube_cross_vertices(3)), 48),
+    ],
+    ids=["hexagon", "linf_3", "l1_3", "cube-cross"],
+)
+def test_every_isometry_certifies_and_every_perturbed_one_is_refuted(make_space, order):
+    # The complete isometry group of each ball, from the vertex-map
+    # enumerator: every element certifies with scale 1, and adding 1/1000 to
+    # one entry (a different one from element to element) refutes it with a
+    # witness that the norm-minimizing oracle verifies.
+    space = make_space()
+    group = isometry_group(space)
+    assert len(group) == len(set(group)) == order
+    n = space.dim
+    for index, matrix in enumerate(group):
+        report = certify_scalar_isometry_polyhedral(operator(matrix, space))
+        assert report.verdict == "certified" and report.scale == 1
+        perturbed = [list(row) for row in matrix]
+        perturbed[index % n][index // n % n] += F(1, 1000)
+        op = operator(perturbed, space)
+        report = certify_scalar_isometry_polyhedral(op)
+        assert report.verdict == "refuted"
+        x, y = report.witness
+        assert bj_orthogonal_oracle(space, x, y).orthogonal
+        assert not bj_orthogonal_oracle(space, op(x), op(y)).orthogonal

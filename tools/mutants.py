@@ -46,7 +46,8 @@ def _mutant(name: str, path: str, old: str, new: str, *selection: str) -> Mutant
 
 
 MUTANTS = (
-    # One fraction-free elimination (linalg._eliminate, integer_kernel,
+    # One fraction-free elimination to echelon form and back-substitution
+    # (linalg._echelon, _back_substitute, integer_kernel, solve_square,
     # kernel_basis).
     _mutant(
         "bareiss-no-division",
@@ -70,10 +71,17 @@ MUTANTS = (
         "tests/test_linalg.py",
     ),
     _mutant(
-        "free-columns-not-rescaled",
+        "back-substitution-by-first-rows-pivot",
         "linalg.py",
-        "row[j] = pivot * row[j] // prev",
-        "row[j] = row[j]",
+        "v[pc + 1 :])), row[pc])",
+        "v[pc + 1 :])), rows[0][pivots[0]])",
+        "tests/test_linalg.py",
+    ),
+    _mutant(
+        "solve-den-sign-not-normalised",
+        "linalg.py",
+        "den = abs(d)",
+        "den = d",
         "tests/test_linalg.py",
     ),
     # The kernel condition in integers and the Birkhoff-James interval
