@@ -332,6 +332,14 @@ def _selftest() -> dict:
 
     check("census linf3", face_census(linf_3).counts == (8, 12, 6))
     check("census l1_3", face_census(l1_3).counts == (6, 12, 8))
+    # General balls: faces from the facet incidence, counted with no lattice.
+    hexagon = polyhedral_space([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    check("census hexagon", face_census(hexagon).counts == (6, 6))
+    cube_cross = polyhedral_space(
+        [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+        + [tuple(2 * s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
+    )
+    check("census cube plus 2 cross", face_census(cube_cross).counts == (14, 24, 12))
     check("bound l1 13", level_count_bound(l1_3, t123_l1) == 13)
     check("bound linf 13", level_count_bound(linf_3, t123_inf) == 13)
 
@@ -363,7 +371,6 @@ def _selftest() -> dict:
     t110 = diagonal_operator(l1_3, [1, 1, 0])
     l1_edge = operator([[1, 1, 0], [0, 0, 1], [0, 0, 0]], l1_3)  # ker = span(e1 - e2)
     linf_edge = operator([[1, 0, -1], [0, 1, 0], [0, 0, 0]], linf_3)  # ker = span(e1 + e3)
-    hexagon = polyhedral_space([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
     hexagon_edge = operator([[1, -1], [2, -2]], hexagon)  # ker = span(e1 + e2); J(e1) = conv{(1, 0), (1, -1)}
     third, fifth, seventh = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
     negative_pivot = operator([[-half, third, 0], [0, fifth, seventh], [0, 0, 0]], l1_3)

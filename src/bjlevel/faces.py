@@ -1,8 +1,12 @@
 """Face lattice of a polyhedral unit ball.
 
-Proper faces are recovered from facet-vertex incidence by closing the facet
-family under intersection; the hypercube and cross-polytope balls of l-inf
-and l1 use direct combinatorial generation instead (sign patterns), and their
+On a general ball the proper faces are recovered from facet-vertex incidence
+alone, as vertex index sets: the facets' tight sets closed under
+intersection, each face's dimension one more than the largest dimension of
+its meets with the facets.  The census counts those dimensions without
+building a lattice; the lattice adds each face's vertices and supporting
+functionals.  The hypercube and cross-polytope balls of l-inf and l1 use
+direct combinatorial generation instead (sign patterns), and their
 per-dimension counts are available in closed form up to dimension 12 without
 materializing the lattice.
 """
@@ -86,7 +90,12 @@ def _require_polyhedral(space: SpaceSpec) -> None:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def face_lattice(space: SpaceSpec) -> tuple[Face, ...]:
-    """All proper faces, each exactly once, sorted by (dim, vertex list)."""
+    """All proper faces, each exactly once, sorted by (dim, vertex list).
+
+    On a general ball each face is built from its vertex index set and
+    dimension (`_face_index_sets`), with the sorted vertex list and the facet
+    functionals tight on the whole face; no affine rank is computed.
+    """
     _require_polyhedral(space)
     if space.kind == "lp":
         if space.dim > _MAX_LATTICE_DIM_CLOSED_FORM:
@@ -97,8 +106,6 @@ def face_lattice(space: SpaceSpec) -> tuple[Face, ...]:
             )
         faces = _cube_faces(space.dim) if space.p == INF else _cross_faces(space.dim)
     else:
-        if space.dim > _MAX_LATTICE_DIM_GENERAL:
-            raise InputError("dim_too_large", "general face lattices are limited to dimension 6")
         faces = _faces_by_intersection(space)
     return tuple(sorted(faces, key=lambda f: (f.dim, f.vertices)))
 
@@ -159,30 +166,54 @@ def _exact_faces(records) -> list[Face]:
     return [Face(vectors(verts), dim, vectors(supporting)) for verts, dim, supporting in records]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _face_index_sets(verts: tuple[Vec, ...]) -> tuple[tuple[frozenset[int], int], ...]:
+    """Every proper face of the general ball with vertex list ``verts`` as
+    (index set into ``verts``, dim), from the facet incidence alone, in ints
+    and frozensets.
+
+    Every face is an intersection of facets, so the facets' tight sets are
+    closed under intersection with the facets.  Every facet of a face F is
+    F & G for a facet G of the ball, so dim F = 1 + max dim(F & G) over the
+    facets G with F & G nonempty and not F itself, and 0 when there is none
+    (a vertex); each such F & G has fewer vertices than F, so the dimensions
+    are read in order of size.  Kept per vertex list, not per space: equal
+    spaces may list their vertices in different orders, and the index sets
+    name positions.  The census and the lattice both read it.
+    """
+    if len(verts[0]) > _MAX_LATTICE_DIM_GENERAL:
+        raise InputError("dim_too_large", "general face lattices are limited to dimension 6")
+    facets = [tight for _, tight in _facet_incidence(verts)]
+    meets: dict[frozenset[int], set[frozenset[int]]] = {}
+    frontier = set(facets)
+    while frontier:
+        for s in frontier:
+            meets[s] = {m for g in facets if (m := s & g) and m != s}
+        frontier = set().union(*(meets[s] for s in frontier)).difference(meets)
+    dims: dict[frozenset[int], int] = {}
+    for s in sorted(meets, key=len):
+        dims[s] = 1 + max(map(dims.__getitem__, meets[s]), default=-1)
+    return tuple(dims.items())
+
+
 def _faces_by_intersection(space: SpaceSpec) -> list[Face]:
     verts = ball_vertices(space)
+    index_sets = _face_index_sets(verts)
     incidence = _facet_incidence(verts)
-    closed: set[frozenset[int]] = {tight for _, tight in incidence}
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for _, facet in incidence:
-                meet = s & facet
-                if meet and meet not in closed:
-                    closed.add(meet)
-                    fresh.append(meet)
-        frontier = fresh
     faces = []
-    for index_set in closed:
+    for index_set, dim in index_sets:
         vs = tuple(sorted(verts[i] for i in index_set))
         supporting = tuple(f for f, tight in incidence if index_set <= tight)
-        faces.append(Face(vs, affine_rank(vs), supporting))
+        faces.append(Face(vs, dim, supporting))
     return faces
 
 
 def face_census(space: SpaceSpec) -> FaceCensus:
-    """Per-dimension face counts |F_k|, k = 0 .. n-1."""
+    """Per-dimension face counts |F_k|, k = 0 .. n-1.
+
+    Closed forms on l1 and l-inf; on a general ball, counted from the cached
+    index sets and dimensions of `_face_index_sets`, with no lattice built.
+    """
     _require_polyhedral(space)
     n = space.dim
     if space.kind == "lp":
@@ -192,8 +223,8 @@ def face_census(space: SpaceSpec) -> FaceCensus:
             counts = tuple(math.comb(n, k + 1) * 2 ** (k + 1) for k in range(n))
     else:
         counts_list = [0] * n
-        for face in face_lattice(space):
-            counts_list[face.dim] += 1
+        for _, dim in _face_index_sets(ball_vertices(space)):
+            counts_list[dim] += 1
         counts = tuple(counts_list)
     return FaceCensus(counts, sum(counts))
 

@@ -694,6 +694,9 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         f"{len(table):,} faces x {samples_per_face:,} samples = "
         f"{len(table) * samples_per_face:,} probe points in {dim}-D",
     )
+    # The bound's guards (a kernel section too large to enumerate) are met
+    # before any face is probed.
+    bound = level_count_bound(op.domain, op) if op.domain == op.codomain else None
     stream = RationalStream(seed)
     d_t, m_rows = integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
@@ -724,9 +727,6 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         numbers = number_rows.setdefault(tuple(map(id, numbers)), numbers)
         values.update(k for k in numbers if k is not None)
         probes.append(FaceProbe(face.vertices, face.dim, tuple(points), numbers))
-    bound = None
-    if op.domain == op.codomain:
-        bound = level_count_bound(op.domain, op)
     return LevelNumberReport(
         tuple(sorted(values)), tuple(probes), bound, True, seed, samples_per_face
     )

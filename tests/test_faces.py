@@ -1,6 +1,7 @@
 """Face lattices, censuses, minimal faces and relative interiors."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,15 +16,20 @@ from bjlevel import (
     face_lattice,
     is_relative_interior,
     is_smooth,
+    kernel_section_space,
     l1,
+    level_count_bound,
     linf,
     minimal_face,
+    operator,
     polyhedral_space,
     support_set,
 )
+from bjlevel import faces
+from bjlevel.linalg import affine_rank, kernel_basis, matrix_rank
 from bjlevel.spaces import CACHE_SIZE
 
-from ._util import HEXAGON_VERTICES, cube_cross_vertices, v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, sphere_ball, v
 
 F = Fraction
 
@@ -225,3 +231,136 @@ def test_smooth_iff_relative_interior_of_facet(l1_3, linf_3, hexagon):
 def test_face_lattice_guards():
     with pytest.raises(InputError):
         face_lattice(__import__("bjlevel").l2(3))
+
+
+# ---------------------------------------------------------------------------
+# The general path: faces and dimensions from the facet incidence alone.
+
+
+def _cube_vertices(n):
+    return [tuple(F(s) for s in signs) for signs in itertools.product((1, -1), repeat=n)]
+
+
+def _cross_vertices(n):
+    return [tuple(F(s) if j == i else F(0) for j in range(n)) for i in range(n) for s in (1, -1)]
+
+
+def _euler(counts):
+    return sum((-1) ** k * c for k, c in enumerate(counts)) == 1 + (-1) ** (len(counts) - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_polyhedral_cubes_and_cross_polytopes_equal_the_closed_forms(n):
+    # The same balls listed by their vertices take the general path; their
+    # censuses and lattices (faces, dimensions, supporting functionals and
+    # order) equal the closed forms and sign patterns of l-inf and l1.
+    for verts, closed in ((_cube_vertices(n), linf(n)), (_cross_vertices(n), l1(n))):
+        space = polyhedral_space(verts)
+        assert face_census(space) == face_census(closed)
+        assert face_lattice(space) == face_lattice(closed)
+
+
+def test_general_censuses_of_the_cube_cross_balls():
+    # Cube plus twice the cross-polytope: the rhombic dodecahedron in 3-D,
+    # the 24-cell in 4-D.
+    assert face_census(polyhedral_space(cube_cross_vertices(3))).counts == (14, 24, 12)
+    assert face_census(polyhedral_space(cube_cross_vertices(4))).counts == (24, 96, 96, 24)
+
+
+_SPHERE_BALLS = [(2, 5), (2, 9), (3, 5), (3, 8), (4, 6), (4, 8), (5, 7), (6, 8)]
+
+
+@pytest.mark.parametrize("dim, pairs", _SPHERE_BALLS, ids=[f"{d}d-{2 * p}" for d, p in _SPHERE_BALLS])
+def test_general_face_dimensions_are_affine_ranks(dim, pairs):
+    space = polyhedral_space(sphere_ball(random.Random(1000 * dim + pairs), dim, pairs))
+    lattice = face_lattice(space)
+    counts = [0] * dim
+    for face in lattice:
+        assert face.dim == affine_rank(face.vertices)
+        counts[face.dim] += 1
+    assert face_census(space).counts == tuple(counts)
+    assert _euler(counts)
+
+
+def _rank_deficient(rng, n, kernel_dim):
+    r = n - kernel_dim
+    while True:
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        m = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+        if matrix_rank(m) == r:
+            return m
+
+
+@pytest.mark.parametrize("kernel_dim", [0, 1, 2])
+def test_general_bounds_equal_the_lattice_counts(kernel_dim):
+    rng = random.Random(31 + kernel_dim)
+    balls = [cube_cross_vertices(3), sphere_ball(rng, 3, 6), sphere_ball(rng, 4, 6)]
+    for verts in balls:
+        space = polyhedral_space(verts)
+        op = operator(_rank_deficient(rng, space.dim, kernel_dim), space)
+        total = len(face_lattice(space))
+        basis = kernel_basis(op.matrix)
+        assert len(basis) == kernel_dim
+        if basis:
+            section = len(face_lattice(kernel_section_space(space, basis)))
+            want = F(total - section, 2) + 1
+        else:
+            want = F(total, 2)
+        assert level_count_bound(space, op) == want
+
+
+def _refused(*args):
+    raise AssertionError("refused call")
+
+
+def test_the_general_census_builds_no_lattice_and_no_affine_rank(monkeypatch):
+    verts = sphere_ball(random.Random(271), 4, 7)
+    monkeypatch.setattr(faces, "face_lattice", _refused)
+    monkeypatch.setattr(faces, "affine_rank", _refused)
+    census = face_census(polyhedral_space(verts))
+    monkeypatch.undo()
+    assert _euler(census.counts)
+    assert census.counts == tuple(
+        sum(1 for face in face_lattice(polyhedral_space(verts)) if face.dim == k) for k in range(4)
+    )
+
+
+def test_the_general_lattice_computes_no_affine_rank(monkeypatch):
+    verts = sphere_ball(random.Random(277), 3, 7)
+    monkeypatch.setattr(faces, "affine_rank", _refused)
+    lattice = face_lattice(polyhedral_space(verts))
+    monkeypatch.undo()
+    assert all(face.dim == affine_rank(face.vertices) for face in lattice)
+
+
+def test_a_7d_general_ball_is_refused_before_any_closure_work(monkeypatch):
+    space = polyhedral_space(_cross_vertices(7))
+    monkeypatch.setattr(faces, "_facet_incidence", _refused)
+    for call in (face_census, face_lattice):
+        with pytest.raises(InputError) as err:
+            call(space)
+        assert err.value.code == "dim_too_large"
+        assert str(err.value) == "general face lattices are limited to dimension 6"
+
+
+def test_general_face_sets_are_one_cached_result_per_vertex_list(hexagon):
+    # The census and the lattice read one result, kept per vertex list.
+    verts = ball_vertices(hexagon)
+    assert faces._face_index_sets(verts) is faces._face_index_sets(verts)
+    assert faces._face_index_sets.cache_info().maxsize == CACHE_SIZE
+
+
+def test_equal_balls_listed_in_other_orders_keep_their_own_faces():
+    # Spaces listing the same vertices in any order are equal and share a
+    # lattice, but index sets name positions in each list.
+    for verts in (_cross_vertices(2), _cube_vertices(3), cube_cross_vertices(3)):
+        listed = [polyhedral_space(verts), polyhedral_space(verts[::-1])]
+        assert listed[0] == listed[1]
+        assert face_census(listed[0]) == face_census(listed[1])
+        for space in listed:
+            listing = ball_vertices(space)
+            for index_set, dim in faces._face_index_sets(listing):
+                vs = [listing[i] for i in index_set]
+                assert dim == affine_rank(vs)
+                assert any(index_set <= tight for _, tight in faces._facet_incidence(listing))

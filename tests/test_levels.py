@@ -1033,3 +1033,21 @@ def test_enumeration_caps_faces_times_samples_before_sampling(monkeypatch):
         enumerate_level_numbers(op, 373, 1)
     with pytest.raises(InputError, match="guard of 408,163"):
         enumerate_level_numbers(op, 374, 1)
+
+
+def _refused_probe(*args):
+    raise AssertionError("a face was probed")
+
+
+def test_enumeration_meets_the_bound_guard_before_probing_a_face(monkeypatch):
+    # ker T is 4-D, and the kernel section of the l1^6 ball is the polar of
+    # the 64 sign vectors restricted to it: C(64, 4) subsets, past the polar
+    # guard.  The bound is evaluated before any draw, so no face is probed
+    # and no stream is started before the guard raises.
+    rows = [[-2, 1, -1, 2, 0, -2], [0, -1, -2, 2, 1, 0]] + [[0] * 6] * 4
+    op = operator(rows, l1(6))
+    monkeypatch.setattr(levels, "_face_level_number", _refused_probe)
+    monkeypatch.setattr(levels, "RationalStream", _refused_stream)
+    with pytest.raises(InputError) as err:
+        enumerate_level_numbers(op, 1, 1)
+    assert err.value.code == "too_many_vertices" and "C(64,4)" in str(err.value)

@@ -304,6 +304,33 @@ MUTANTS = (
         "return tuple(Fraction(c, den) for c in image)",
         "tests/test_levels.py",
     ),
+    # Faces of a general ball from the facet incidence alone
+    # (faces._face_index_sets): the closure under intersection and the
+    # dimension 1 + max dim(F & G).
+    _mutant(
+        "face-dimension-without-plus-one",
+        "faces.py",
+        "dims[s] = 1 + max(map(dims.__getitem__, meets[s]), default=-1)",
+        "dims[s] = max(map(dims.__getitem__, meets[s]), default=-1)",
+        "tests/test_faces.py::test_general_face_dimensions_are_affine_ranks",
+    ),
+    _mutant(
+        "face-dimension-by-min",
+        "faces.py",
+        "dims[s] = 1 + max(map(dims.__getitem__, meets[s]), default=-1)",
+        "dims[s] = 1 + min(map(dims.__getitem__, meets[s]), default=-1)",
+        "tests/test_faces.py::test_general_face_dimensions_are_affine_ranks",
+    ),
+    _mutant(
+        # Only the facets' tight sets are counted; their meets are never
+        # closed, so reading a meet's dimension raises KeyError.
+        "census-without-the-closure",
+        "faces.py",
+        "frontier = set().union(*(meets[s] for s in frontier)).difference(meets)",
+        "frontier = set()",
+        "tests/test_faces.py::test_polyhedral_cubes_and_cross_polytopes_equal_the_closed_forms",
+        "tests/test_faces.py::test_general_censuses_of_the_cube_cross_balls",
+    ),
 )
 
 
