@@ -32,9 +32,9 @@ from .levels import (
     preserves_bj_at,
     preserves_bj_directional,
 )
-from .linalg import kernel_basis, vec_scale
+from .linalg import dot, kernel_basis, vec_scale
 from .oracle import minimize_norm_1d, preservation_sample_check
-from .orthogonality import _dual_exact, bj_orthogonal, bj_orthogonal_oracle, subspace_orthogonal
+from .orthogonality import bj_orthogonal, bj_orthogonal_oracle, subspace_orthogonal
 from .simplex import convex_weights
 from .spaces import (
     Operator,
@@ -54,7 +54,7 @@ from .spaces import (
     space_from_dict,
     space_to_dict,
 )
-from .support import _vertex_extremes, support_set
+from .support import functional_in_support, support_set
 
 
 def _jsonify(value: Any) -> Any:
@@ -278,11 +278,11 @@ def _selftest() -> dict:
     check("l1 oracle minimum", minimize_norm_1d(l1_3, two_e1, w) == (-2, 1))
 
     def bj_witness(x, y):
-        """bj_orthogonal's witness, once its verdict equals the one taken over
-        the full vertex list of J(x)."""
-        verdict = bj_orthogonal(l1_3, x, y)
-        same = verdict == _dual_exact(*_vertex_extremes(support_set(l1_3, x).vertices, y))
-        return verdict.witness if same else None
+        """bj_orthogonal's witness, once its verdict equals the oracle's and
+        it is a functional of J(x) that vanishes at y."""
+        w = bj_orthogonal(l1_3, x, y).witness
+        checked = w is not None and bj_orthogonal_oracle(l1_3, x, y).orthogonal
+        return w if checked and functional_in_support(l1_3, x, w) and dot(w, y) == 0 else None
 
     half = Fraction(1, 2)
     # x_3 = y_3 = 0: the witness's third entry comes from the tie fill -1, +1.

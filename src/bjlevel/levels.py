@@ -19,7 +19,7 @@ The necessary kernel condition, ker T inside the orthogonality set of x, is
 decided in integers: the kernel is read as integer vectors from the integer
 matrix of T, Tx = 0 is tested on it, and when ker T is a line in an exact
 domain the Birkhoff-James interval is read on integer vectors
-(`support._integer_range`); only larger kernels, and float domains, pose
+(`support._face_extremes`); only larger kernels, and float domains, pose
 the subspace LP.
 """
 
@@ -35,7 +35,6 @@ from typing import Optional, Union
 from .errors import InputError, InternalCheckError
 from .faces import antipodal_representatives, face_census
 from .linalg import (
-    ONE,
     ZERO,
     Vec,
     combination,
@@ -69,7 +68,6 @@ from .spaces import (
     _integer_dual_norm,
     _shared,
     dual_ball_vertices,
-    dual_norm,
     float_path,
     is_exact,
     norm,
@@ -79,11 +77,11 @@ from .spaces import (
     sgn,
 )
 from .support import (
-    _face_range,
+    _face_extremes,
+    _face_rows,
     _face_vertices,
     _integer_key,
-    _integer_range,
-    _key_norm_and_vertices,
+    _row_vertex,
     _single_functional,
     functional_in_support,
     support_set,
@@ -169,7 +167,7 @@ def _image_key(codomain: SpaceSpec, m_rows, q, s: int) -> Optional[tuple]:
     """The `_integer_key` of Tx = Mq / s, M the integer matrix ``m_rows``:
     (face, n, d) with ||Tx|| = n / d and the face naming J(Tx), all ints; None
     when Tx = 0, that is Mq = 0.  J(Tx) = J(Mq), since J does not change under
-    positive scaling.  `_key_norm_and_vertices` turns it into (||Tx||, J(Tx))."""
+    positive scaling.  `_Point` reads J(Tx) from it as integer rows."""
     mq = int_mat_vec(m_rows, q)
     if not any(mq):
         return None
@@ -181,34 +179,41 @@ class _Point:
     """One exact evaluation of T at x with Tx != 0, in integers.
 
     x = q / s with q integral, and T = M / D_T with M integral (``m_rows``).
-    ||x|| with J(x), and ||Tx|| with J(Tx), each come from one scan: Tx is
-    Mq / (D_T s) (`_image_key`).  J(x) is kept as the face that names it
-    (``p_face``, from `_integer_key`), and its vertices are listed
-    (`support._face_vertices`) only where they are all needed: the level LP
-    and the membership loop of `preserves_bj_at`, which stops at the first
-    vertex that fails.  The vertices g of J(Tx) are kept as the integer
-    rows D_Q g (``q_rows``, D_Q the lcm of their denominators) and their
-    adjoint images M^T (D_Q g) (``images``), so g(Ty) = (D_Q g).(My) / den
-    and T^T g = image / den, with den = D_T D_Q.  This is the exact path's
-    one source of T^T g.
+    ||x|| = n / d (``norm_x`` = (n, d)) with J(x), and ||Tx|| with J(Tx)
+    (``key``, the `_image_key` of Tx = Mq / (D_T s)), each come from one
+    scan; the scale ||Tx|| / ||x|| is the reduced pair (sn, sd).  J(x) is
+    kept as its face (``p_face``), its integer rows made one at a time where
+    needed (`support._face_rows`).  J(Tx) is read once as the integer rows
+    D_Q g of its vertices (``q_rows``) with their adjoint images M^T (D_Q g)
+    (``images``): g(Ty) = (D_Q g).(My) / den and T^T g = image / den, with
+    den = D_T D_Q, the exact path's one source of T^T g.  No Fraction vertex
+    of J(Tx) is listed: the LPs take the images as Fractions (``adj``), and
+    a functional they return is made from the rows (`functional`), a
+    smooth image's one functional is `support._single_functional`.
     """
 
     q: tuple[int, ...]
     s: int
     d_t: int
     m_rows: tuple
-    norm_x: Fraction
+    norm_x: tuple[int, int]
     p_face: tuple[int, ...]
-    norm_tx: Fraction
-    q_verts: tuple[Vec, ...]
-    scale: Fraction = field(init=False)  # ||Tx|| / ||x||
+    codomain: SpaceSpec
+    key: tuple
+    scale: tuple[int, int] = field(init=False)
+    d_q: int = field(init=False)
     q_rows: tuple = field(init=False)
     images: tuple = field(init=False)
     den: int = field(init=False)
 
     def __post_init__(self):
-        self.scale = self.norm_tx / self.norm_x
-        d_q, self.q_rows = integer_rows(self.q_verts)
+        face, tn, td = self.key
+        xn, xd = self.norm_x
+        sn, sd = tn * xd, td * xn
+        g = math.gcd(sn, sd)
+        self.scale = (sn // g, sd // g)
+        d_q, rows = _face_rows(self.codomain, face)
+        self.d_q, self.q_rows = d_q, tuple(rows)
         columns = tuple(zip(*self.m_rows))
         self.images = tuple(int_mat_vec(columns, g) for g in self.q_rows)
         self.den = self.d_t * d_q
@@ -219,6 +224,12 @@ class _Point:
         once per point, for the LPs."""
         return [tuple(Fraction(c, self.den) for c in image) for image in self.images]
 
+    def functional(self, weights) -> Vec:
+        """The functional of J(Tx) with the convex weights on its vertices,
+        sum w_i g_i = sum w_i (D_Q g_i) / D_Q, from the integer rows."""
+        g = combination(weights, self.q_rows)
+        return g if self.d_q == 1 else tuple(c / self.d_q for c in g)
+
 
 def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     """The evaluation of T at x on the exact path, or None when Tx = 0."""
@@ -228,7 +239,7 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     if key is None:
         return None
     p_face, n, d = _integer_key(op.domain, q, s)
-    return _Point(q, s, d_t, m_rows, Fraction(n, d), p_face, *_key_norm_and_vertices(op.codomain, key))
+    return _Point(q, s, d_t, m_rows, (n, d), p_face, op.codomain, key)
 
 
 def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
@@ -249,19 +260,19 @@ def is_level_vector(op: Operator, x: Vec) -> Optional[LevelCertificate]:
     return None if found is None else LevelCertificate(x, *found, EXACT)
 
 
-def _checked(d_t: int, m_rows, scale: Fraction, found: Optional[tuple]) -> Optional[tuple]:
-    """``found``, a level certificate (f, g, k) at scale ||Tx||/||x|| or None,
-    once T^T g = scale f is verified for it.
+def _checked(d_t: int, m_rows, scale: tuple[int, int], found: Optional[tuple]) -> Optional[tuple]:
+    """``found``, a level certificate (f, g, k) at scale ||Tx||/||x|| = sn / sd
+    (``scale`` = (sn, sd)) or None, once T^T g = scale f is verified for it.
 
     In integers, from M = D_T T (``m_rows``) and the certificate's own g, not
-    from any cached adjoint image: with g = gq / gs, f = fq / fs and
-    scale = sn / sd, T^T g = M^T gq / (D_T gs), so the equation reads
+    from any cached adjoint image: with g = gq / gs and f = fq / fs,
+    T^T g = M^T gq / (D_T gs), so the equation reads
     (M^T gq) sd fs = sn D_T gs fq.
     """
     if found is None:
         return None
     (fq, fs), (gq, gs) = integer_point(found[0]), integer_point(found[1])
-    sn, sd = scale.numerator, scale.denominator
+    sn, sd = scale
     left, right = sd * fs, sn * d_t * gs
     if any(sum(map(mul, column, gq)) * left != right * c for column, c in zip(zip(*m_rows), fq)):
         raise InternalCheckError("level certificate fails its defining equation")
@@ -270,7 +281,7 @@ def _checked(d_t: int, m_rows, scale: Fraction, found: Optional[tuple]) -> Optio
 
 def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     """(f, g, k) with f in J(x), g in J(Tx) and T^T g = scale f, or None;
-    the level number is k = scale^2.  J(Tx) is read as the vertex list of
+    the level number is k = scale^2.  J(Tx) is read as the integer rows of
     ``point``, and T^T g from its adjoint images.
 
     For any g in J(Tx), T^T g = scale f fixes f = T^T g / scale, and this f
@@ -290,21 +301,22 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
     Only when J(Tx) has three or more vertices is an LP solved, over the
     vertices of J(x) and J(Tx), and only then is J(x) listed from its face.
     """
-    q_verts, scale = point.q_verts, point.scale
-    if len(q_verts) == 1:
+    rows = point.q_rows
+    if len(rows) == 1:
         image, den = point.images[0], point.den
-        if _adjoint_dual_norm(op.domain, image, den) != (scale.numerator, scale.denominator):
+        if _adjoint_dual_norm(op.domain, image, den) != point.scale:
             return None
-        return _smooth_certificate(image, den, scale, q_verts[0])
-    if len(q_verts) == 2:
+        return _smooth_certificate(image, den, point.scale, _single_functional(op.codomain, point.key[0]))
+    if len(rows) == 2:
         return _edge_certificate(op.domain, point)
     p_verts = tuple(_face_vertices(op.domain, point.p_face))
+    scale = Fraction(*point.scale)
     negated = [vec_scale(-scale, p) for p in p_verts]
     weights = convex_weights([negated, point.adj], (ZERO,) * op.domain.dim)
     if weights is None:
         return None
     lam, mu = weights
-    return combination(lam, p_verts), combination(mu, q_verts), scale * scale
+    return combination(lam, p_verts), point.functional(mu), scale * scale
 
 
 def _adjoint_dual_norm(domain: SpaceSpec, image: tuple[int, ...], den: int) -> tuple[int, int]:
@@ -318,12 +330,13 @@ def _adjoint_dual_norm(domain: SpaceSpec, image: tuple[int, ...], den: int) -> t
     return top // g, d // g
 
 
-def _smooth_certificate(image: tuple[int, ...], den: int, scale: Fraction, q: Vec) -> tuple:
+def _smooth_certificate(image: tuple[int, ...], den: int, scale: tuple[int, int], q: Vec) -> tuple:
     """The level certificate (f, q, scale^2) for the functional q of a smooth
     image J(Tx) = {q}, or a point q of an edge image (`_edge_certificate`),
-    with T^T q = image / den and ||T^T q||_* = scale: f = T^T q / scale."""
-    sn, sd = scale.numerator, scale.denominator
-    return tuple(Fraction(c * sd, den * sn) for c in image), q, scale * scale
+    with T^T q = image / den and ||T^T q||_* = scale = sn / sd (``scale`` =
+    (sn, sd) in lowest terms): f = T^T q / scale."""
+    sn, sd = scale
+    return tuple(Fraction(c * sd, den * sn) for c in image), q, Fraction(sn * sn, sd * sd)
 
 
 def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
@@ -344,7 +357,7 @@ def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
     """
     (q0, q1), (a0, a1) = point.q_rows, point.images
     d, v0, v1 = _edge_rows(domain, a0, a1)
-    sn, sd = point.scale.numerator, point.scale.denominator
+    sn, sd = point.scale
     bound = sn * point.den * d
     lo, hi = (0, 1), (1, 1)
     for r0, r1 in zip(v0, v1):
@@ -360,10 +373,9 @@ def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
         return None
     u, v = lo
     w = tuple((v - u) * c0 + u * c1 for c0, c1 in zip(a0, a1))
-    if _adjoint_dual_norm(domain, w, v * point.den) != (sn, sd):
+    if _adjoint_dual_norm(domain, w, v * point.den) != point.scale:
         raise InternalCheckError("edge level certificate does not have dual norm 1")
-    d_q = point.den // point.d_t
-    g = tuple(Fraction((v - u) * c0 + u * c1, v * d_q) for c0, c1 in zip(q0, q1))
+    g = tuple(Fraction((v - u) * c0 + u * c1, v * point.d_q) for c0, c1 in zip(q0, q1))
     return _smooth_certificate(w, v * point.den, point.scale, g)
 
 
@@ -448,9 +460,10 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     """Does T preserve orthogonality at x with respect to ker f, f in J(x)?
 
     Holds exactly when some g in J(Tx) pulls back to (||Tx||/||x||) f under
-    the adjoint; the witness g is returned.  On the exact path f in J(x) is
-    tested against the evaluation's ||x||, so x is scanned once.  f converts
-    exactly (`linalg.vec`), so float input is decided in rationals.
+    the adjoint; the witness g is returned.  On the exact path f = p / d is
+    tested in integers against the evaluation's ||x||, so x is scanned
+    once.  f converts exactly (`linalg.vec`), so float input is decided in
+    rationals.
     """
     x, f = _nonzero_point(op, x), vec(f)
     require_dim(op.domain, f)
@@ -458,7 +471,9 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
     if point is None:
         supporting = functional_in_support(op.domain, x, f)  # also when Tx = 0
     else:
-        supporting = dot(f, x) == point.norm_x and dual_norm(op.domain, f) == 1
+        p, d = integer_point(f)
+        (xn, xd), (top, dd) = point.norm_x, _integer_dual_norm(op.domain, p)
+        supporting = sum(map(mul, p, point.q)) * xd == xn * d * point.s and top == dd * d
     if not supporting:
         raise InputError("not_supporting", "f is not a supporting functional of x")
     if _mode_pair(op) == FLOAT:
@@ -466,29 +481,30 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
         return DirectionalPreservation(cert is not None, cert.g if cert else None)
     if point is None:
         return DirectionalPreservation(True, None)
-    g, _ = _membership(point, f)
+    g, _ = _membership(point, p, d)
     return DirectionalPreservation(g is not None, g)
 
 
-def _membership(point: _Point, f: Vec) -> tuple[Optional[tuple], Optional[tuple[tuple[int, ...], int]]]:
-    """(g, None) with g in J(Tx) and (adjoint T) g = scale f, or (None, (Z, zs))
-    with z = Z / zs, Z integral, and a.z < scale f(z) for every adjoint image a.
+def _membership(point: _Point, p: tuple[int, ...], d: int) -> tuple[Optional[tuple], Optional[tuple[tuple[int, ...], int]]]:
+    """For f = p / d, p integral and d > 0: (g, None) with g in J(Tx) and
+    (adjoint T) g = scale f, or (None, (Z, zs)) with z = Z / zs, Z integral,
+    and a.z < scale f(z) for every adjoint image a.
 
     With one image a, z = scale f - a, and scale f(z) - a.z = |z|^2 > 0; in
-    integers, with f = p / d, scale = sn / sd and a = image / den, Z is
+    integers, with scale = sn / sd and a = image / den, Z is
     sn den p - sd d image over zs = sd d den, and no LP is solved.
-    Otherwise z is the coordinate part of the membership LP's Farkas vector.
+    Otherwise z is the coordinate part of the membership LP's Farkas vector,
+    for the target scale f = sn p / (sd d).
     """
-    if len(point.q_verts) == 1:
-        p, d = integer_point(f)
-        sn, sd = point.scale.numerator, point.scale.denominator
+    sn, sd = point.scale
+    if len(point.q_rows) == 1:
         z = tuple(sn * point.den * c - sd * d * a for c, a in zip(p, point.images[0]))
-        return (None, (z, sd * d * point.den)) if any(z) else (point.q_verts[0], None)
-    target = vec_scale(point.scale, f)
+        return (None, (z, sd * d * point.den)) if any(z) else (_single_functional(point.codomain, point.key[0]), None)
+    target = tuple(Fraction(sn * c, sd * d) for c in p)
     weights, farkas = convex_weights_or_farkas([point.adj], target)
     if weights is None:
         return None, integer_point(farkas[: len(target)])
-    return combination(weights[0], point.q_verts), None
+    return point.functional(weights[0]), None
 
 
 def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
@@ -500,7 +516,8 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     with a.z < scale f(z) for every adjoint image a = T^T g of a vertex g of
     J(Tx), and with it the counterexample (`_counterexample`), re-verified by
     `_verified_margin`.  The vertices of J(x) are made one at a time from its
-    face (`support._face_vertices`), and the loop stops at the first failure.
+    face as integer rows (`support._face_rows`), and the loop stops at the
+    first failure; only the failing vertex is built as a Fraction vector.
     When J(Tx) = {g} the only member is scale f = T^T g, so J(x) is
     preserved iff it is {T^T g / scale}: the first vertex or the second
     fails, or J(x) has one vertex, and the other 2^(#zeros) - 2 vertices of
@@ -514,27 +531,29 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     point = _evaluate(op, x)
     if point is None:
         return PreservationReport(True, None, None, EXACT)
-    for f in _face_vertices(op.domain, point.p_face):
-        _, z = _membership(point, f)
+    d, rows = _face_rows(op.domain, point.p_face)
+    for p in rows:
+        _, z = _membership(point, p, d)
         if z is not None:
-            y = _counterexample(point, f, *z)
+            y = _counterexample(point, p, d, *z)
+            f = _row_vertex(op.domain, d, p)
             return PreservationReport(False, f, (y, _verified_margin(op.domain, point, y)), EXACT)
     return PreservationReport(True, None, None, EXACT)
 
 
-def _counterexample(point: _Point, f: Vec, z: tuple[int, ...], zs: int) -> Vec:
-    """y = (f(z)/f(x)) x - z for the separator z = Z / zs of the vertex f of
-    J(x), scaled so that its least g(Ty) is 1.
+def _counterexample(point: _Point, p: tuple[int, ...], d: int, z: tuple[int, ...], zs: int) -> Vec:
+    """y = (f(z)/f(x)) x - z for the separator z = Z / zs of the vertex
+    f = p / d of J(x), scaled so that its least g(Ty) is 1.
 
     f(y) = 0, and g(Ty) = a.y = scale f(z) - a.z > 0 for the adjoint image
     a = T^T g of every vertex g of J(Tx), since f(x) = ||x|| and a.x =
-    g(Tx) = ||Tx||.  With f(z)/||x|| = cn / cd, y before scaling is
-    Y / (cd s zs) for the integer vector Y = cn zs q - cd s Z, and a.Y =
-    image.Y / den, so the scaled y is Y den / min image.Y.
+    g(Tx) = ||Tx||.  With ||x|| = n / m, y before scaling is Y / (d n s zs)
+    for Y = (p.Z) m q - d n s Z, and a.Y = image.Y / den, so the scaled y
+    is Y den / min image.Y, one Fraction per entry.
     """
-    p, d = integer_point(f)
-    c = Fraction(sum(map(mul, p, z)), d * zs) / point.norm_x
-    y = tuple(c.numerator * zs * a - c.denominator * point.s * b for a, b in zip(point.q, z))
+    n, m = point.norm_x
+    pz = sum(map(mul, p, z))
+    y = tuple(pz * m * a - d * n * point.s * b for a, b in zip(point.q, z))
     least = min(int_mat_vec(point.images, y))
     if least <= 0:
         raise InternalCheckError("the separating direction does not separate")
@@ -547,11 +566,11 @@ def _verified_margin(domain: SpaceSpec, point: _Point, y: Vec) -> Fraction:
     contains 0, James 1947) and Tx is not orthogonal to Ty (every
     g(Ty) > 0).  In integers, with y = yq / ys: the range is read, up to one
     positive factor, from the point's face of J(x) and yq
-    (`support._face_range`: closed form on l1, the face's signed units on
+    (`support._face_extremes`: closed form on l1, the face's signed units on
     l-inf, its facet rows on a polyhedral ball), with no vertex list and no
     second scan, and den ys g(Ty) = (D_Q g).(M yq) on J(Tx)'s integer rows."""
     yq, ys = integer_point(y)
-    lo, hi = _face_range(domain, point.p_face, yq)
+    _, (lo, _), (hi, _) = _face_extremes(domain, point.p_face, yq)
     if not lo <= 0 <= hi:
         raise InternalCheckError("counterexample is not orthogonal to x")
     least = min(int_mat_vec(point.q_rows, int_mat_vec(point.m_rows, yq)))
@@ -601,7 +620,7 @@ def kernel_condition(op: Operator, x: Vec) -> bool:
     Birkhoff-James question, x orthogonal to b, which holds iff
     min f(b) <= 0 <= max f(b) over J(x) (James 1947).  Its integer kernel
     vector v is a positive multiple of b and J(x) = J(q), so the two ends are
-    read, up to one positive factor, from q and v (`support._integer_range`),
+    read, up to one positive factor, from q and v (`support._face_extremes`),
     with no Fraction, no vertex list and no LP.  Kernels of dimension >= 2,
     and float domains, go to the subspace LP, on the Fraction basis of the
     same elimination.
@@ -615,7 +634,7 @@ def kernel_condition(op: Operator, x: Vec) -> bool:
     if not any(int_mat_vec(m_rows, q)):
         return True
     if len(kernel) == 1 and is_exact(op.domain):
-        lo, hi = _integer_range(op.domain, q, kernel[0])
+        _, (lo, _), (hi, _) = _face_extremes(op.domain, _integer_key(op.domain, q, 1)[0], kernel[0])
         return lo <= 0 <= hi
     return subspace_orthogonal(op.domain, x, fraction_kernel(size, kernel)).orthogonal
 
@@ -811,8 +830,7 @@ def _face_level_number(
     (T^T q / c_q, q, c_q^2) is built and checked (`_checked`) once per
     entry, at the first point it certifies.  Otherwise ``memo`` maps the key
     to the level number of the checked `_solve_level` answer on the `_Point`
-    of x, built from the key (`_key_norm_and_vertices`) on a miss.  Numbers
-    are pooled in ``pool``.
+    of x, built from the key on a miss.  Numbers are pooled in ``pool``.
     """
     key = _image_key(op.codomain, m_rows, q, d_t * s)
     if key is None:
@@ -826,15 +844,14 @@ def _face_level_number(
         if (n, d) != entry.norm:
             return None
         if entry.number is None:
-            scale = Fraction(n, d)
-            _checked(d_t, m_rows, scale, _smooth_certificate(entry.image, entry.den, scale, entry.q))
+            _checked(d_t, m_rows, (n, d), _smooth_certificate(entry.image, entry.den, (n, d), entry.q))
             entry.number = _pooled(n * n, d * d, pool)
         return entry.number
     try:
         return memo[key]
     except KeyError:
         pass
-    point = _Point(q, s, d_t, m_rows, ONE, p_face, *_key_norm_and_vertices(op.codomain, key))
+    point = _Point(q, s, d_t, m_rows, (1, 1), p_face, op.codomain, key)
     found = _checked(d_t, m_rows, point.scale, _solve_level(op, point))
     number = memo[key] = None if found is None else _pooled(found[2].numerator, found[2].denominator, pool)
     return number

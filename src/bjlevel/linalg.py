@@ -88,19 +88,24 @@ def int_mat_vec(rows: Sequence[Sequence[int]], q: Sequence[int]) -> tuple[int, .
 
 
 def integer_point(p: Vec) -> tuple[tuple[int, ...], int]:
-    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators,
-    each entry read once and exactly (`as_integer_ratio`), int and float too."""
-    ratios = [c.as_integer_ratio() for c in p]
-    s = math.lcm(*(d for _, d in ratios))
-    return tuple(n * (s // d) for n, d in ratios), s
+    """(q, s) with q = s p integral and s > 0 the lcm of p's denominators.
+    A Fraction or an int entry is read by its numerator and denominator, and
+    with s = 1 the numerators are q; a float entry is converted exactly."""
+    try:
+        s = math.lcm(*[c.denominator for c in p])
+    except AttributeError:
+        return integer_point(vec(p))
+    if s == 1:
+        return tuple([c.numerator for c in p]), 1
+    return tuple([c.numerator * (s // c.denominator) for c in p]), s
 
 
 def integer_rows(points: Sequence[Vec]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """D, the lcm of all the points' denominators, and each point's integer
     row D p, read as `integer_point` reads one point."""
-    ratios = [[c.as_integer_ratio() for c in p] for p in points]
-    d = math.lcm(*(den for row in ratios for _, den in row))
-    return d, tuple(tuple(n * (d // den) for n, den in row) for row in ratios)
+    flat, d = integer_point([c for p in points for c in p])
+    n = len(points[0]) if points else 1
+    return d, tuple(flat[i : i + n] for i in range(0, len(flat), n))
 
 
 def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 from .errors import InputError
-from .faces import convex_combination
-from .linalg import Vec, dot, is_zero_vec, kernel_basis, vec, vec_add, vec_scale
+from .linalg import Vec, dot, integer_rows, is_zero_vec, kernel_basis, vec, vec_add, vec_scale
 from .spaces import (
     EXACT,
     FLOAT_TOL,
@@ -36,9 +36,10 @@ from .support import support_set
 # sampled.  Timed on a 2.0 GHz Xeon core (Python 3.11):
 # - `preservation_sample_check` takes 2.8-4.2 ms a sample on l-inf^12 and
 #   on the 4-D cube-plus-cross ball at a point with one supporting
-#   functional, and 66 ms at e1 on l1^12, where J(x) has 2^11 vertices that
-#   every sample combines: so at most 2,500 samples, and at most
-#   _MAX_PRESERVE_COST / (|J(x)| n) of them.
+#   functional, and took 66 ms at e1 on l1^12, where J(x) has 2^11 vertices
+#   that every sample combines: so at most 2,500 samples, and at most
+#   _MAX_PRESERVE_COST / (|J(x)| n) of them.  Summed in integers, a sample
+#   there now takes 2.9-3.5 ms; the cap is kept as it was.
 # - `isometry.probe_scalar_isometry_grid` takes up to 2.0 ms a sample (the
 #   identity on l2^12; 0.6 ms on l-inf^12 and l1^12).
 MAX_PRESERVE_SAMPLES = 2_500
@@ -207,6 +208,12 @@ def preservation_sample_check(op: Operator, x: Vec, n: int, seed: int) -> Sample
     Each y is built by picking f in J(x) by convex sampling and then a random
     element of ker f, so x is orthogonal to y by construction; the verdict on
     (Tx, Ty) comes from direct norm minimization, never from the LP route.
+
+    On an exact space f = sum w_i f_i / sum w_i over the vertices f_i of
+    J(x), the weights drawn as by `next_positive_fraction`, is summed in
+    integers over the rows D f_i and divided once per coordinate; where all
+    vertices agree it keeps the first one's entry, as
+    `faces.convex_combination` does.
     """
     if n < 0:
         raise InputError("bad_count", "sample count must be >= 0")
@@ -220,11 +227,17 @@ def preservation_sample_check(op: Operator, x: Vec, n: int, seed: int) -> Sample
     require_sample_budget(n, limit, what)
     stream = RationalStream(seed)
     tx = op(x)
+    if mode == EXACT:
+        d, rows = integer_rows(sup.vertices)
+        first = sup.vertices[0]
+        columns = [(None if len(set(column)) == 1 else column) for column in zip(*rows)]
     violations: list[tuple[Vec, Union[Fraction, float]]] = []
     for _ in range(n):
         if mode == EXACT:
-            weights = [stream.next_positive_fraction() for _ in sup.vertices]
-            f = convex_combination(sup.vertices, weights)
+            # The draws of next_positive_fraction, without the common denominator 1000.
+            weights = [stream.next_int(1000) + 1 for _ in sup.vertices]
+            den = d * sum(weights)
+            f = tuple(c if column is None else Fraction(sum(map(mul, weights, column)), den) for c, column in zip(first, columns))
         else:
             f = tuple(Fraction(c).limit_denominator(10**12) for c in sup.vertices[0])
         basis = kernel_basis((f,))

@@ -2,8 +2,8 @@
 
 Over the reals, x is Birkhoff-James orthogonal to y exactly when some
 f in J(x) kills y, i.e. when min f(y) <= 0 <= max f(y) over J(x).  The dual
-route reads the two extreme functionals of J(x) along y
-(`support.support_extremes`: in closed form on l1, over the few vertices of
+route reads the two extreme functionals of J(x) along y in integers
+(`support._face_extremes`: in closed form on l1, over the few vertices of
 J(x) elsewhere); the oracle route minimizes ||x + t y|| directly and is
 used to cross-validate it.  On exact spaces, float input converts exactly
 (`linalg.vec`) and is decided in rationals.
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .linalg import ZERO, Vec, combination, dot, is_zero_vec, matrix_rank, vec
+from .linalg import ZERO, Vec, combination, dot, integer_point, is_zero_vec, matrix_rank, vec
 from .oracle import minimize_norm_1d
 from .simplex import convex_weights
 from .spaces import (
@@ -30,7 +30,7 @@ from .spaces import (
     norm,
     require_dim,
 )
-from .support import SupportSet, support_extremes, support_set
+from .support import SupportSet, _face_extremes, _integer_key, _row_vertex, support_set
 
 Scalar = Union[Fraction, float]
 
@@ -53,33 +53,36 @@ class OrthogonalityVerdict:
 
 
 def bj_orthogonal(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdict:
-    """Decide x BJ-orthogonal y via the supporting-functional interval."""
+    """Decide x BJ-orthogonal y: min f(y) <= 0 <= max f(y) over J(x) (James
+    1947), on an exact space read in integers from x and y (`_dual_exact`)."""
     require_dim(space, x)
     require_dim(space, y)
     mode = arithmetic_mode(space)
     if is_zero_vec(x):
         return OrthogonalityVerdict(True, None, "dual", mode, Fraction(0) if mode == EXACT else 0.0)
     if mode == EXACT:
-        return _dual_exact(*support_extremes(space, x, y))
+        return _dual_exact(space, vec(x), vec(y))
     return _dual_float(space, support_set(space, x), x, y)
 
 
-def _dual_exact(low: tuple[Fraction, Vec], high: tuple[Fraction, Vec]) -> OrthogonalityVerdict:
-    """The verdict from the extremes (min f(y), f_lo) and (max f(y), f_hi)
-    over J(x); the witness is f_lo or f_hi at a zero end, else the point of
-    the segment between them where f(y) = 0."""
-    (lo, f_lo), (hi, f_hi) = low, high
+def _dual_exact(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdict:
+    """The verdict from the extremes of f(y) over J(x), in integers: with
+    x = q / s and y = v / c, `support._face_extremes` gives D c times them,
+    lo and hi, with the rows D f_lo and D f_hi of vertices attaining them.
+    The witness is f_lo or f_hi at a zero end, else (hi f_lo - lo f_hi) /
+    (hi - lo); the margin is min(|lo|, |hi|) / (D c)."""
+    v, c = integer_point(y)
+    d, (lo, r_lo), (hi, r_hi) = _face_extremes(space, _integer_key(space, integer_point(x)[0], 1)[0], v)
     if lo <= 0 <= hi:
         if lo == 0:
-            witness = f_lo
+            witness = _row_vertex(space, d, r_lo)
         elif hi == 0:
-            witness = f_hi
+            witness = _row_vertex(space, d, r_hi)
         else:
-            t = -lo / (hi - lo)
-            witness = tuple(a + t * (b - a) for a, b in zip(f_lo, f_hi))
-        return OrthogonalityVerdict(True, witness, "dual", EXACT, Fraction(0))
-    margin = min(abs(lo), abs(hi))
-    return OrthogonalityVerdict(False, None, "dual", EXACT, margin)
+            den = d * (hi - lo)
+            witness = tuple([Fraction(hi * a - lo * b, den) for a, b in zip(r_lo, r_hi)])
+        return OrthogonalityVerdict(True, witness, "dual", EXACT, ZERO)
+    return OrthogonalityVerdict(False, None, "dual", EXACT, Fraction(lo if lo > 0 else -hi, d * c))
 
 
 @float_path

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from .errors import DimensionMismatch, InputError
-from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, int_mat_vec, is_zero_vec, vec
+from .linalg import MINUS_ONE, ONE, ZERO, Vec, dot, integer_point, is_zero_vec, vec
 from .spaces import (
     EXACT,
     FLOAT,
@@ -71,21 +72,22 @@ def _exact_vertices(space: SpaceSpec, x: Vec) -> tuple[Vec, ...]:
     if space.kind == "polyhedral":
         return _norm_and_face(space, x)[1]
     if space.p == 1:
-        return tuple(_box_vertices(x))
-    return tuple(sorted(f for _, f in _linf_face(space, x)))
+        return tuple(map(_signs, _box_vertices(x)))
+    value, cross = max(map(abs, x)), _cross_polytope_vertices(space.dim)
+    return tuple(sorted(cross[2 * i + (c < 0)] for i, c in enumerate(x) if abs(c) == value))
 
 
-def _box_vertices(x) -> Iterator[Vec]:
-    """The vertices of J(x) on l1, in sorted order, made one at a time: the
-    dual cube's sign vectors with the signs pinned on the support of x and
-    free elsewhere, every entry one of the shared Fractions 1 and -1.  They
-    differ only on the zeros of x, where `itertools.product` runs through
-    -1 < 1 in lexicographic order, so no sort is needed.  The guard on the
-    number of zeros is checked at the call, before any vertex is made."""
+def _box_vertices(x) -> Iterator[tuple[int, ...]]:
+    """The vertices of J(x) on l1 as integer sign rows, in sorted order, made
+    one at a time: the dual cube's sign vectors with the signs pinned to
+    sgn(x_i) on the support of x and free elsewhere.  They differ only on
+    the zeros of x, where `itertools.product` runs through -1 < 1 in
+    lexicographic order, so no sort is needed.  The guard on the number of
+    zeros is checked at the call, before any vertex is made."""
     zeros = [i for i, c in enumerate(x) if c == 0]
     if len(zeros) > MAX_CUBE_DIM:
         raise InputError("dim_too_large", "2^(#zeros) support vertices exceed the guard")
-    base = _pinned_signs(x)
+    base = list(map(sgn, x))
 
     def filled(signs):
         f = list(base)
@@ -93,22 +95,15 @@ def _box_vertices(x) -> Iterator[Vec]:
             f[pos] = s
         return tuple(f)
 
-    return map(filled, itertools.product((MINUS_ONE, ONE), repeat=len(zeros)))
+    return map(filled, itertools.product((-1, 1), repeat=len(zeros)))
 
 
-def _pinned_signs(x: Vec) -> list[Fraction]:
-    """sgn(x_i) as the shared Fractions 0, 1 and -1: the entries every
-    functional of J(x) on l1 takes on the support of x."""
-    return [(ZERO, ONE, MINUS_ONE)[sgn(c)] for c in x]
+_SIGNS = (ZERO, ONE, MINUS_ONE)
 
 
-def _linf_face(space: SpaceSpec, x: Vec) -> list[tuple[int, Vec]]:
-    """J(x) on l-inf, a face of the dual cross-polytope: (i, sgn(x_i) e_i)
-    over the entries of largest size, each vertex taken from the shared
-    vertex list (e_i at 2i, -e_i at 2i + 1), not built anew."""
-    value = max(map(abs, x))
-    cross = _cross_polytope_vertices(space.dim)
-    return [(i, cross[2 * i + (c < 0)]) for i, c in enumerate(x) if abs(c) == value]
+def _signs(row: tuple[int, ...]) -> Vec:
+    """A row of entries 0, 1 and -1 as the shared Fractions 0, 1 and -1."""
+    return tuple([_SIGNS[c] for c in row])
 
 
 def _integer_key(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int, int]:
@@ -136,12 +131,6 @@ def _integer_key(space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[tuple[in
     return face, top // g, s // g
 
 
-def _key_norm_and_vertices(space: SpaceSpec, key: tuple[tuple[int, ...], int, int]) -> tuple[Fraction, tuple[Vec, ...]]:
-    """||x|| and the sorted vertex list of J(x) from the key of `_integer_key`."""
-    face, n, d = key
-    return Fraction(n, d), tuple(_face_vertices(space, face))
-
-
 def _face_vertices(space: SpaceSpec, face: tuple[int, ...]) -> Iterator[Vec]:
     """The vertices of J(x), in sorted order, from its face as `_integer_key`
     names it: the polar facets it indexes on a polyhedral ball (in polar
@@ -152,19 +141,45 @@ def _face_vertices(space: SpaceSpec, face: tuple[int, ...]) -> Iterator[Vec]:
         facets = _polar_rows(space)[0]
         return (facets[i] for i in face)
     if space.p == 1:
-        return _box_vertices(face)
+        return map(_signs, _box_vertices(face))
     cross = _cross_polytope_vertices(space.dim)
     return iter(sorted(cross[i] for i in face))
+
+
+def _face_rows(space: SpaceSpec, face: tuple[int, ...]) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """(D, rows): the vertices g of J(x) named by its face (`_integer_key`),
+    in the order of `_face_vertices`, as integer rows D g: polar facet rows
+    (`_polar_rows`), or with D = 1 the signed units on l-inf and the sign
+    box on l1, made one at a time (`_box_vertices`)."""
+    if space.kind == "polyhedral":
+        _, d, rows = _polar_rows(space)
+        return d, (rows[i] for i in face)
+    if space.p == 1:
+        return 1, _box_vertices(face)
+    return 1, iter(sorted(_signed_unit(space.dim, i) for i in face))
+
+
+def _signed_unit(n: int, i: int) -> tuple[int, ...]:
+    """The integer row of e_k (i = 2k) or -e_k (i = 2k + 1)."""
+    return tuple([(-1 if i % 2 else 1) if k == i // 2 else 0 for k in range(n)])
+
+
+def _row_vertex(space: SpaceSpec, d: int, row: tuple[int, ...]) -> Vec:
+    """The vertex row / d of J(x) for an integer row of `_face_rows`: on l1
+    and l-inf a vector of the shared Fractions 0, 1 and -1."""
+    if space.kind == "polyhedral":
+        return tuple([Fraction(c, d) if c else ZERO for c in row])
+    return _signs(row)
 
 
 def _single_functional(space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]:
     """The one functional q of J(x) when the face of `_integer_key` names a
     singleton J(x) = {q} (x is a smooth point), else None; q is the shared
-    vertex `_key_norm_and_vertices` lists.  On l1 the face is the sign pattern
+    vertex `_face_vertices` lists.  On l1 the face is the sign pattern
     of x, one functional when it has no zero; on l-inf and on a polyhedral
     ball the face has one index, a signed unit or a polar facet."""
     if space.p == 1:
-        return tuple(_pinned_signs(face)) if all(face) else None
+        return _signs(face) if all(face) else None
     if len(face) != 1:
         return None
     if space.kind == "polyhedral":
@@ -194,12 +209,7 @@ def is_smooth(space: SpaceSpec, x: Vec) -> bool:
     _require_base_point(space, x)
     if not is_exact(space):
         return True
-    if space.kind == "polyhedral":
-        return len(_norm_and_face(space, x)[1]) == 1
-    if space.p == 1:
-        return all(x)
-    value = max(map(abs, x))
-    return sum(abs(c) == value for c in x) == 1
+    return _single_functional(space, _integer_key(space, integer_point(vec(x))[0], 1)[0]) is not None
 
 
 def eval_range(
@@ -231,31 +241,19 @@ def support_extremes(space: SpaceSpec, x: Vec, y: Vec) -> tuple[tuple[Fraction, 
     exact space, each with a vertex of J(x) that attains it, ties broken as
     in `_vertex_extremes` over the sorted vertex list of `support_set`.
 
-    On l1, J(x) is the box of sign vectors pinned to sgn(x_i) where x_i != 0,
-    so the range is sum sgn(x_i) y_i -+ sum |y_i|, the first sum over the
-    support of x and the second over its zeros.  It is read from x itself:
-    on the zeros of x, f_lo takes -sgn(y_i) and f_hi takes sgn(y_i), with -1
-    and 1 where y_i = 0 too.  On l-inf, J(x) is the hull of sgn(x_i) e_i over
-    the entries of largest |x_i|, and f(y) = sgn(x_i) y_i there.  On a
-    polyhedral ball the extremes are taken over the J(x) vertices of the
-    cached polar scan.  x and y convert exactly (`linalg.vec`), so float
-    input is decided in rationals.
+    x = q / s and y = v / c are read into integers once and the extremes
+    from the face of J(q) = J(x) and v (`_face_extremes`); Fractions are
+    built only for what is returned.  x and y convert exactly (`linalg.vec`),
+    so float input is decided in rationals.
     """
     x, y = vec(x), vec(y)
     _require_base_point(space, x)
     require_dim(space, y)
     if not is_exact(space):
         raise InputError("not_polyhedral", f"{space!r} is not a polyhedral space")
-    if space.kind == "polyhedral":
-        return _vertex_extremes(_norm_and_face(space, x)[1], y)
-    if space.p == 1:
-        pinned, free = _l1_box(x, y)
-        signs = _pinned_signs(x)
-        f_lo = tuple(s if s else (ONE if yc < 0 else MINUS_ONE) for s, yc in zip(signs, y))
-        f_hi = tuple(s if s else (MINUS_ONE if yc < 0 else ONE) for s, yc in zip(signs, y))
-        return (pinned - free, f_lo), (pinned + free, f_hi)
-    values = [(f[i] * y[i], f) for i, f in _linf_face(space, x)]
-    return min(values), max(values)
+    v, c = integer_point(y)
+    d, low, high = _face_extremes(space, _integer_key(space, integer_point(x)[0], 1)[0], v)
+    return tuple((Fraction(value, d * c), _row_vertex(space, d, row)) for value, row in (low, high))
 
 
 def _l1_box(x, y) -> tuple:
@@ -269,35 +267,32 @@ def _l1_box(x, y) -> tuple:
     return pinned, free
 
 
-def _integer_range(space: SpaceSpec, q: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int]:
-    """(lo, hi), a positive multiple of the min and max of f(b) over J(x) on an
-    exact space, for x = q / s and b = v / c (s, c > 0), q a nonzero integer
-    vector and v an integer one; all in ints.  J(x) = J(q), since J does not
-    change under positive scaling, and f(b) = f(v) / c: the range is that of
-    `_face_range` on the face of q (`_integer_key`)."""
-    return _face_range(space, _integer_key(space, q, 1)[0], v)
-
-
-def _face_range(space: SpaceSpec, face: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int]:
-    """(lo, hi), a positive multiple of the min and max of f(v) over J(x) on an
-    exact space, for J(x) named by its face as `_integer_key` names it and an
-    integer vector v; all in ints, with no vertex list and no scan.
+def _face_extremes(space: SpaceSpec, face: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+    """(D, (lo, r_lo), (hi, r_hi)): D times the min and max of f(v) over J(x),
+    named by its face (`_integer_key`), for an integer vector v, each with
+    the row D f of a vertex attaining it (`_face_rows`), all in ints.  Ties
+    go to the least row for the min and the greatest for the max, as in
+    `_vertex_extremes`: the rows D f order as the vertices f do.
 
     On l1 the face is the sign pattern of x, and the range is that of
-    `_l1_box`; on l-inf it holds the indices 2i + (x_i < 0) of the signed
-    units sgn(x_i) e_i, each giving sgn(x_i) v_i; on a polyhedral ball the
-    indices of the polar facets f that attain the norm, each giving (D f).v,
-    D times f(v) (`_polar_rows`).
+    `_l1_box`; on the zeros of x, r_lo takes -sgn(v_i) and r_hi takes
+    sgn(v_i), with -1 and 1 where v_i = 0 too.  On l-inf the face holds the
+    indices 2i + (x_i < 0) of the signed units sgn(x_i) e_i, each giving
+    sgn(x_i) v_i; on a polyhedral ball the indices of the polar facets f
+    that attain the norm, each giving (D f).v (`_polar_rows`).
     """
     if space.kind == "polyhedral":
-        rows = _polar_rows(space)[2]
-        values = int_mat_vec([rows[i] for i in face], v)
+        _, d, rows = _polar_rows(space)
+        values = [(sum(map(mul, rows[i], v)), rows[i]) for i in face]
     elif space.p == 1:
         pinned, free = _l1_box(face, v)
-        return pinned - free, pinned + free
+        r_lo = tuple([c or (1 if vc < 0 else -1) for c, vc in zip(face, v)])
+        r_hi = tuple([c or (-1 if vc < 0 else 1) for c, vc in zip(face, v)])
+        return 1, (pinned - free, r_lo), (pinned + free, r_hi)
     else:
-        values = [-v[i // 2] if i % 2 else v[i // 2] for i in face]
-    return min(values), max(values)
+        d = 1
+        values = [(-v[i // 2] if i % 2 else v[i // 2], _signed_unit(space.dim, i)) for i in face]
+    return d, min(values), max(values)
 
 
 def support_range(space: SpaceSpec, x: Vec, y: Vec) -> tuple[Fraction, Fraction]:

@@ -30,9 +30,9 @@ from bjlevel import (
     support_range,
     support_set,
 )
-from bjlevel import levels, simplex
-from bjlevel.linalg import dot, kernel_basis, mat_vec, transpose, vec
-from bjlevel.orthogonality import _dual_exact
+from bjlevel import levels, simplex, support
+from bjlevel.linalg import dot, integer_point, kernel_basis, mat_vec, transpose, vec
+from bjlevel.orthogonality import OrthogonalityVerdict
 from bjlevel.support import _vertex_extremes
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, feasible_point, probe_points, random_operator, sphere_ball
 
@@ -55,6 +55,23 @@ def test_single_generator_subspace_matches_plain_orthogonality(l1_3, linf_3, hex
 def _sparse_entry(rng: random.Random) -> Fraction:
     """0 half of the time, else a small rational."""
     return F(0) if rng.random() < 0.5 else F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _listed_verdict(vertices, y):
+    """The exact verdict from the extremes of f(y) over a listed vertex list
+    of J(x), in Fractions: the witness is f_lo or f_hi at a zero end, else
+    the point of the segment between them where f(y) = 0."""
+    (lo, f_lo), (hi, f_hi) = _vertex_extremes(vertices, y)
+    if lo <= 0 <= hi:
+        if lo == 0:
+            witness = f_lo
+        elif hi == 0:
+            witness = f_hi
+        else:
+            t = -lo / (hi - lo)
+            witness = tuple(a + t * (b - a) for a, b in zip(f_lo, f_hi))
+        return OrthogonalityVerdict(True, witness, "dual", "exact", F(0))
+    return OrthogonalityVerdict(False, None, "dual", "exact", min(abs(lo), abs(hi)))
 
 
 def test_bj_orthogonal_equals_the_decision_over_the_listed_support_set():
@@ -81,7 +98,7 @@ def test_bj_orthogonal_equals_the_decision_over_the_listed_support_set():
                 k = rng.choice([i for i, c in enumerate(x) if c])
                 shift = (lo if trial % 3 == 1 else hi) * (1 if x[k] > 0 else -1)
                 y = tuple(c - shift if i == k else c for i, c in enumerate(y))
-            want = _dual_exact(*_vertex_extremes(vertices, y))
+            want = _listed_verdict(vertices, y)
             assert bj_orthogonal(space, x, y) == want, (space, x, y)
             ties += any(a == b == 0 for a, b in zip(x, y))
             ends = support_range(space, x, y)
@@ -249,7 +266,7 @@ def test_refutations_come_from_the_membership_separator(monkeypatch):
                 separated = []
                 for f in support_set(space, x).vertices:
                     target = tuple(scale * c for c in f)
-                    g, z = levels._membership(point, f)
+                    g, z = levels._membership(point, *integer_point(f))
                     if z is None:
                         assert mat_vec(transpose(op.matrix), g) == target
                     else:
@@ -404,11 +421,11 @@ def test_the_counterexample_check_refuses_a_flipped_or_boundary_y():
             for x in points:
                 report = preserves_bj_at(op, x)
                 point = levels._evaluate(op, x)
-                if report.holds or len(point.q_verts) != 1:
+                if report.holds or len(point.q_rows) != 1:
                     continue
                 y, _ = report.counterexample
                 assert levels._verified_margin(op.domain, point, y) == 1
-                f, a = report.failing_functional, mat_vec(transpose(op.matrix), point.q_verts[0])
+                f, a = report.failing_functional, mat_vec(transpose(op.matrix), support._single_functional(op.codomain, point.key[0]))
                 boundary = kernel_basis([f, a])[0]
                 assert dot(f, boundary) == 0 == dot(a, boundary)
                 for wrong, reason in ((tuple(-c for c in y), "remained"), (x, "not orthogonal to x"), (boundary, "remained")):
@@ -541,3 +558,51 @@ def test_kernel_condition_holds_when_an_end_of_the_interval_is_zero():
     assert support_range(space, x, b) == (0, 1)
     assert kernel_condition(op, x)
     assert subspace_orthogonal(space, x, [b]).orthogonal
+
+
+def _member(op, scale, f, q_verts):
+    """scale f in conv(T^T g) over a listed vertex list of J(Tx), decided by
+    feasibility of the convex weights in Fractions."""
+    adj = [mat_vec(transpose(op.matrix), g) for g in q_verts]
+    rows = [[a[c] for a in adj] for c in range(op.domain.dim)] + [[F(1)] * len(adj)]
+    return feasible_point(rows, [scale * c for c in f] + [F(1)]) is not None
+
+
+def test_single_point_decisions_equal_the_fraction_vertex_reference():
+    # The integer single-point path against references taken over the listed
+    # vertices of J(x) and J(Tx) in Fractions: bj_orthogonal's verdict,
+    # witness and margin, the level verdict and number (the level LP),
+    # preservation's verdict and first failing vertex, and directional
+    # preservation (the membership LP).  On l1^3..9, linf^3..9, the hexagon
+    # and the 14-vertex ball, at vertices, facet centroids and generic
+    # points; the LP references run where J(x) and J(Tx) stay small.
+    rng = random.Random(28)
+    balls = [l1(n) for n in range(3, 10)] + [linf(n) for n in range(3, 10)]
+    balls += [polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))]
+    sizes = set()
+    for space in balls:
+        stream = RationalStream(space.dim)
+        ops = [random_operator(space, stream), operator([[F(rng.randint(-1, 2)) if r == c else 0 for c in range(space.dim)] for r in range(space.dim)], space)]
+        for kind in probe_points(space, rng, digits=3):
+            for x in rng.sample(kind, min(2, len(kind))):
+                vertices = support_set(space, x).vertices
+                for y in (stream.next_nonzero_vector(space.dim), tuple(F(rng.randint(-1, 1)) for _ in range(space.dim))):
+                    if any(y):
+                        assert bj_orthogonal(space, x, y) == _listed_verdict(vertices, y), (space, x, y)
+                for op in ops:
+                    tx = op(x)
+                    if not any(tx) or len(vertices) > 16:
+                        continue
+                    q_verts = support_set(space, tx).vertices
+                    if len(q_verts) > 16:
+                        continue
+                    sizes.add(min(len(q_verts), 3))
+                    scale = norm(space, tx) / norm(space, x)
+                    cert, lp = is_level_vector(op, x), lp_level(op, x)
+                    assert (cert is None) == (lp is None) and (cert is None or cert.level_number == lp[2]), (op, x)
+                    failing = next((f for f in vertices if not _member(op, scale, f, q_verts)), None)
+                    report = preserves_bj_at(op, x)
+                    assert (report.holds, report.failing_functional) == (failing is None, failing), (op, x)
+                    f = vertices[0]
+                    assert preserves_bj_directional(op, x, f).holds == _member(op, scale, f, q_verts)
+    assert sizes == {1, 2, 3}

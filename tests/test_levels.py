@@ -37,7 +37,7 @@ from bjlevel import (
     zero_operator,
 )
 from bjlevel import isometry, levels, linalg, simplex, spaces, support
-from bjlevel.linalg import dot, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
+from bjlevel.linalg import dot, integer_point, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
 
@@ -471,7 +471,7 @@ def test_enumeration_solves_one_problem_per_class_of_image_norm_and_support(monk
     solve, adjoint_dual_norm, edge = levels._solve_level, levels._adjoint_dual_norm, levels._edge_certificate
 
     def counted(op, point):
-        assert len(point.q_verts) > 1, "a smooth image reached the level LP"
+        assert len(point.q_rows) > 1, "a smooth image reached the level LP"
         solved.append(_j_vertices(op.domain, point))
         return solve(op, point)
 
@@ -672,7 +672,7 @@ def test_enumeration_checks_each_certificate_it_solves(linf_3, monkeypatch):
         return (tuple(2 * c for c in f), *rest)
 
     def refused(op, point):
-        assert len(point.q_verts) > 1, "a smooth image reached the level LP"
+        assert len(point.q_rows) > 1, "a smooth image reached the level LP"
         return solve(op, point)
 
     solve = levels._solve_level
@@ -747,22 +747,27 @@ def _j_vertices(domain, point):
     return tuple(support._face_vertices(domain, point.p_face))
 
 
+def _image_vertices(op, point):
+    """The vertex list of J(Tx), from the face of the key of a `levels._Point`."""
+    return tuple(support._face_vertices(op.codomain, point.key[0]))
+
+
 def _level_lp(op, point):
     """The level LP over the vertices of J(x) and J(Tx): (f, g, k) or None."""
     p_verts = _j_vertices(op.domain, point)
-    negated = [vec_scale(-point.scale, p) for p in p_verts]
+    negated = [vec_scale(-F(*point.scale), p) for p in p_verts]
     weights = simplex.convex_weights([negated, point.adj], (F(0),) * op.domain.dim)
     if weights is None:
         return None
     lam, mu = weights
-    return linalg.combination(lam, p_verts), linalg.combination(mu, point.q_verts), point.scale**2
+    return linalg.combination(lam, p_verts), linalg.combination(mu, _image_vertices(op, point)), F(*point.scale) ** 2
 
 
 def _edge_t_by_lp(op, point, sign):
     """The least (sign 1) or greatest (sign -1) t with (1 - t) q0 + t q1 in
     a level certificate, by the level LP with the objective min sign t, or
     None when it is infeasible."""
-    negated = [vec_scale(-point.scale, p) for p in _j_vertices(op.domain, point)]
+    negated = [vec_scale(-F(*point.scale), p) for p in _j_vertices(op.domain, point)]
     columns = negated + list(point.adj)
     rows = [[c[k] for c in columns] for k in range(op.domain.dim)]
     rows.append([F(1)] * len(negated) + [F(0), F(0)])
@@ -788,7 +793,7 @@ def _edge_battery(seed, tries):
         if not any(x):
             continue
         point = levels._evaluate(op, x)
-        if point is not None and len(point.q_verts) == 2:
+        if point is not None and len(point.q_rows) == 2:
             yield op, x, point
 
 
@@ -809,13 +814,13 @@ def test_the_edge_image_test_agrees_with_the_level_lp():
         lp = _level_lp(op, point)
         assert (found is None) == (lp is None), (op, x)
         least = _edge_t_by_lp(op, point, 1)
-        q0, q1 = point.q_verts
+        q0, q1 = _image_vertices(op, point)
         if found is None:
             assert least is None
             outcome = "none"
         else:
             f, g, k = found
-            assert dual_norm(op.domain, f) == 1 and k == point.scale**2
+            assert dual_norm(op.domain, f) == 1 and k == F(*point.scale) ** 2
             assert g == tuple((1 - least) * a + least * b for a, b in zip(q0, q1)), (op, x)
             outcome = "t=0" if least == 0 else "t=1" if least == 1 else "inside"
             same_as_lp += found == lp
@@ -910,12 +915,12 @@ def _full_list_preservation(op, x):
         return levels.PreservationReport(True, None, None, "exact")
     p_verts = sorted(support_set(op.domain, x).vertices)
     for f in p_verts:
-        _, z = levels._membership(point, f)
+        _, z = levels._membership(point, *integer_point(f))
         if z is not None:
-            y = levels._counterexample(point, f, *z)
+            y = levels._counterexample(point, *integer_point(f), *z)
             on_x = [dot(p, y) for p in p_verts]
             assert min(on_x) <= 0 <= max(on_x)
-            margin = min(dot(g, op(y)) for g in point.q_verts)
+            margin = min(dot(g, op(y)) for g in support_set(op.codomain, op(x)).vertices)
             assert margin > 0
             return levels.PreservationReport(False, f, (y, margin), "exact")
     return levels.PreservationReport(True, None, None, "exact")
@@ -1051,3 +1056,34 @@ def test_enumeration_meets_the_bound_guard_before_probing_a_face(monkeypatch):
     with pytest.raises(InputError) as err:
         enumerate_level_numbers(op, 1, 1)
     assert err.value.code == "too_many_vertices" and "C(64,4)" in str(err.value)
+
+
+def test_smooth_and_edge_images_build_no_fraction_list_of_j_tx(hexagon, monkeypatch):
+    # J(Tx) is read as the integer rows of its face: with every Fraction
+    # lister of a support set refused, preservation and the level test on
+    # smooth and edge images (2-D codomains), and bj_orthogonal on l1 and
+    # l-inf, still decide, with the reports they give unrefused.
+    ops = [_edge_case(hexagon, *case[:3]) for case in EDGE_CASES]
+    ops += [op for space in (l1(2), linf(2), hexagon) for op in seeded_operator_kinds(space, 6)]
+    stream = RationalStream(12)
+    ops.append(operator([[stream.next_fraction() for _ in range(4)] for _ in range(2)], l1(4), linf(2)))
+    ops.append(operator([[stream.next_fraction() for _ in range(3)] for _ in range(2)], linf(3), hexagon))
+    points = {op: [x for x in (*ball_vertices(op.domain)[:4], stream.next_nonzero_vector(op.domain.dim)) if any(op(x))] for op in ops}
+    want = {(op, x): (preserves_bj_at(op, x), is_level_vector(op, x)) for op in ops for x in points[op]}
+    pairs = [(space, stream.next_nonzero_vector(n), stream.next_nonzero_vector(n)) for n in (2, 5, 9) for space in (l1(n), linf(n))]
+    pairs += [(space, unit(space.dim, 0), (F(0),) + (F(1),) * (space.dim - 1)) for space in (l1(6), linf(6))]
+    verdicts = [bj_orthogonal(space, x, y) for space, x, y in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed a support set in Fractions")
+
+    for module, name in ((support, "_face_vertices"), (support, "_exact_vertices"), (support, "_norm_and_face"),
+                         (support, "_vertex_extremes"), (levels, "support_set"), (levels, "_face_vertices")):
+        monkeypatch.setattr(module, name, refuse)
+    sizes = set()
+    for (op, x), report in want.items():
+        assert (preserves_bj_at(op, x), is_level_vector(op, x)) == report, (op, x)
+        sizes.add(len(levels._evaluate(op, x).q_rows))
+    assert sizes == {1, 2}
+    assert [bj_orthogonal(space, x, y) for space, x, y in pairs] == verdicts
+    assert {r.holds for r, _ in want.values()} == {True, False} == {c is not None for _, c in want.values()}

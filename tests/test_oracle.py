@@ -7,17 +7,23 @@ import pytest
 from bjlevel import (
     InputError,
     RationalStream,
+    SampleCheckReport,
+    ball_vertices,
     diagonal_operator,
     identity_operator,
     l1,
+    linf,
     minimize_norm_1d,
     norm,
+    polyhedral_space,
     preservation_sample_check,
     sample_sphere,
+    support_set,
 )
-from bjlevel.linalg import vec_add, vec_scale
+from bjlevel.faces import convex_combination
+from bjlevel.linalg import kernel_basis, vec_add, vec_scale
 
-from ._util import v
+from ._util import HEXAGON_VERTICES, cube_cross_vertices, random_operator, v
 
 F = Fraction
 
@@ -145,3 +151,54 @@ def test_preservation_sample_counts_are_guarded_before_sampling(l1_3, monkeypatc
         with pytest.raises(InputError) as err:
             preservation_sample_check(op, x, limit + 1, 1)
         assert err.value.code == "too_many_samples" and f"guard of {limit:,}" in str(err.value)
+
+
+def _fraction_sample_check(op, x, n, seed):
+    """`preservation_sample_check` on an exact space as it was with each
+    functional averaged in Fractions (`faces.convex_combination`)."""
+    stream = RationalStream(seed)
+    vertices = support_set(op.domain, x).vertices
+    tx, violations = op(x), []
+    for _ in range(n):
+        f = convex_combination(vertices, [stream.next_positive_fraction() for _ in vertices])
+        basis = kernel_basis((f,))
+        y = None
+        while y is None:
+            coeffs = [stream.next_fraction() for _ in basis]
+            candidate = tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(op.domain.dim))
+            if any(candidate):
+                y = candidate
+        ty = op(y)
+        if not any(ty):
+            continue
+        margin = norm(op.codomain, tx) - minimize_norm_1d(op.codomain, tx, ty)[1]
+        if margin > 0:
+            violations.append((y, margin))
+    return SampleCheckReport(n, tuple(violations), seed, "exact")
+
+
+def test_integer_sampled_functionals_equal_the_fraction_average():
+    # Each sample's functional is summed in integers over the vertex rows of
+    # J(x) and divided once per coordinate: the reports, and so the stream's
+    # draws, equal the Fraction average's, at smooth points, at vertices
+    # where J(x) is a box (e1 on l1^12: 2^11 vertices), on polyhedral balls
+    # with rational facets and with a rank-deficient operator.
+    hexagon, cube_cross = polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))
+    stream = RationalStream(31)
+    cases = [
+        (diagonal_operator(l1(12), [2] + [1] * 11), (F(1),) + (F(0),) * 11, 3),
+        (diagonal_operator(l1(3), [2, 1, 1]), v("1,0,0"), 40),
+        (diagonal_operator(l1(3), [2, 1, 0]), v("1,1/2,0"), 40),
+        (identity_operator(l1(5)), v("1/2,0,0,-1/2,0"), 20),
+    ]
+    for space in (linf(3), linf(4), hexagon, cube_cross):
+        op = random_operator(space, stream)
+        vertex = ball_vertices(space)[0]
+        cases += [(op, vertex, 30), (op, stream.next_nonzero_vector(space.dim), 30)]
+    found = 0
+    for op, x, n in cases:
+        for seed in (1, 8):
+            report = preservation_sample_check(op, x, n, seed)
+            assert report == _fraction_sample_check(op, x, n, seed), (op, x, seed)
+            found += bool(report.violations)
+    assert found >= len(cases)

@@ -27,7 +27,7 @@ from bjlevel import (
 )
 from bjlevel.linalg import dot, unit
 from bjlevel.spaces import _cross_polytope_vertices, _polar_rows
-from bjlevel.support import _integer_key, _integer_range, _key_norm_and_vertices, functional_in_support
+from bjlevel.support import _face_extremes, _face_rows, _integer_key, _row_vertex, functional_in_support
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
@@ -309,7 +309,7 @@ def test_linf_support_vertices_are_the_shared_cross_polytope_tuples():
 )
 def test_integer_norm_and_support_match_the_fraction_entry(make_space):
     # x = q / s read from the integer vector q gives ||x|| and J(x) as the
-    # Fraction entries do.
+    # Fraction entries do: J(x) as the integer rows of its face, in order.
     space = make_space()
     rng = random.Random(space.dim)
     for _ in range(40):
@@ -318,7 +318,10 @@ def test_integer_norm_and_support_match_the_fraction_entry(make_space):
             continue
         s = rng.randint(1, 12)
         x = tuple(F(c, s) for c in q)
-        assert _key_norm_and_vertices(space, _integer_key(space, q, s)) == (norm(space, x), support_set(space, x).vertices)
+        face, n, d = _integer_key(space, q, s)
+        scale, rows = _face_rows(space, face)
+        vertices = tuple(_row_vertex(space, scale, row) for row in rows)
+        assert (F(n, d), vertices) == (norm(space, x), support_set(space, x).vertices)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +363,12 @@ def test_integer_key_neither_merges_nor_splits_norm_and_support_set(make_space):
     supports = [j for _, j in by_pair]
     norms = [n for n, _ in by_pair]
     assert len(set(supports)) < len(by_pair) and len(set(norms)) < len(by_pair)
+
+
+def _integer_range(space, q, v):
+    """The ends of the integer reader on the face of q (`_face_extremes`)."""
+    _, (lo, _), (hi, _) = _face_extremes(space, _integer_key(space, q, 1)[0], v)
+    return lo, hi
 
 
 @pytest.mark.parametrize(

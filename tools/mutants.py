@@ -85,7 +85,7 @@ MUTANTS = (
         "tests/test_linalg.py",
     ),
     # The kernel condition in integers and the Birkhoff-James interval
-    # (levels.kernel_condition, support._integer_range, support_extremes).
+    # (levels.kernel_condition, support._face_extremes).
     _mutant(
         "kernel-image-test-all-not-any",
         "levels.py",
@@ -96,8 +96,8 @@ MUTANTS = (
     _mutant(
         "polyhedral-range-over-every-facet",
         "support.py",
-        "values = int_mat_vec([rows[i] for i in face], v)",
-        "values = int_mat_vec(rows, v)",
+        "values = [(sum(map(mul, rows[i], v)), rows[i]) for i in face]",
+        "values = [(sum(map(mul, row, v)), row) for row in rows]",
         "tests/test_differential.py",
     ),
     _mutant(
@@ -134,15 +134,15 @@ MUTANTS = (
     _mutant(
         "linf-pinned-sign-flipped",
         "support.py",
-        "values = [(f[i] * y[i], f) for i, f in _linf_face(space, x)]",
-        "values = [(-f[i] * y[i], f) for i, f in _linf_face(space, x)]",
+        "values = [(-v[i // 2] if i % 2 else v[i // 2], _signed_unit(",
+        "values = [(v[i // 2] if i % 2 else -v[i // 2], _signed_unit(",
         "tests/test_support.py",
     ),
     Mutant(
         "l1-tie-fill-swapped",
         (
-            ("support.py", "f_lo = tuple(s if s else (ONE if yc < 0 else MINUS_ONE)", "f_lo = tuple(s if s else (ONE if yc <= 0 else MINUS_ONE)"),
-            ("support.py", "f_hi = tuple(s if s else (MINUS_ONE if yc < 0 else ONE)", "f_hi = tuple(s if s else (MINUS_ONE if yc <= 0 else ONE)"),
+            ("support.py", "r_lo = tuple([c or (1 if vc < 0 else -1)", "r_lo = tuple([c or (1 if vc <= 0 else -1)"),
+            ("support.py", "r_hi = tuple([c or (-1 if vc < 0 else 1)", "r_hi = tuple([c or (-1 if vc <= 0 else 1)"),
         ),
         ("tests/test_orthogonality.py", "tests/test_differential.py"),
     ),
@@ -157,8 +157,8 @@ MUTANTS = (
     _mutant(
         "check-swaps-sn-and-sd",
         "levels.py",
-        "    sn, sd = scale.numerator, scale.denominator\n    left, right",
-        "    sd, sn = scale.numerator, scale.denominator\n    left, right",
+        "    sn, sd = scale\n    left, right",
+        "    sd, sn = scale\n    left, right",
         "tests/test_levels.py",
     ),
     _mutant(
@@ -219,8 +219,8 @@ MUTANTS = (
     _mutant(
         "smooth-table-certificate-unchecked",
         "levels.py",
-        "            _checked(d_t, m_rows, scale, _smooth_certificate(",
-        "            (d_t, m_rows, scale, _smooth_certificate(",
+        "            _checked(d_t, m_rows, (n, d), _smooth_certificate(",
+        "            (d_t, m_rows, (n, d), _smooth_certificate(",
         "tests/test_levels.py::test_enumeration_checks_each_certificate_it_solves",
     ),
     # The level test on an edge image J(Tx) = [q0, q1] (levels._edge_certificate).
@@ -241,7 +241,7 @@ MUTANTS = (
     _mutant(
         "edge-dual-norm-check-dropped",
         "levels.py",
-        "    if _adjoint_dual_norm(domain, w, v * point.den) != (sn, sd):\n",
+        "    if _adjoint_dual_norm(domain, w, v * point.den) != point.scale:\n",
         "    if False:\n",
         "tests/test_levels.py::test_an_edge_certificate_without_dual_norm_one_is_refused",
     ),
@@ -279,8 +279,8 @@ MUTANTS = (
     _mutant(
         "box-vertices-out-of-order",
         "support.py",
-        "itertools.product((MINUS_ONE, ONE), repeat=len(zeros))",
-        "itertools.product((ONE, MINUS_ONE), repeat=len(zeros))",
+        "itertools.product((-1, 1), repeat=len(zeros))",
+        "itertools.product((1, -1), repeat=len(zeros))",
         "tests/test_levels.py::test_preservation_reports_equal_the_full_list_loop",
     ),
     _mutant(
@@ -303,6 +303,29 @@ MUTANTS = (
         "return tuple(Fraction(c * sd, den * sn) for c in image)",
         "return tuple(Fraction(c, den) for c in image)",
         "tests/test_levels.py",
+    ),
+    # The exact Birkhoff-James verdict in integers (orthogonality._dual_exact
+    # on the rows of support._face_extremes).
+    _mutant(
+        "witness-lo-and-hi-swapped",
+        "orthogonality.py",
+        "Fraction(hi * a - lo * b, den)",
+        "Fraction(lo * a - hi * b, den)",
+        "tests/test_differential.py::test_bj_orthogonal_equals_the_decision_over_the_listed_support_set",
+    ),
+    _mutant(
+        "margin-without-the-denominator-of-y",
+        "orthogonality.py",
+        "Fraction(lo if lo > 0 else -hi, d * c)",
+        "Fraction(lo if lo > 0 else -hi, d)",
+        "tests/test_differential.py::test_bj_orthogonal_equals_the_decision_over_the_listed_support_set",
+    ),
+    _mutant(
+        "reader-min-tie-reversed",
+        "support.py",
+        "r_lo = tuple([c or (1 if vc < 0 else -1)",
+        "r_lo = tuple([c or (1 if vc <= 0 else -1)",
+        "tests/test_differential.py::test_bj_orthogonal_equals_the_decision_over_the_listed_support_set",
     ),
     # Faces of a general ball from the facet incidence alone
     # (faces._face_index_sets): the closure under intersection and the
