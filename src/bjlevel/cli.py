@@ -342,6 +342,11 @@ def _selftest() -> dict:
     check("census cube plus 2 cross", face_census(cube_cross).counts == (14, 24, 12))
     check("bound l1 13", level_count_bound(l1_3, t123_l1) == 13)
     check("bound linf 13", level_count_bound(linf_3, t123_inf) == 13)
+    # Kernel sections, counted from one facet scan of the projected polar rows.
+    plane = operator([[0, 0, 1], [0, 0, 0], [0, 0, 0]], linf_3)
+    check("bound linf3 2-D kernel", level_count_bound(linf_3, plane) == 10)
+    line = operator([[1, -1], [2, -2]], hexagon)
+    check("bound hexagon 1-D kernel", level_count_bound(hexagon, line) == 6)
 
     s_case = diagonal_operator(linf_3, [1, 1, 2])
     case3 = scalar_identity_test(

@@ -169,21 +169,31 @@ def _exact_faces(records) -> list[Face]:
 @lru_cache(maxsize=CACHE_SIZE)
 def _face_index_sets(verts: tuple[Vec, ...]) -> tuple[tuple[frozenset[int], int], ...]:
     """Every proper face of the general ball with vertex list ``verts`` as
-    (index set into ``verts``, dim), from the facet incidence alone, in ints
-    and frozensets.
+    (index set into ``verts``, dim): the closure (`_face_closure`) of its
+    facet incidence.  Kept per vertex list, not per space: equal spaces may
+    list their vertices in different orders, and the index sets name
+    positions.  The census and the lattice both read it.
+    """
+    _require_general_dim(len(verts[0]))
+    return _face_closure([tight for _, tight in _facet_incidence(verts)])
 
-    Every face is an intersection of facets, so the facets' tight sets are
-    closed under intersection with the facets.  Every facet of a face F is
-    F & G for a facet G of the ball, so dim F = 1 + max dim(F & G) over the
+
+def _require_general_dim(dim: int) -> None:
+    if dim > _MAX_LATTICE_DIM_GENERAL:
+        raise InputError("dim_too_large", "general face lattices are limited to dimension 6")
+
+
+def _face_closure(facets: list[frozenset[int]]) -> tuple[tuple[frozenset[int], int], ...]:
+    """Every proper face of a polytope as (vertex index set, dim), from the
+    vertex index sets of its facets alone, in ints and frozensets.
+
+    Every face is an intersection of facets, so the facets' sets are closed
+    under intersection with the facets.  Every facet of a face F is F & G
+    for a facet G of the polytope, so dim F = 1 + max dim(F & G) over the
     facets G with F & G nonempty and not F itself, and 0 when there is none
     (a vertex); each such F & G has fewer vertices than F, so the dimensions
-    are read in order of size.  Kept per vertex list, not per space: equal
-    spaces may list their vertices in different orders, and the index sets
-    name positions.  The census and the lattice both read it.
+    are read in order of size.
     """
-    if len(verts[0]) > _MAX_LATTICE_DIM_GENERAL:
-        raise InputError("dim_too_large", "general face lattices are limited to dimension 6")
-    facets = [tight for _, tight in _facet_incidence(verts)]
     meets: dict[frozenset[int], set[frozenset[int]]] = {}
     frontier = set(facets)
     while frontier:
@@ -222,11 +232,23 @@ def face_census(space: SpaceSpec) -> FaceCensus:
         else:
             counts = tuple(math.comb(n, k + 1) * 2 ** (k + 1) for k in range(n))
     else:
-        counts_list = [0] * n
-        for _, dim in _face_index_sets(ball_vertices(space)):
-            counts_list[dim] += 1
-        counts = tuple(counts_list)
+        counts = _counts(n, _face_index_sets(ball_vertices(space)))
     return FaceCensus(counts, sum(counts))
+
+
+def _facet_census(dim: int, facets: list[frozenset[int]]) -> FaceCensus:
+    """The census of a general dim-dimensional polytope from the vertex index
+    sets of its facets (`_face_closure`), with no vertex list read."""
+    _require_general_dim(dim)
+    counts = _counts(dim, _face_closure(facets))
+    return FaceCensus(counts, sum(counts))
+
+
+def _counts(n: int, index_sets) -> tuple[int, ...]:
+    counts = [0] * n
+    for _, dim in index_sets:
+        counts[dim] += 1
+    return tuple(counts)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

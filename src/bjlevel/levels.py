@@ -25,27 +25,26 @@ the subspace LP.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError, InternalCheckError
-from .faces import antipodal_representatives, face_census
+from .faces import FaceCensus, _facet_census, antipodal_representatives, face_census
 from .linalg import (
     ZERO,
     Vec,
     combination,
-    dot,
     fraction_kernel,
     int_mat_vec,
     integer_kernel,
     integer_point,
     integer_rows,
     is_zero_vec,
-    kernel_basis,
     mat_vec,
     transpose,
     unit,
@@ -61,13 +60,15 @@ from .spaces import (
     EXACT,
     FLOAT,
     FLOAT_TOL,
+    INF,
     Operator,
     SpaceSpec,
     _ball_rows,
+    _extreme_incidence,
     _facet_incidence,
     _integer_dual_norm,
+    _polar_rows,
     _shared,
-    dual_ball_vertices,
     float_path,
     is_exact,
     norm,
@@ -82,6 +83,7 @@ from .support import (
     _face_vertices,
     _integer_key,
     _row_vertex,
+    _signed_unit,
     _single_functional,
     functional_in_support,
     support_set,
@@ -713,9 +715,16 @@ def enumerate_level_numbers(op: Operator, samples_per_face: int, seed: int) -> L
         f"{len(table):,} faces x {samples_per_face:,} samples = "
         f"{len(table) * samples_per_face:,} probe points in {dim}-D",
     )
-    # The bound's guards (a kernel section too large to enumerate) are met
-    # before any face is probed.
-    bound = level_count_bound(op.domain, op) if op.domain == op.codomain else None
+    # The bound is an extra field: a kernel section past a desk-scale guard
+    # leaves it None, as T: X -> Y with X != Y does, and the faces are
+    # probed all the same.
+    bound = None
+    if op.domain == op.codomain:
+        try:
+            bound = level_count_bound(op.domain, op)
+        except InputError as exc:
+            if exc.code not in ("too_many_vertices", "dim_too_large"):
+                raise
     stream = RationalStream(seed)
     d_t, m_rows = integer_rows(op.matrix)
     # Equal coordinates and level numbers of the report share one Fraction,
@@ -862,33 +871,87 @@ def level_count_bound(space: SpaceSpec, op: Operator) -> Fraction:
 
     Half the number of proper faces when T is injective; with an m-dimensional
     kernel, the faces of the kernel section of the ball are excluded and the
-    single level number 0 is added back.
+    single level number 0 is added back.  The kernel is read as integer
+    vectors (`linalg.integer_kernel`), and the section's faces are counted
+    from the tight sets of its one facet scan (`_section_scan`): no section
+    space is built or validated.
     """
     if not is_exact(space):
         raise InputError("not_polyhedral", "the bound is for polyhedral spaces")
     if op.domain != space or op.codomain != space:
         raise InputError("bad_operator", "the bound applies to operators from the space to itself")
-    basis = kernel_basis(op.matrix)
-    if len(basis) == space.dim:
+    kernel = integer_kernel(integer_rows(op.matrix)[1])[1]
+    if len(kernel) == space.dim:
         return Fraction(1)  # T = 0: the kernel section is the whole ball, and L(T) = {0}
     total = face_census(space).total
-    if not basis:
+    if not kernel:
         return Fraction(total, 2)
-    section = kernel_section_space(space, basis)
-    g_total = face_census(section).total
-    return Fraction(total - g_total, 2) + 1
+    return Fraction(total - _section_census(space, kernel).total, 2) + 1
+
+
+def _section_census(space: SpaceSpec, kernel: list[tuple[int, ...]]) -> FaceCensus:
+    """The face census of the section of the ball by the span of the
+    integer vectors ``kernel``, from the tight sets of `_section_scan`."""
+    facets = _section_scan(space, kernel)[3]
+    return _facet_census(len(kernel), [tight for _, tight in facets])
 
 
 def kernel_section_space(space: SpaceSpec, basis: list[Vec]) -> SpaceSpec:
     """The unit ball of a subspace (here: ker T) as an m-dimensional polytope.
 
-    In the coordinates z of the given basis the section ball is cut out by
-    the facet functionals of the ambient ball; its vertices are the facet
-    functionals of the polytope spanned by those constraint rows.
+    In the coordinates w of the given basis B the section ball is cut out by
+    the facet functionals f of the ambient ball, as (B^T f) . w <= 1: its
+    vertices are the facet functionals of the polytope spanned by the rows
+    B^T f, and its polar vertices (``known_polar``) are the extreme rows.
+    Both come from the one facet scan of `_section_scan` on the integer rows
+    D s B^T f, with s B the basis scaled to integers (`linalg.integer_rows`):
+    the vertices are D s times the facets found and the polar vertices the
+    extreme rows over D s, so the section is not validated again.
     """
-    rows = sorted({tuple(dot(phi, b) for b in basis) for phi in dual_ball_vertices(space)})
-    rows = tuple(r for r in rows if any(c != 0 for c in r))
-    return polyhedral_space(f for f, _ in _facet_incidence(rows))
+    for b in basis:
+        require_dim(space, b)
+    s, kernel = integer_rows(basis)
+    d, rows, incidence, facets = _section_scan(space, kernel)
+    scale = d * s
+    verts = [tuple(scale * c for c in f) for f, _ in incidence]
+    polar = tuple(tuple(Fraction(c, scale) for c in rows[j]) for j, _ in facets)
+    return replace(polyhedral_space(verts, validate=False), known_polar=polar)
+
+
+def _section_scan(space: SpaceSpec, kernel: list[tuple[int, ...]]) -> tuple:
+    """(D, rows, incidence, facets) for the section of the ball by the span
+    of the integer vectors k_1 .. k_m of ``kernel``, in one facet scan.
+
+    The ball is cut out by f . x <= 1 over its polar facets f, read as the
+    integer rows D f (`_polar_integer_rows`), so at x = sum z_i k_i the
+    section is cut out by r . z <= D over the rows r = (D f . k_i)_i.
+    ``rows`` are the distinct nonzero ones, sorted; ``incidence`` is their
+    `_facet_incidence`, whose facets g, times D, are the section's vertices
+    in z.  Row j is tight at vertex i iff j is in i's tight set, so the
+    section's facets are the incidence transposed: ``facets`` lists
+    (j, the vertices tight on row j) for each extreme row j
+    (`spaces._extreme_incidence`).
+    """
+    d, polar = _polar_integer_rows(space)
+    rows = {int_mat_vec(kernel, f) for f in polar}
+    rows.discard((0,) * len(kernel))
+    rows = tuple(sorted(rows))
+    incidence = _facet_incidence(rows)
+    return d, rows, incidence, _extreme_incidence(incidence, len(rows))
+
+
+def _polar_integer_rows(space: SpaceSpec) -> tuple[int, Iterable[tuple[int, ...]]]:
+    """(D, rows): the polar facets f of an exact space as integer rows D f,
+    those of `spaces._polar_rows` on a polyhedral ball, and with D = 1 the
+    sign vectors of the dual cube on l1 and the signed units on l-inf."""
+    if space.kind == "polyhedral":
+        return _polar_rows(space)[1:]
+    n = space.dim
+    if space.p == 1:
+        return 1, itertools.product((1, -1), repeat=n)
+    if space.p == INF:
+        return 1, (_signed_unit(n, i) for i in range(2 * n))
+    raise InputError("not_polyhedral", f"{space!r} has no polyhedral dual ball")
 
 
 def search_non_level_vector(op: Operator, samples: int, seed: int) -> Optional[Vec]:

@@ -36,14 +36,15 @@ from .support import support_set
 # sampled.  Timed on a 2.0 GHz Xeon core (Python 3.11):
 # - `preservation_sample_check` takes 2.8-4.2 ms a sample on l-inf^12 and
 #   on the 4-D cube-plus-cross ball at a point with one supporting
-#   functional, and took 66 ms at e1 on l1^12, where J(x) has 2^11 vertices
-#   that every sample combines: so at most 2,500 samples, and at most
-#   _MAX_PRESERVE_COST / (|J(x)| n) of them.  Summed in integers, a sample
-#   there now takes 2.9-3.5 ms; the cap is kept as it was.
+#   functional: so at most 2,500 samples.  At e1 on l1^12, where J(x) has
+#   the most vertices any accepted point has (2^11), every sample sums them
+#   in integers: a sample takes 2.5-4.3 ms over 20 to 200 samples, as the
+#   speed of a shared 2.1 GHz Xeon core varies, and 2,500 samples took 9.0 s
+#   (`time.process_time`; 1.6 ms a sample at a smooth point of l1^12).  So
+#   the size of J(x) needs no cap of its own.
 # - `isometry.probe_scalar_isometry_grid` takes up to 2.0 ms a sample (the
 #   identity on l2^12; 0.6 ms on l-inf^12 and l1^12).
 MAX_PRESERVE_SAMPLES = 2_500
-_MAX_PRESERVE_COST = 3_600_000
 MAX_PROBE_SAMPLES = 5_000
 
 
@@ -222,9 +223,8 @@ def preservation_sample_check(op: Operator, x: Vec, n: int, seed: int) -> Sample
     domain, codomain = op.domain, op.codomain
     mode = arithmetic_mode(domain)
     sup = support_set(domain, x)
-    limit = min(MAX_PRESERVE_SAMPLES, _MAX_PRESERVE_COST // (len(sup.vertices) * domain.dim))
     what = f"{n:,} samples at a point with {len(sup.vertices):,} supporting vertices in {domain.dim}-D"
-    require_sample_budget(n, limit, what)
+    require_sample_budget(n, MAX_PRESERVE_SAMPLES, what)
     stream = RationalStream(seed)
     tx = op(x)
     if mode == EXACT:

@@ -243,12 +243,28 @@ def _validate_ball_vertices(verts: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec
     if matrix_rank(verts) != dim:
         raise InputError("bad_ball", "ball vertices do not span the space")
     incidence = _facet_incidence(verts)
-    everyone = frozenset(range(len(verts)))
+    extreme = {j for j, _ in _extreme_incidence(incidence, len(verts))}
     for i, v in enumerate(verts):
-        # Extreme iff no other listed point lies on every facet through v.
-        if everyone.intersection(*(tight for _, tight in incidence if i in tight)) != {i}:
+        if i not in extreme:
             raise InputError("bad_ball", f"listed vertex {v} is not an extreme point")
     return incidence
+
+
+def _extreme_incidence(incidence, count: int) -> list[tuple[int, frozenset[int]]]:
+    """The facet incidence of ``count`` scanned points transposed: (j, the
+    facets through point j) for each extreme point j, in increasing order.
+    A point is extreme iff it lies on some facet, and no other point lies
+    on every facet through it."""
+    through: list[list[int]] = [[] for _ in range(count)]
+    for i, (_, tight) in enumerate(incidence):
+        for j in tight:
+            through[j].append(i)
+    everyone = frozenset(range(count))
+    return [
+        (j, frozenset(facets))
+        for j, facets in enumerate(through)
+        if facets and everyone.intersection(*(incidence[i][1] for i in facets)) == {j}
+    ]
 
 
 def is_exact(space: SpaceSpec) -> bool:

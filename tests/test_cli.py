@@ -126,6 +126,22 @@ def test_level_enumerate_report_ok(files, tmp_path, capsys):
     assert report["seed"] == 9
 
 
+def test_level_enumerate_reports_no_bound_past_the_kernel_section_guard(tmp_path, capsys):
+    # ker T is 4-D, and the kernel section of the l1^6 ball is the polar of
+    # 64 points in 4-D: C(64, 4) subsets, past the polar guard.  The faces
+    # are probed all the same, and the report carries no bound.
+    space_path, op_path = tmp_path / "l1_6.json", tmp_path / "op.json"
+    space_path.write_text(json.dumps({"kind": "lp", "p": "1", "dim": 6}))
+    rows = [[-2, 1, -1, 2, 0, -2], [0, -1, -2, 2, 1, 0]] + [[0] * 6] * 4
+    op_path.write_text(json.dumps({"matrix": [[str(c) for c in row] for row in rows]}))
+    argv = ["level", "enumerate", "--space", str(space_path), "--op", str(op_path), "--samples", "1", "--seed", "1"]
+    code, out = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["result"]["bound"] is None
+    assert "0" in report["result"]["values"]
+
+
 def test_preserve_check_report(files, capsys):
     code, out = run(
         capsys, ["preserve", "check", "--space", files["l1_3"], "--op", files["diag211"], "--x", "1,0,0"]

@@ -11,6 +11,7 @@ from bjlevel import (
     InputError,
     RationalStream,
     ball_vertices,
+    dual_ball_vertices,
     extreme_points,
     face_census,
     face_lattice,
@@ -22,11 +23,12 @@ from bjlevel import (
     linf,
     minimal_face,
     operator,
+    polar_vertices,
     polyhedral_space,
     support_set,
 )
-from bjlevel import faces
-from bjlevel.linalg import affine_rank, kernel_basis, matrix_rank
+from bjlevel import faces, levels, spaces
+from bjlevel.linalg import affine_rank, integer_kernel, integer_rows, kernel_basis, matrix_rank
 from bjlevel.spaces import CACHE_SIZE
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, sphere_ball, v
@@ -308,6 +310,93 @@ def test_general_bounds_equal_the_lattice_counts(kernel_dim):
         else:
             want = F(total, 2)
         assert level_count_bound(space, op) == want
+
+
+def _validated_section(space, basis):
+    """The kernel section by the route of two facet scans: the Fraction rows
+    phi . b of the dual ball's vertices phi, the facets of their hull, and
+    that vertex list validated (and its polar scanned) by polyhedral_space."""
+    rows = sorted({tuple(sum(p * c for p, c in zip(phi, b)) for b in basis) for phi in dual_ball_vertices(space)})
+    rows = tuple(r for r in rows if any(r))
+    return polyhedral_space(f for f, _ in faces._facet_incidence(rows))
+
+
+def _coordinate_kernel(n, kernel_dim):
+    """diag(0, .., 0, 1, .., 1): ker T is spanned by the first kernel_dim units."""
+    return [[int(i == j and i >= kernel_dim) for j in range(n)] for i in range(n)]
+
+
+def _section_cases():
+    """(space, T) over balls of 2-D to 5-D and every kernel dimension 1 .. n-1:
+    a seeded rank-deficient T and the coordinate kernel of each size."""
+    rng = random.Random(409)
+    balls = [polyhedral_space(sphere_ball(rng, n, n + 3)) for n in (2, 2, 3, 3, 4, 4)]
+    balls += [polyhedral_space(HEXAGON_VERTICES), polyhedral_space(cube_cross_vertices(3))]
+    balls += [make(n) for n in range(2, 6) for make in (l1, linf)]
+    cases = []
+    for space in balls:
+        n = space.dim
+        for kernel_dim in range(1, n):
+            for m in (_rank_deficient(rng, n, kernel_dim), _coordinate_kernel(n, kernel_dim)):
+                cases.append((space, operator(m, space)))
+    return cases
+
+
+def test_one_scan_kernel_sections_equal_the_validated_route():
+    # The section space (vertices, their order and the polar), its census and
+    # the bound equal those of the validated route.  Coordinate kernels of l1
+    # and seeded kernels give rows inside the hull or on its boundary that
+    # are not vertices, and 3-D sections tell a census from its polar's.
+    dims = set()
+    for space, op in _section_cases():
+        basis = kernel_basis(op.matrix)
+        want = _validated_section(space, basis)
+        got = kernel_section_space(space, basis)
+        assert got.dim == want.dim == len(basis)
+        assert got.ball_vertices == want.ball_vertices, (space, op)
+        assert got.known_polar == want.known_polar == polar_vertices(want), (space, op)
+        census = face_census(want)
+        kernel = integer_kernel(integer_rows(op.matrix)[1])[1]
+        assert levels._section_census(space, kernel) == census, (space, op)
+        assert level_count_bound(space, op) == F(face_census(space).total - census.total, 2) + 1
+        dims.add((space.kind, got.dim, census.counts != census.counts[::-1]))
+    assert {("lp", 3, True), ("polyhedral", 3, True), ("polyhedral", 2, False)} <= dims
+
+
+def test_a_bound_scans_its_kernel_section_once_and_validates_nothing(monkeypatch, hexagon):
+    # The section's vertices and its facets' tight sets come from one facet
+    # scan of the projected polar rows: no second scan, and no validation.
+    cube_cross = polyhedral_space(cube_cross_vertices(3))
+    cases = [
+        (hexagon, operator([[1, -1], [2, -2]], hexagon), 6),  # (12 - 2) / 2 + 1
+        (linf(3), operator(_coordinate_kernel(3, 2), linf(3)), 10),  # (26 - 8) / 2 + 1
+        (cube_cross, operator(_coordinate_kernel(3, 2), cube_cross), F(50 - 8, 2) + 1),
+        (l1(5), operator(_rank_deficient(random.Random(5), 5, 3), l1(5)), None),
+    ]
+    for space, op, _ in cases:
+        face_census(space)  # the ball's own census is not the section's
+    scans = []
+
+    def counted(points):
+        scans.append(points)
+        return scan(points)
+
+    scan = levels._facet_incidence
+    monkeypatch.setattr(levels, "_facet_incidence", counted)
+    monkeypatch.setattr(spaces, "_validate_ball_vertices", _refused)
+    for space, op, want in cases:
+        scans.clear()
+        bound = level_count_bound(space, op)
+        assert len(scans) == 1 and (want is None or bound == want)
+        scans.clear()
+        kernel_section_space(space, kernel_basis(op.matrix))
+        assert len(scans) == 1
+
+
+def test_kernel_section_space_checks_the_basis_dimension():
+    with pytest.raises(InputError) as err:
+        kernel_section_space(l1(3), [v("1,0")])
+    assert err.value.code == "dimension_mismatch"
 
 
 def _refused(*args):

@@ -36,7 +36,7 @@ from bjlevel import (
     support_set,
     zero_operator,
 )
-from bjlevel import isometry, levels, linalg, simplex, spaces, support
+from bjlevel import faces, isometry, levels, linalg, simplex, spaces, support
 from bjlevel.linalg import dot, integer_point, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
@@ -282,7 +282,9 @@ def test_kernel_condition_on_an_exact_domain_decides_in_integers(monkeypatch, he
 
     for module in (linalg, levels):
         monkeypatch.setattr(module, "mat_vec", refuse("formed Tx in Fractions"))
-        monkeypatch.setattr(module, "kernel_basis", refuse("built the Fraction kernel"))
+    # levels reads every kernel in integers, so it does not import kernel_basis.
+    assert not hasattr(levels, "kernel_basis")
+    monkeypatch.setattr(linalg, "kernel_basis", refuse("built the Fraction kernel"))
     monkeypatch.setattr(spaces.Operator, "__call__", refuse("formed Tx in Fractions"))
     monkeypatch.setattr(simplex, "solve_standard_lp", refuse("solved an LP"))
     assert [kernel_condition(op, x) for op, x, _ in cases] == [want for _, _, want in cases]
@@ -1040,22 +1042,26 @@ def test_enumeration_caps_faces_times_samples_before_sampling(monkeypatch):
         enumerate_level_numbers(op, 374, 1)
 
 
-def _refused_probe(*args):
-    raise AssertionError("a face was probed")
-
-
-def test_enumeration_meets_the_bound_guard_before_probing_a_face(monkeypatch):
-    # ker T is 4-D, and the kernel section of the l1^6 ball is the polar of
-    # the 64 sign vectors restricted to it: C(64, 4) subsets, past the polar
-    # guard.  The bound is evaluated before any draw, so no face is probed
-    # and no stream is started before the guard raises.
-    rows = [[-2, 1, -1, 2, 0, -2], [0, -1, -2, 2, 1, 0]] + [[0] * 6] * 4
-    op = operator(rows, l1(6))
-    monkeypatch.setattr(levels, "_face_level_number", _refused_probe)
-    monkeypatch.setattr(levels, "RationalStream", _refused_stream)
+@pytest.mark.parametrize("code", ["too_many_vertices", "dim_too_large"])
+def test_enumeration_reports_no_bound_past_a_kernel_section_guard(monkeypatch, code):
+    # The bound is an extra field of the report: when the kernel section is
+    # past a desk-scale guard, level_count_bound refuses and the enumeration
+    # still probes every face, reporting no bound.  A 2-D kernel of l-inf^3
+    # has a square section: 4 rows, C(4, 2) = 6 subsets, in 2-D.
+    op = operator([[0, 0, 1], [0, 0, 0], [0, 0, 0]], linf(3))
+    want = enumerate_level_numbers(op, 2, 1)
+    assert want.bound == 10
+    if code == "too_many_vertices":
+        monkeypatch.setattr(spaces, "_MAX_POLAR_SUBSETS", 5)
+    else:
+        monkeypatch.setattr(faces, "_MAX_LATTICE_DIM_GENERAL", 1)
+    spaces._facet_incidence.cache_clear()  # the guard is met on a scan, not a cache hit
     with pytest.raises(InputError) as err:
-        enumerate_level_numbers(op, 1, 1)
-    assert err.value.code == "too_many_vertices" and "C(64,4)" in str(err.value)
+        level_count_bound(linf(3), op)
+    assert err.value.code == code
+    report = enumerate_level_numbers(op, 2, 1)
+    assert report.bound is None
+    assert (report.values, report.per_face) == (want.values, want.per_face)
 
 
 def test_smooth_and_edge_images_build_no_fraction_list_of_j_tx(hexagon, monkeypatch):

@@ -133,8 +133,8 @@ def _refused_stream(seed):
 
 def test_preservation_sample_counts_are_guarded_before_sampling(l1_3, monkeypatch):
     # A negative count is refused, as sample_sphere refuses one below 1, and
-    # the cap, 2,500 samples at a point with one supporting functional, and
-    # 3,600,000 / (|J(x)| n) with more, is checked before the first draw.
+    # the cap, 2,500 samples at any point, even e1 on l1^12 with its 2^11
+    # supporting functionals, is checked before the first draw.
     from bjlevel import oracle
 
     op = diagonal_operator(l1_3, [2, 1, 1])
@@ -144,7 +144,7 @@ def test_preservation_sample_counts_are_guarded_before_sampling(l1_3, monkeypatc
         preservation_sample_check(op, v("1,0,0"), -3, 1)
     assert err.value.code == "bad_count"
     smooth, e1 = v("1/2,1/4,1/4"), v("1,0,0")  # |J(x)| = 1 and 4
-    for x, limit in ((smooth, 2_500), (e1, 2_500), (v("1,0,0,0,0,0,0,0,0,0,0,0"), 146)):
+    for x, limit in ((smooth, 2_500), (e1, 2_500), (v("1,0,0,0,0,0,0,0,0,0,0,0"), 2_500)):
         op = identity_operator(l1(len(x)))
         with pytest.raises(AssertionError, match="sampling started"):
             preservation_sample_check(op, x, limit, 1)

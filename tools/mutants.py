@@ -328,7 +328,7 @@ MUTANTS = (
         "tests/test_differential.py::test_bj_orthogonal_equals_the_decision_over_the_listed_support_set",
     ),
     # Faces of a general ball from the facet incidence alone
-    # (faces._face_index_sets): the closure under intersection and the
+    # (faces._face_closure): the closure under intersection and the
     # dimension 1 + max dim(F & G).
     _mutant(
         "face-dimension-without-plus-one",
@@ -353,6 +353,36 @@ MUTANTS = (
         "frontier = set()",
         "tests/test_faces.py::test_polyhedral_cubes_and_cross_polytopes_equal_the_closed_forms",
         "tests/test_faces.py::test_general_censuses_of_the_cube_cross_balls",
+    ),
+    # Kernel sections from one facet scan (levels._section_scan): the
+    # vertices are the facets found times the row scale D s, the section's
+    # facets are the scan's incidence transposed, and its polar is the
+    # extreme rows (spaces._extreme_incidence).
+    _mutant(
+        "section-vertices-without-the-row-scale",
+        "levels.py",
+        "verts = [tuple(scale * c for c in f) for f, _ in incidence]",
+        "verts = [f for f, _ in incidence]",
+        "tests/test_faces.py::test_one_scan_kernel_sections_equal_the_validated_route",
+    ),
+    _mutant(
+        # The scan's own tight sets are the faces of the polar: on a 3-D
+        # section the census comes out reversed.
+        "section-tight-sets-untransposed",
+        "levels.py",
+        "    facets = _section_scan(space, kernel)[3]\n    return _facet_census(len(kernel), [tight for _, tight in facets])",
+        "    incidence = _section_scan(space, kernel)[2]\n    return _facet_census(len(kernel), [tight for _, tight in incidence])",
+        "tests/test_faces.py::test_one_scan_kernel_sections_equal_the_validated_route",
+    ),
+    _mutant(
+        # Rows on the boundary that are not vertices name real faces, so no
+        # count changes: only the polar shows it (and validation would let
+        # such a point through as a vertex).
+        "section-polar-keeps-non-extreme-rows",
+        "spaces.py",
+        "if facets and everyone.intersection(*(incidence[i][1] for i in facets)) == {j}",
+        "if facets",
+        "tests/test_faces.py::test_one_scan_kernel_sections_equal_the_validated_route",
     ),
 )
 
