@@ -18,20 +18,19 @@ interval in a single variable (see `_solve_level`).
 The necessary kernel condition, ker T inside the orthogonality set of x, is
 decided in integers: the kernel is read as integer vectors from the integer
 matrix of T, Tx = 0 is tested on it, and when ker T is a line in an exact
-domain the Birkhoff-James interval is read on integer vectors
-(`support._face_extremes`); only larger kernels, and float domains, pose
-the subspace LP.
+domain the Birkhoff-James interval is read on integer vectors (the ball's
+`extremes`, `spaces.exact_ball`); only larger kernels, and float domains,
+pose the subspace LP.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import InputError, InternalCheckError
 from .faces import FaceCensus, _facet_census, antipodal_representatives, face_census
@@ -60,34 +59,21 @@ from .spaces import (
     EXACT,
     FLOAT,
     FLOAT_TOL,
-    INF,
     Operator,
     SpaceSpec,
-    _ball_rows,
     _extreme_incidence,
     _facet_incidence,
-    _integer_dual_norm,
-    _polar_rows,
+    _polyhedral_ball,
     _shared,
+    exact_ball,
     float_path,
     is_exact,
     norm,
     norm_squared,
     polyhedral_space,
     require_dim,
-    sgn,
 )
-from .support import (
-    _face_extremes,
-    _face_rows,
-    _face_vertices,
-    _integer_key,
-    _row_vertex,
-    _signed_unit,
-    _single_functional,
-    functional_in_support,
-    support_set,
-)
+from .support import functional_in_support, support_set
 
 Scalar = Union[Fraction, float]
 
@@ -166,14 +152,14 @@ def _nonzero_point(op: Operator, x: Vec) -> Vec:
 
 
 def _image_key(codomain: SpaceSpec, m_rows, q, s: int) -> Optional[tuple]:
-    """The `_integer_key` of Tx = Mq / s, M the integer matrix ``m_rows``:
+    """The ball's `key` of Tx = Mq / s, M the integer matrix ``m_rows``:
     (face, n, d) with ||Tx|| = n / d and the face naming J(Tx), all ints; None
     when Tx = 0, that is Mq = 0.  J(Tx) = J(Mq), since J does not change under
     positive scaling.  `_Point` reads J(Tx) from it as integer rows."""
     mq = int_mat_vec(m_rows, q)
     if not any(mq):
         return None
-    return _integer_key(codomain, mq, s)
+    return exact_ball(codomain).key(codomain, mq, s)
 
 
 @dataclass
@@ -185,13 +171,13 @@ class _Point:
     (``key``, the `_image_key` of Tx = Mq / (D_T s)), each come from one
     scan; the scale ||Tx|| / ||x|| is the reduced pair (sn, sd).  J(x) is
     kept as its face (``p_face``), its integer rows made one at a time where
-    needed (`support._face_rows`).  J(Tx) is read once as the integer rows
+    needed (the ball's `face_rows`).  J(Tx) is read once as the integer rows
     D_Q g of its vertices (``q_rows``) with their adjoint images M^T (D_Q g)
     (``images``): g(Ty) = (D_Q g).(My) / den and T^T g = image / den, with
     den = D_T D_Q, the exact path's one source of T^T g.  No Fraction vertex
     of J(Tx) is listed: the LPs take the images as Fractions (``adj``), and
     a functional they return is made from the rows (`functional`), a
-    smooth image's one functional is `support._single_functional`.
+    smooth image's one functional is the ball's `single`.
     """
 
     q: tuple[int, ...]
@@ -214,7 +200,7 @@ class _Point:
         sn, sd = tn * xd, td * xn
         g = math.gcd(sn, sd)
         self.scale = (sn // g, sd // g)
-        d_q, rows = _face_rows(self.codomain, face)
+        d_q, rows = exact_ball(self.codomain).face_rows(self.codomain, face)
         self.d_q, self.q_rows = d_q, tuple(rows)
         columns = tuple(zip(*self.m_rows))
         self.images = tuple(int_mat_vec(columns, g) for g in self.q_rows)
@@ -240,7 +226,7 @@ def _evaluate(op: Operator, x: Vec) -> Optional[_Point]:
     key = _image_key(op.codomain, m_rows, q, d_t * s)
     if key is None:
         return None
-    p_face, n, d = _integer_key(op.domain, q, s)
+    p_face, n, d = exact_ball(op.domain).key(op.domain, q, s)
     return _Point(q, s, d_t, m_rows, (n, d), p_face, op.codomain, key)
 
 
@@ -308,10 +294,10 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
         image, den = point.images[0], point.den
         if _adjoint_dual_norm(op.domain, image, den) != point.scale:
             return None
-        return _smooth_certificate(image, den, point.scale, _single_functional(op.codomain, point.key[0]))
+        return _smooth_certificate(image, den, point.scale, exact_ball(op.codomain).single(op.codomain, point.key[0]))
     if len(rows) == 2:
         return _edge_certificate(op.domain, point)
-    p_verts = tuple(_face_vertices(op.domain, point.p_face))
+    p_verts = tuple(exact_ball(op.domain).face_vertices(op.domain, point.p_face))
     scale = Fraction(*point.scale)
     negated = [vec_scale(-scale, p) for p in p_verts]
     weights = convex_weights([negated, point.adj], (ZERO,) * op.domain.dim)
@@ -323,10 +309,10 @@ def _solve_level(op: Operator, point: _Point) -> Optional[tuple]:
 
 def _adjoint_dual_norm(domain: SpaceSpec, image: tuple[int, ...], den: int) -> tuple[int, int]:
     """||image / den||_* as (n, d) in lowest terms, for an integer image and
-    den > 0, in integers: `spaces._integer_dual_norm` gives top / (D den).
+    den > 0, in integers: the ball's `dual_norm` gives top / (D den).
     With image / den = T^T q for a smooth J(Tx) = {q}, x is a level vector
     exactly when this is ||Tx||/||x||."""
-    top, d = _integer_dual_norm(domain, image)
+    top, d = exact_ball(domain).dual_norm(domain, image)
     d *= den
     g = math.gcd(top, d)
     return top // g, d // g
@@ -348,7 +334,7 @@ def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
 
     With a_j = M^T (D_Q q_j) the point's integer images, T^T g_t = w_t / den
     for w_t = (1 - t) a0 + t a1, and ||w||_* = max_r r.w / D over the integer
-    rows r of `_edge_rows`.  For scale = sn / sd each row bounds t by
+    rows r of the ball's `edge_rows`.  For scale = sn / sd each row bounds t by
     (1 - t) P + t R <= 0, with P and R the integers sd r.a_j - sn den D:
     nothing when P, R <= 0, no t when P, R > 0, t >= P / (P - R) when only P
     is positive and t <= -P / (R - P) when only R is.  So the feasible t are
@@ -358,7 +344,7 @@ def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
     Q_j = D_Q q_j, and f = T^T g_t / scale is checked to have ||f||_* = 1.
     """
     (q0, q1), (a0, a1) = point.q_rows, point.images
-    d, v0, v1 = _edge_rows(domain, a0, a1)
+    d, v0, v1 = exact_ball(domain).edge_rows(domain, a0, a1)
     sn, sd = point.scale
     bound = sn * point.den * d
     lo, hi = (0, 1), (1, 1)
@@ -379,38 +365,6 @@ def _edge_certificate(domain: SpaceSpec, point: _Point) -> Optional[tuple]:
         raise InternalCheckError("edge level certificate does not have dual norm 1")
     g = tuple(Fraction((v - u) * c0 + u * c1, v * point.d_q) for c0, c1 in zip(q0, q1))
     return _smooth_certificate(w, v * point.den, point.scale, g)
-
-
-def _edge_rows(domain: SpaceSpec, a0: tuple[int, ...], a1: tuple[int, ...]) -> tuple[int, tuple, tuple]:
-    """(D, v0, v1) with v_j[i] = r_i . a_j for integer rows r_i such that
-    ||w||_* = max_i r_i . w / D at every w on the segment [a0, a1].
-
-    On a polyhedral ball the rows are the integer rows D v of its vertices
-    (`spaces._ball_rows`), and on l1 (D = 1) the rows +e_k and -e_k.  On
-    l-inf ||w||_* = sum |w_k| (D = 1), and the rows are the sign vectors of
-    w_t on the pieces of [0, 1] between the points t_k = a0_k / (a0_k - a1_k)
-    where a coordinate changes sign: coordinate k has the sign of a0_k
-    before t_k and that of a1_k after it, and a coordinate that keeps one
-    sign on [0, 1] has the sign of whichever of a0_k, a1_k is not 0.  Every
-    w_t then has its own sign vector among the rows, and no sign vector
-    exceeds sum |w_k|.
-    """
-    if domain.kind == "polyhedral":
-        d, rows = _ball_rows(domain)
-        return d, int_mat_vec(rows, a0), int_mat_vec(rows, a1)
-    if domain.p == 1:
-        return 1, (*a0, *(-c for c in a0)), (*a1, *(-c for c in a1))
-    base = [sgn(c0) or sgn(c1) for c0, c1 in zip(a0, a1)]
-    # (k, n, m) with t_k = n / m and m > 0, for each coordinate that changes sign.
-    crossings = [(k, abs(c0), abs(c0 - c1)) for k, (c0, c1) in enumerate(zip(a0, a1)) if c0 * c1 < 0]
-    rows = [base]
-    for _, n, m in crossings:
-        row = list(base)
-        for k, nk, mk in crossings:
-            if nk * m <= n * mk:  # t_k <= n / m: coordinate k has changed sign
-                row[k] = -base[k]
-        rows.append(row)
-    return 1, int_mat_vec(rows, a0), int_mat_vec(rows, a1)
 
 
 def _float_pullback(op: Operator, g) -> list[float]:
@@ -474,7 +428,7 @@ def preserves_bj_directional(op: Operator, x: Vec, f: Vec) -> DirectionalPreserv
         supporting = functional_in_support(op.domain, x, f)  # also when Tx = 0
     else:
         p, d = integer_point(f)
-        (xn, xd), (top, dd) = point.norm_x, _integer_dual_norm(op.domain, p)
+        (xn, xd), (top, dd) = point.norm_x, exact_ball(op.domain).dual_norm(op.domain, p)
         supporting = sum(map(mul, p, point.q)) * xd == xn * d * point.s and top == dd * d
     if not supporting:
         raise InputError("not_supporting", "f is not a supporting functional of x")
@@ -501,7 +455,7 @@ def _membership(point: _Point, p: tuple[int, ...], d: int) -> tuple[Optional[tup
     sn, sd = point.scale
     if len(point.q_rows) == 1:
         z = tuple(sn * point.den * c - sd * d * a for c, a in zip(p, point.images[0]))
-        return (None, (z, sd * d * point.den)) if any(z) else (_single_functional(point.codomain, point.key[0]), None)
+        return (None, (z, sd * d * point.den)) if any(z) else (exact_ball(point.codomain).single(point.codomain, point.key[0]), None)
     target = tuple(Fraction(sn * c, sd * d) for c in p)
     weights, farkas = convex_weights_or_farkas([point.adj], target)
     if weights is None:
@@ -518,7 +472,7 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     with a.z < scale f(z) for every adjoint image a = T^T g of a vertex g of
     J(Tx), and with it the counterexample (`_counterexample`), re-verified by
     `_verified_margin`.  The vertices of J(x) are made one at a time from its
-    face as integer rows (`support._face_rows`), and the loop stops at the
+    face as integer rows (the ball's `face_rows`), and the loop stops at the
     first failure; only the failing vertex is built as a Fraction vector.
     When J(Tx) = {g} the only member is scale f = T^T g, so J(x) is
     preserved iff it is {T^T g / scale}: the first vertex or the second
@@ -533,12 +487,13 @@ def preserves_bj_at(op: Operator, x: Vec) -> PreservationReport:
     point = _evaluate(op, x)
     if point is None:
         return PreservationReport(True, None, None, EXACT)
-    d, rows = _face_rows(op.domain, point.p_face)
+    ball = exact_ball(op.domain)
+    d, rows = ball.face_rows(op.domain, point.p_face)
     for p in rows:
         _, z = _membership(point, p, d)
         if z is not None:
             y = _counterexample(point, p, d, *z)
-            f = _row_vertex(op.domain, d, p)
+            f = ball.row_vertex(op.domain, d, p)
             return PreservationReport(False, f, (y, _verified_margin(op.domain, point, y)), EXACT)
     return PreservationReport(True, None, None, EXACT)
 
@@ -567,12 +522,12 @@ def _verified_margin(domain: SpaceSpec, point: _Point, y: Vec) -> Fraction:
     counterexample: x is orthogonal to y (the range of f(y) over J(x)
     contains 0, James 1947) and Tx is not orthogonal to Ty (every
     g(Ty) > 0).  In integers, with y = yq / ys: the range is read, up to one
-    positive factor, from the point's face of J(x) and yq
-    (`support._face_extremes`: closed form on l1, the face's signed units on
-    l-inf, its facet rows on a polyhedral ball), with no vertex list and no
-    second scan, and den ys g(Ty) = (D_Q g).(M yq) on J(Tx)'s integer rows."""
+    positive factor, from the point's face of J(x) and yq (the ball's
+    `extremes`: closed form on l1, the face's signed units on l-inf, its
+    facet rows on a polyhedral ball), with no vertex list and no second
+    scan, and den ys g(Ty) = (D_Q g).(M yq) on J(Tx)'s integer rows."""
     yq, ys = integer_point(y)
-    _, (lo, _), (hi, _) = _face_extremes(domain, point.p_face, yq)
+    _, (lo, _), (hi, _) = exact_ball(domain).extremes(domain, point.p_face, yq)
     if not lo <= 0 <= hi:
         raise InternalCheckError("counterexample is not orthogonal to x")
     least = min(int_mat_vec(point.q_rows, int_mat_vec(point.m_rows, yq)))
@@ -622,7 +577,7 @@ def kernel_condition(op: Operator, x: Vec) -> bool:
     Birkhoff-James question, x orthogonal to b, which holds iff
     min f(b) <= 0 <= max f(b) over J(x) (James 1947).  Its integer kernel
     vector v is a positive multiple of b and J(x) = J(q), so the two ends are
-    read, up to one positive factor, from q and v (`support._face_extremes`),
+    read, up to one positive factor, from q and v (the ball's `extremes`),
     with no Fraction, no vertex list and no LP.  Kernels of dimension >= 2,
     and float domains, go to the subspace LP, on the Fraction basis of the
     same elimination.
@@ -635,8 +590,9 @@ def kernel_condition(op: Operator, x: Vec) -> bool:
     q = integer_point(x)[0]
     if not any(int_mat_vec(m_rows, q)):
         return True
-    if len(kernel) == 1 and is_exact(op.domain):
-        _, (lo, _), (hi, _) = _face_extremes(op.domain, _integer_key(op.domain, q, 1)[0], kernel[0])
+    ball = exact_ball(op.domain)
+    if len(kernel) == 1 and ball is not None:
+        _, (lo, _), (hi, _) = ball.extremes(op.domain, ball.scan(op.domain, q)[2], kernel[0])
         return lo <= 0 <= hi
     return subspace_orthogonal(op.domain, x, fraction_kernel(size, kernel)).orthogonal
 
@@ -779,8 +735,8 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
     The first probe point of a 0-face is its vertex, and of a larger face its
     centroid, with equal entries sharing one Fraction.  Both lie in the
     relative interior of F, where J(x) is the same polytope J_F, named here
-    by its face of the dual ball as `support._integer_key` reads it there
-    (listed only by a level LP).  D_F is the lcm of the denominators of F's
+    by its face of the dual ball as the ball's `key` reads it there (listed
+    only by a level LP).  D_F is the lcm of the denominators of F's
     vertices, ``columns[k]`` holds coordinate k of each integer vertex row
     D_F v, and ``fixed[k]`` is the first vertex's own entry when every vertex
     of F has that value at k, else None.
@@ -791,7 +747,7 @@ def _probe_table(space: SpaceSpec) -> tuple[tuple, ...]:
         point = face.vertices[0] if face.dim == 0 else _shared(face.centroid(), pool)
         d_f, rows = integer_rows(face.vertices)
         fixed = tuple(c if all(v[k] == c for v in face.vertices) else None for k, c in enumerate(face.vertices[0]))
-        j_face = _integer_key(space, *integer_point(point))[0]
+        j_face = exact_ball(space).face(space, point)
         table.append((face, point, j_face, d_f, tuple(zip(*rows)), fixed))
     return tuple(table)
 
@@ -811,10 +767,10 @@ class _SmoothImage:
 
 
 def _smooth_image(op: Operator, d_t: int, m_rows, face: tuple[int, ...]) -> Optional[_SmoothImage]:
-    """The table entry for the face of J(Tx) (`_integer_key`), or None when
+    """The table entry for the face of J(Tx) (the ball's `key`), or None when
     it names more than one functional: with q = gq / D_Q, the adjoint image
     M^T gq over den = D_T D_Q, and its dual norm (`_adjoint_dual_norm`)."""
-    q = _single_functional(op.codomain, face)
+    q = exact_ball(op.codomain).single(op.codomain, face)
     if q is None:
         return None
     gq, d_q = integer_point(q)
@@ -827,7 +783,7 @@ def _face_level_number(
     op: Operator, d_t: int, m_rows, p_face, q, s: int, memo: dict, smooth: dict, pool: dict
 ) -> Optional[Fraction]:
     """The level number of the point x = q / s of a proper face, with J(x)
-    named by ``p_face`` (`_integer_key`) and ||x|| = 1, or None when x is not
+    named by ``p_face`` (the ball's `key`) and ||x|| = 1, or None when x is not
     a level vector.
 
     ``m_rows`` is the integer matrix M = D_T T, so Tx = Mq / (D_T s), read as
@@ -923,7 +879,7 @@ def _section_scan(space: SpaceSpec, kernel: list[tuple[int, ...]]) -> tuple:
     of the integer vectors k_1 .. k_m of ``kernel``, in one facet scan.
 
     The ball is cut out by f . x <= 1 over its polar facets f, read as the
-    integer rows D f (`_polar_integer_rows`), so at x = sum z_i k_i the
+    integer rows D f (the ball's `polar_rows`), so at x = sum z_i k_i the
     section is cut out by r . z <= D over the rows r = (D f . k_i)_i.
     ``rows`` are the distinct nonzero ones, sorted; ``incidence`` is their
     `_facet_incidence`, whose facets g, times D, are the section's vertices
@@ -932,26 +888,12 @@ def _section_scan(space: SpaceSpec, kernel: list[tuple[int, ...]]) -> tuple:
     (j, the vertices tight on row j) for each extreme row j
     (`spaces._extreme_incidence`).
     """
-    d, polar = _polar_integer_rows(space)
+    d, polar = _polyhedral_ball(space, "dual ball").polar_rows(space)
     rows = {int_mat_vec(kernel, f) for f in polar}
     rows.discard((0,) * len(kernel))
     rows = tuple(sorted(rows))
     incidence = _facet_incidence(rows)
     return d, rows, incidence, _extreme_incidence(incidence, len(rows))
-
-
-def _polar_integer_rows(space: SpaceSpec) -> tuple[int, Iterable[tuple[int, ...]]]:
-    """(D, rows): the polar facets f of an exact space as integer rows D f,
-    those of `spaces._polar_rows` on a polyhedral ball, and with D = 1 the
-    sign vectors of the dual cube on l1 and the signed units on l-inf."""
-    if space.kind == "polyhedral":
-        return _polar_rows(space)[1:]
-    n = space.dim
-    if space.p == 1:
-        return 1, itertools.product((1, -1), repeat=n)
-    if space.p == INF:
-        return 1, (_signed_unit(n, i) for i in range(2 * n))
-    raise InputError("not_polyhedral", f"{space!r} has no polyhedral dual ball")
 
 
 def search_non_level_vector(op: Operator, samples: int, seed: int) -> Optional[Vec]:

@@ -34,17 +34,17 @@ from .support import support_set
 # Desk-scale guards on sample counts, so that the largest accepted call
 # finishes in about 10 s of CPU time; each is checked before anything is
 # sampled.  Timed on a 2.0 GHz Xeon core (Python 3.11):
-# - `preservation_sample_check` takes 2.8-4.2 ms a sample on l-inf^12 and
-#   on the 4-D cube-plus-cross ball at a point with one supporting
-#   functional: so at most 2,500 samples.  At e1 on l1^12, where J(x) has
-#   the most vertices any accepted point has (2^11), every sample sums them
-#   in integers: a sample takes 2.5-4.3 ms over 20 to 200 samples, as the
-#   speed of a shared 2.1 GHz Xeon core varies, and 2,500 samples took 9.0 s
-#   (`time.process_time`; 1.6 ms a sample at a smooth point of l1^12).  So
-#   the size of J(x) needs no cap of its own.
+# - `preservation_sample_check` is slowest on l-inf^12, where each sample's
+#   1-D minimization evaluates the norm at the O(n^2) breakpoints: the
+#   identity at (1, 1/2, ..., 1/2) takes 5.9-9.8 ms a sample over 200
+#   samples, as the speed of a shared 2.1 GHz Xeon core varies, and 1,000
+#   samples took 6.8 s (`time.process_time`): so at most 1,000 samples.  At
+#   e1 on l1^12, where J(x) has the most vertices any accepted point has
+#   (2^11), every sample sums them in integers and takes 2.8-4.7 ms, so the
+#   size of J(x) needs no cap of its own.
 # - `isometry.probe_scalar_isometry_grid` takes up to 2.0 ms a sample (the
 #   identity on l2^12; 0.6 ms on l-inf^12 and l1^12).
-MAX_PRESERVE_SAMPLES = 2_500
+MAX_PRESERVE_SAMPLES = 1_000
 MAX_PROBE_SAMPLES = 5_000
 
 

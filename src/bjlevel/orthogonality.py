@@ -2,9 +2,9 @@
 
 Over the reals, x is Birkhoff-James orthogonal to y exactly when some
 f in J(x) kills y, i.e. when min f(y) <= 0 <= max f(y) over J(x).  The dual
-route reads the two extreme functionals of J(x) along y in integers
-(`support._face_extremes`: in closed form on l1, over the few vertices of
-J(x) elsewhere); the oracle route minimizes ||x + t y|| directly and is
+route reads the two extreme functionals of J(x) along y in integers (the
+ball's `extremes`, `spaces.exact_ball`: in closed form on l1, over the few
+vertices of J(x) elsewhere); the oracle route minimizes ||x + t y|| directly and is
 used to cross-validate it.  On exact spaces, float input converts exactly
 (`linalg.vec`) and is decided in rationals.
 """
@@ -25,12 +25,13 @@ from .spaces import (
     FLOAT_TOL,
     SpaceSpec,
     arithmetic_mode,
+    exact_ball,
     float_path,
     is_exact,
     norm,
     require_dim,
 )
-from .support import SupportSet, _face_extremes, _integer_key, _row_vertex, support_set
+from .support import SupportSet, support_set
 
 Scalar = Union[Fraction, float]
 
@@ -67,17 +68,19 @@ def bj_orthogonal(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdict:
 
 def _dual_exact(space: SpaceSpec, x: Vec, y: Vec) -> OrthogonalityVerdict:
     """The verdict from the extremes of f(y) over J(x), in integers: with
-    x = q / s and y = v / c, `support._face_extremes` gives D c times them,
-    lo and hi, with the rows D f_lo and D f_hi of vertices attaining them.
+    y = v / c, the ball's `extremes` on the face of J(x) gives D c times
+    them, lo and hi, with the rows D f_lo and D f_hi of vertices attaining
+    them.
     The witness is f_lo or f_hi at a zero end, else (hi f_lo - lo f_hi) /
     (hi - lo); the margin is min(|lo|, |hi|) / (D c)."""
     v, c = integer_point(y)
-    d, (lo, r_lo), (hi, r_hi) = _face_extremes(space, _integer_key(space, integer_point(x)[0], 1)[0], v)
+    ball = exact_ball(space)
+    d, (lo, r_lo), (hi, r_hi) = ball.extremes(space, ball.face(space, x), v)
     if lo <= 0 <= hi:
         if lo == 0:
-            witness = _row_vertex(space, d, r_lo)
+            witness = ball.row_vertex(space, d, r_lo)
         elif hi == 0:
-            witness = _row_vertex(space, d, r_hi)
+            witness = ball.row_vertex(space, d, r_hi)
         else:
             den = d * (hi - lo)
             witness = tuple([Fraction(hi * a - lo * b, den) for a, b in zip(r_lo, r_hi)])

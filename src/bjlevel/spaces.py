@@ -6,11 +6,14 @@ Two families of spaces are supported:
 * ``polyhedral`` spaces given by the vertices of their unit ball
   (the V-representation of a symmetric full-dimensional polytope).
 
-Arithmetic split: everything polyhedral -- which includes l1 and l-infinity,
-internally lowered to cross-polytope/hypercube balls -- runs exactly over
-`fractions.Fraction`; lp spaces with 1 < p < infinity run in floats (for
-p = 2 the squared norm and pairings stay exact on rational inputs, since
-only the norm itself involves a square root).
+Arithmetic split: the exact spaces -- l1, l-infinity and the polyhedral
+spaces -- run exactly, over `fractions.Fraction` and in integers; lp spaces
+with 1 < p < infinity run in floats (for p = 2 the squared norm and pairings
+stay exact on rational inputs, since only the norm itself involves a square
+root).  Each exact space has one ball object (`exact_ball`), which owns
+everything that differs between them: the cross-polytope of l1 and the cube
+of l-infinity in closed form, and the vertex ball of a polyhedral space,
+read through its polar facets.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from operator import is_, itemgetter, mul
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DimensionMismatch, InputError
 from .linalg import (
@@ -268,7 +271,7 @@ def _extreme_incidence(incidence, count: int) -> list[tuple[int, frozenset[int]]
 
 
 def is_exact(space: SpaceSpec) -> bool:
-    return space.kind == "polyhedral" or space.p == 1 or space.p == INF
+    return exact_ball(space) is not None
 
 
 def arithmetic_mode(space: SpaceSpec) -> str:
@@ -285,12 +288,9 @@ def require_dim(space: SpaceSpec, x: Vec) -> None:
 def norm(space: SpaceSpec, x: Vec) -> Union[Fraction, float]:
     """The norm of x: a Fraction on exact paths, a float on lp float paths."""
     require_dim(space, x)
-    if space.kind == "polyhedral":
-        return _norm_and_face(space, x)[0]
-    if space.p == 1:
-        return sum((abs(c) for c in x), Fraction(0))
-    if space.p == INF:
-        return max(abs(c) for c in x)
+    ball = exact_ball(space)
+    if ball is not None:
+        return ball.norm(space, x)
     try:
         if space.p == 2:
             value = math.sqrt(float(norm_squared(space, x)))
@@ -338,54 +338,26 @@ def dual_norm(space: SpaceSpec, f: Vec) -> Union[Fraction, float]:
     """||f||_*, the largest value of f on the unit ball.
 
     On exact spaces f is scaled to the integer vector q = s f and read by
-    `_integer_dual_norm`, without building the dual space; f converts
-    exactly (`linalg.vec`), so float input is decided in rationals.
+    the ball's integer dual norm, without building the dual space; f
+    converts exactly (`linalg.vec`), so float input is decided in rationals.
     """
     require_dim(space, f)
-    if not is_exact(space):
+    ball = exact_ball(space)
+    if ball is None:
         return norm(dual_space(space), f)
     q, s = integer_point(vec(f))
-    top, d = _integer_dual_norm(space, q)
+    top, d = ball.dual_norm(space, q)
     return Fraction(top, d * s)
-
-
-def _integer_dual_norm(space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:
-    """(top, D) with ||q / s||_* = top / (D s) for every integer s > 0, on an
-    exact space and an integer vector q.
-
-    The dual norm is found on the ball's own vertices: top = max |q_i| on
-    l1 and sum |q_i| on l-inf (D = 1), and on a polyhedral ball the largest
-    (D v) . q over the integer rows D v of its vertices (`_ball_rows`, D the
-    lcm of all vertex denominators), since f . v = (D v) . q / (D s).
-    """
-    if space.kind == "polyhedral":
-        d, rows = _ball_rows(space)
-        return max(int_mat_vec(rows, q)), d
-    if space.p == 1:
-        return max(map(abs, q)), 1
-    return sum(map(abs, q)), 1
 
 
 def ball_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     """Vertices of the unit ball (polyhedral-like spaces only)."""
-    if space.kind == "polyhedral":
-        return space.ball_vertices
-    if space.p == 1:
-        return _cross_polytope_vertices(space.dim)
-    if space.p == INF:
-        return _hypercube_vertices(space.dim)
-    raise InputError("not_polyhedral", f"{space!r} has no polyhedral unit ball")
+    return _polyhedral_ball(space, "unit ball").vertices(space)
 
 
 def dual_ball_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     """Vertices of the dual unit ball (= facet functionals of the primal ball)."""
-    if space.kind == "polyhedral":
-        return polar_vertices(space)
-    if space.p == 1:
-        return _hypercube_vertices(space.dim)
-    if space.p == INF:
-        return _cross_polytope_vertices(space.dim)
-    raise InputError("not_polyhedral", f"{space!r} has no polyhedral dual ball")
+    return _polyhedral_ball(space, "dual ball").dual_vertices(space)
 
 
 # The two vertex lists below are kept for the life of the process, so every
@@ -503,11 +475,7 @@ def _antipodes(points: tuple[Vec, ...]) -> list[int]:
 def polar_vertices(space: SpaceSpec) -> tuple[Vec, ...]:
     """Vertices of the polar polytope, i.e. the facet functionals of the ball,
     sorted; on l1 and l-inf they are the closed-form dual vertices."""
-    if space.p == 1 or space.p == INF:
-        return tuple(sorted(dual_ball_vertices(space)))
-    if space.known_polar is not None:
-        return space.known_polar
-    return tuple(f for f, _ in _facet_incidence(ball_vertices(space)))
+    return _polyhedral_ball(space, "unit ball").polar(space)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -525,30 +493,279 @@ def _ball_rows(space: SpaceSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return integer_rows(space.ball_vertices)
 
 
-def _norm_and_face(space: SpaceSpec, x: Vec) -> tuple[Fraction, tuple[Vec, ...]]:
-    """||x|| and the vertex list of J(x) on a polyhedral space: x is scaled
-    to q = s x, integral (non-Fraction entries converted exactly), and read
-    by `_integer_norm_and_face`.  J(x) is the facets that attain the norm,
-    in polar order, which is sorted."""
-    q, s = integer_point(vec(x))
-    top, d, face = _integer_norm_and_face(space, q)
-    facets = _polar_rows(space)[0]
-    return Fraction(top, d * s), tuple(facets[i] for i in face)
+# ---------------------------------------------------------------------------
+# The exact unit balls: the cross-polytope of l1, the cube of l-inf and the
+# vertex ball of a polyhedral space.  Under duality the cross-polytope pairs
+# with the cube, and a vertex ball with its polar.  J(x) is a face of the
+# dual ball, and each ball names it its own way (``face``, from `scan`): by
+# the sign pattern of x on l1, by the indices 2i + (x_i < 0) of the entries
+# of largest size on l-inf, and by the indices of the polar facets that
+# attain the norm on a vertex ball.
 
 
-def _integer_norm_and_face(space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """(top, D, face) for x = q / s on a polyhedral space, with q an integer
-    vector and s > 0 any integer: ||x|| = top / (D s), and J(x) is the polar
-    facets whose indices ``face`` lists, in increasing order.
+class _ExactBall:
+    """An exact unit ball; `exact_ball` picks the subclass, which holds no
+    state, so every method takes the space.  Integer rows are vectors scaled
+    by one common D > 0 to integers; q, v, a0 and a1 are integer vectors.
 
-    Each facet reads f(x) = t_f / (D s) with t_f = (D f) . q, D the lcm of
-    all facet denominators (`_polar_rows`).  The norm is the largest t_f and
-    J(x) is the facets that attain it; neither depends on s.
+    - norm(x): ||x||.  scan(q) = (top, D, face): ||q / s|| = top / (D s) for
+      every integer s > 0, and ``face`` names J(q / s).  dual_norm(q) =
+      (top, D) with ||q / s||_* = top / (D s).
+    - vertices() and dual_vertices(): the vertex lists of the ball and of
+      the dual ball.  polar_rows() = (D, the polar vertices as rows).
+    - face_rows(face) = (D, the rows of the vertices of J(x), sorted), and
+      face_vertices(face), the vertices, both made one at a time.
+      single(face): the one functional of J(x) when it has one, else None.
+    - extremes(face, v) = (D, (lo, r_lo), (hi, r_hi)): D times the min and
+      max of f(v) over J(x), each with the row of a vertex attaining it,
+      ties going to the least row for the min and the greatest for the max.
+    - edge_rows(a0, a1) = (D, v0, v1) with v_j[i] = r_i . a_j for rows r_i
+      such that ||w||_* = max_i r_i . w / D at every w on [a0, a1].
     """
-    _, d, rows = _polar_rows(space)
-    values = int_mat_vec(rows, q)
-    top = max(values)
-    return top, d, tuple(i for i, t in enumerate(values) if t == top)
+
+    __slots__ = ()
+
+    def key(self, space: SpaceSpec, q: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int, int]:
+        """(face, n, d) for x = q / s, q nonzero and s > 0 an integer, all in
+        ints: ||x|| = n / d in lowest terms, and ``face`` names J(x), read
+        from q since J does not change under positive scaling.  Equal keys
+        are equal (||x||, J(x))."""
+        top, d, face = self.scan(space, q)
+        s *= d
+        g = math.gcd(top, s)
+        return face, top // g, s // g
+
+    def face(self, space: SpaceSpec, x) -> tuple[int, ...]:
+        """The face naming J(x), x nonzero and converted exactly (`linalg.vec`)."""
+        return self.scan(space, integer_point(vec(x))[0])[2]
+
+    def polar(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        """The polar vertices, sorted (`polar_vertices`)."""
+        return tuple(sorted(self.dual_vertices(space)))
+
+    def row_vertex(self, space: SpaceSpec, d: int, row: tuple[int, ...]) -> Vec:
+        """The vertex row / d of J(x): on l1 and l-inf of the shared
+        Fractions 0, 1 and -1."""
+        return _signs(row)
+
+
+class _CrossPolytope(_ExactBall):
+    """l1^n.  J(x) is the box of sign vectors pinned to sgn(x_i) on the
+    support of x and free on its zeros."""
+
+    __slots__ = ()
+
+    def norm(self, space: SpaceSpec, x: Vec) -> Fraction:
+        return sum((abs(c) for c in x), Fraction(0))
+
+    def scan(self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        return sum(map(abs, q)), 1, tuple(map(sgn, q))
+
+    def dual_norm(self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:
+        return max(map(abs, q)), 1
+
+    def vertices(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        return _cross_polytope_vertices(space.dim)
+
+    def dual_vertices(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        return _hypercube_vertices(space.dim)
+
+    def polar_rows(self, space: SpaceSpec) -> tuple[int, Iterable[tuple[int, ...]]]:
+        return 1, itertools.product((1, -1), repeat=space.dim)
+
+    def face_rows(self, space: SpaceSpec, face: tuple[int, ...]) -> tuple[int, Iterator[tuple[int, ...]]]:
+        """The box's sign vectors differ only on the zeros of the pattern,
+        where `itertools.product` runs through -1 < 1 in lexicographic
+        order, so no sort is needed.  The guard on the number of zeros is
+        checked at the call, before any vertex is made."""
+        zeros = [i for i, c in enumerate(face) if c == 0]
+        if len(zeros) > MAX_CUBE_DIM:
+            raise InputError("dim_too_large", "2^(#zeros) support vertices exceed the guard")
+
+        def filled(signs):
+            f = list(face)
+            for pos, s in zip(zeros, signs):
+                f[pos] = s
+            return tuple(f)
+
+        return 1, map(filled, itertools.product((-1, 1), repeat=len(zeros)))
+
+    def face_vertices(self, space: SpaceSpec, face: tuple[int, ...]) -> Iterator[Vec]:
+        return map(_signs, self.face_rows(space, face)[1])
+
+    def single(self, space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]:
+        return _signs(face) if all(face) else None
+
+    def extremes(self, space: SpaceSpec, face: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+        """f(v) ranges over [pinned - free, pinned + free]: pinned is the sum
+        of sgn(x_i) v_i over the support of x and free that of |v_i| over
+        its zeros, where r_lo takes -sgn(v_i) and r_hi takes sgn(v_i), with
+        -1 and 1 where v_i = 0 too."""
+        pinned = sum(vc if c > 0 else -vc for c, vc in zip(face, v) if c)
+        free = sum(abs(vc) for c, vc in zip(face, v) if not c)
+        r_lo = tuple([c or (1 if vc < 0 else -1) for c, vc in zip(face, v)])
+        r_hi = tuple([c or (-1 if vc < 0 else 1) for c, vc in zip(face, v)])
+        return 1, (pinned - free, r_lo), (pinned + free, r_hi)
+
+    def edge_rows(self, space: SpaceSpec, a0: tuple[int, ...], a1: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+        """The rows +e_k and -e_k."""
+        return 1, (*a0, *(-c for c in a0)), (*a1, *(-c for c in a1))
+
+
+class _Cube(_ExactBall):
+    """l-inf^n.  J(x) is the hull of the signed units sgn(x_i) e_i at the
+    entries of x of largest size, at indices 2i + (x_i < 0) of the
+    cross-polytope's vertex list."""
+
+    __slots__ = ()
+
+    def norm(self, space: SpaceSpec, x: Vec) -> Fraction:
+        return max(abs(c) for c in x)
+
+    def scan(self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        top = max(map(abs, q))
+        return top, 1, tuple(2 * i + (c < 0) for i, c in enumerate(q) if abs(c) == top)
+
+    def dual_norm(self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:
+        return sum(map(abs, q)), 1
+
+    def vertices(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        return _hypercube_vertices(space.dim)
+
+    def dual_vertices(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        return _cross_polytope_vertices(space.dim)
+
+    def polar_rows(self, space: SpaceSpec) -> tuple[int, Iterable[tuple[int, ...]]]:
+        return 1, (_signed_unit(space.dim, i) for i in range(2 * space.dim))
+
+    def face_rows(self, space: SpaceSpec, face: tuple[int, ...]) -> tuple[int, Iterator[tuple[int, ...]]]:
+        return 1, iter(sorted(_signed_unit(space.dim, i) for i in face))
+
+    def face_vertices(self, space: SpaceSpec, face: tuple[int, ...]) -> Iterator[Vec]:
+        cross = _cross_polytope_vertices(space.dim)
+        return iter(sorted(cross[i] for i in face))
+
+    def single(self, space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]:
+        return _cross_polytope_vertices(space.dim)[face[0]] if len(face) == 1 else None
+
+    def extremes(self, space: SpaceSpec, face: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+        values = [(-v[i // 2] if i % 2 else v[i // 2], _signed_unit(space.dim, i)) for i in face]
+        return 1, min(values), max(values)
+
+    def edge_rows(self, space: SpaceSpec, a0: tuple[int, ...], a1: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+        """||w||_* = sum |w_k|, and the rows are the sign vectors of w_t on
+        the pieces of [0, 1] between the points t_k = a0_k / (a0_k - a1_k)
+        where a coordinate changes sign: coordinate k has the sign of a0_k
+        before t_k and that of a1_k after it, and a coordinate that keeps
+        one sign on [0, 1] has the sign of whichever of a0_k, a1_k is not 0.
+        Every w_t then has its own sign vector among the rows, and no sign
+        vector exceeds sum |w_k|."""
+        base = [sgn(c0) or sgn(c1) for c0, c1 in zip(a0, a1)]
+        # (k, n, m) with t_k = n / m and m > 0, for each coordinate that changes sign.
+        crossings = [(k, abs(c0), abs(c0 - c1)) for k, (c0, c1) in enumerate(zip(a0, a1)) if c0 * c1 < 0]
+        rows = [base]
+        for _, n, m in crossings:
+            row = list(base)
+            for k, nk, mk in crossings:
+                if nk * m <= n * mk:  # t_k <= n / m: coordinate k has changed sign
+                    row[k] = -base[k]
+            rows.append(row)
+        return 1, int_mat_vec(rows, a0), int_mat_vec(rows, a1)
+
+
+class _VertexBall(_ExactBall):
+    """A polyhedral space, the hull of its vertex list.  Its polar facets f
+    are read as integer rows D f (`_polar_rows`), so f(x) = t_f / (D s) with
+    t_f = (D f) . q at x = q / s: the norm is the largest t_f, and J(x) the
+    facets that attain it, in polar order, which is sorted."""
+
+    __slots__ = ()
+
+    def norm(self, space: SpaceSpec, x: Vec) -> Fraction:
+        q, s = integer_point(vec(x))
+        top, d, _ = self.scan(space, q)
+        return Fraction(top, d * s)
+
+    def scan(self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        _, d, rows = _polar_rows(space)
+        values = int_mat_vec(rows, q)
+        top = max(values)
+        return top, d, tuple(i for i, t in enumerate(values) if t == top)
+
+    def dual_norm(self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:
+        """The largest (D v) . q over the rows D v of the ball's vertices
+        (`_ball_rows`), since f . v = (D v) . q / (D s) for f = q / s."""
+        d, rows = _ball_rows(space)
+        return max(int_mat_vec(rows, q)), d
+
+    def vertices(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        return space.ball_vertices
+
+    def dual_vertices(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        return polar_vertices(space)
+
+    def polar(self, space: SpaceSpec) -> tuple[Vec, ...]:
+        if space.known_polar is not None:
+            return space.known_polar
+        return tuple(f for f, _ in _facet_incidence(space.ball_vertices))
+
+    def polar_rows(self, space: SpaceSpec) -> tuple[int, Iterable[tuple[int, ...]]]:
+        return _polar_rows(space)[1:]
+
+    def face_rows(self, space: SpaceSpec, face: tuple[int, ...]) -> tuple[int, Iterator[tuple[int, ...]]]:
+        _, d, rows = _polar_rows(space)
+        return d, (rows[i] for i in face)
+
+    def face_vertices(self, space: SpaceSpec, face: tuple[int, ...]) -> Iterator[Vec]:
+        facets = _polar_rows(space)[0]
+        return (facets[i] for i in face)
+
+    def row_vertex(self, space: SpaceSpec, d: int, row: tuple[int, ...]) -> Vec:
+        return tuple([Fraction(c, d) if c else ZERO for c in row])
+
+    def single(self, space: SpaceSpec, face: tuple[int, ...]) -> Optional[Vec]:
+        return _polar_rows(space)[0][face[0]] if len(face) == 1 else None
+
+    def extremes(self, space: SpaceSpec, face: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+        _, d, rows = _polar_rows(space)
+        values = [(sum(map(mul, rows[i], v)), rows[i]) for i in face]
+        return d, min(values), max(values)
+
+    def edge_rows(self, space: SpaceSpec, a0: tuple[int, ...], a1: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+        """The rows D v of the ball's vertices (`_ball_rows`)."""
+        d, rows = _ball_rows(space)
+        return d, int_mat_vec(rows, a0), int_mat_vec(rows, a1)
+
+
+_CROSS_POLYTOPE, _CUBE, _VERTEX_BALL = _CrossPolytope(), _Cube(), _VertexBall()
+
+
+def exact_ball(space: SpaceSpec) -> Optional[_ExactBall]:
+    """The ball object of an exact space, or None on lp with 1 < p < inf."""
+    if space.kind == "polyhedral":
+        return _VERTEX_BALL
+    return _CROSS_POLYTOPE if space.p == 1 else _CUBE if space.p == INF else None
+
+
+def _polyhedral_ball(space: SpaceSpec, what: str) -> _ExactBall:
+    """`exact_ball`, or InputError naming the ``what`` a float space lacks."""
+    ball = exact_ball(space)
+    if ball is None:
+        raise InputError("not_polyhedral", f"{space!r} has no polyhedral {what}")
+    return ball
+
+
+_SIGNS = (ZERO, ONE, MINUS_ONE)
+
+
+def _signs(row: tuple[int, ...]) -> Vec:
+    """A row of entries 0, 1 and -1 as the shared Fractions 0, 1 and -1."""
+    return tuple([_SIGNS[c] for c in row])
+
+
+def _signed_unit(n: int, i: int) -> tuple[int, ...]:
+    """The integer row of e_k (i = 2k) or -e_k (i = 2k + 1)."""
+    return tuple([(-1 if i % 2 else 1) if k == i // 2 else 0 for k in range(n)])
 
 
 def on_unit_sphere(space: SpaceSpec, x: Vec) -> bool:

@@ -3,8 +3,8 @@
 import itertools
 from fractions import Fraction
 
-from bjlevel import Operator, RationalStream, SpaceSpec, ball_vertices, norm, operator, polar_vertices
-from bjlevel.linalg import dot, matrix_rank
+from bjlevel import Operator, RationalStream, SpaceSpec, ball_vertices, dual_norm, norm, operator, polar_vertices
+from bjlevel.linalg import dot, mat_vec, matrix_rank, transpose, vec_scale
 from bjlevel.simplex import solve_standard_lp
 
 HEXAGON_VERTICES = [
@@ -196,3 +196,18 @@ def seeded_operator_kinds(space: SpaceSpec, seed: int) -> list[Operator]:
     diag = [(-2, -1, 1, 2)[stream.next_int(4)] for _ in range(n)]
     diagonal = [[diag[r] if c == r else 0 for c in range(n)] for r in range(n)]
     return [operator(perm, space), operator(diagonal, space), random_operator(space, stream)]
+
+
+def certificate_is_sound(op, cert):
+    """Check a level certificate (f, g) from its definition: f in J(x),
+    g in J(Tx), T^T g = (||Tx|| / ||x||) f and the level number the scale
+    squared."""
+    x, f, g = cert.x, cert.f, cert.g
+    tx = op(x)
+    scale = norm(op.codomain, tx) / norm(op.domain, x)
+    assert mat_vec(transpose(op.matrix), g) == vec_scale(scale, f)
+    assert dot(f, x) == norm(op.domain, x)
+    assert dot(g, tx) == norm(op.codomain, tx)
+    assert dual_norm(op.domain, f) == 1
+    assert dual_norm(op.codomain, g) == 1
+    assert cert.level_number == scale * scale

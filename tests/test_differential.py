@@ -1,5 +1,6 @@
 """Differential checks: every LP-backed decision against an independent route."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,8 +17,10 @@ from bjlevel import (
     enumerate_level_numbers,
     face_lattice,
     is_level_vector,
+    is_smooth,
     kernel_condition,
     l1,
+    level_count_bound,
     linf,
     norm,
     norm_squared,
@@ -30,11 +33,20 @@ from bjlevel import (
     support_range,
     support_set,
 )
-from bjlevel import levels, simplex, support
+from bjlevel import levels, simplex
 from bjlevel.linalg import dot, integer_point, kernel_basis, mat_vec, transpose, vec
 from bjlevel.orthogonality import OrthogonalityVerdict
-from bjlevel.support import _vertex_extremes
-from ._util import HEXAGON_VERTICES, cube_cross_vertices, feasible_point, probe_points, random_operator, sphere_ball
+from bjlevel.spaces import exact_ball
+from bjlevel.support import _vertex_extremes, functional_in_support, support_extremes
+from ._util import (
+    HEXAGON_VERTICES,
+    certificate_is_sound,
+    cube_cross_vertices,
+    feasible_point,
+    probe_points,
+    random_operator,
+    sphere_ball,
+)
 
 F = Fraction
 
@@ -425,7 +437,7 @@ def test_the_counterexample_check_refuses_a_flipped_or_boundary_y():
                     continue
                 y, _ = report.counterexample
                 assert levels._verified_margin(op.domain, point, y) == 1
-                f, a = report.failing_functional, mat_vec(transpose(op.matrix), support._single_functional(op.codomain, point.key[0]))
+                f, a = report.failing_functional, mat_vec(transpose(op.matrix), exact_ball(op.codomain).single(op.codomain, point.key[0]))
                 boundary = kernel_basis([f, a])[0]
                 assert dot(f, boundary) == 0 == dot(a, boundary)
                 for wrong, reason in ((tuple(-c for c in y), "remained"), (x, "not orthogonal to x"), (boundary, "remained")):
@@ -606,3 +618,92 @@ def test_single_point_decisions_equal_the_fraction_vertex_reference():
                     f = vertices[0]
                     assert preserves_bj_directional(op, x, f).holds == _member(op, scale, f, q_verts)
     assert sizes == {1, 2, 3}
+
+
+def _twin_balls():
+    """(l1^n, the vertex ball of the cross-polytope) and (l-inf^n, the vertex
+    ball of the cube) for n = 2..4: each unit ball in closed form and as a
+    general vertex list, built here from signed units and sign vectors."""
+    for n in (2, 3, 4):
+        cross = [tuple(F(s) if k == i else F(0) for k in range(n)) for i in range(n) for s in (1, -1)]
+        cube = [tuple(map(F, signs)) for signs in itertools.product((1, -1), repeat=n)]
+        yield l1(n), polyhedral_space(cross)
+        yield linf(n), polyhedral_space(cube)
+
+
+def _twin_points(space, rng):
+    """Ball vertices and edge midpoints, points with zero entries and generic
+    points, each scaled by a positive rational, seeded."""
+    n = space.dim
+    points = vertices_and_edge_midpoints(space, rng, 6)
+    for zeros in range(1, n):
+        point = [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(n)]
+        for k in rng.sample(range(n), zeros):
+            point[k] = F(0)
+        points.append(tuple(point))
+    points += [tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)) for _ in range(3)]
+    scales = [F(rng.randint(1, 5), rng.randint(1, 5)) for _ in points]
+    return [tuple(t * c for c in p) for t, p in zip(scales, points) if any(p)]
+
+
+def _twin_matrices(n, rng):
+    """Seeded integer matrices: dense, of rank at most n - 1 and, from n = 3,
+    n - 2 (a kernel section of dimension 2 has a census of its own),
+    diagonal with a zero, and a signed permutation."""
+
+    def of_rank(r):
+        left = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        return [[sum(a * right[k][c] for k, a in enumerate(row)) for c in range(n)] for row in left]
+
+    dense = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    diagonal = [[rng.choice((-2, -1, 1, 3)) if c == r else 0 for c in range(n)] for r in range(n)]
+    diagonal[rng.randrange(n)] = [0] * n
+    order = rng.sample(range(n), n)
+    permutation = [[rng.choice((-1, 1)) if c == order[r] else 0 for c in range(n)] for r in range(n)]
+    return [dense, of_rank(n - 1), *([of_rank(n - 2)] if n >= 3 else []), diagonal, permutation]
+
+
+@pytest.mark.parametrize("closed, general", list(_twin_balls()), ids=lambda s: repr(s))
+def test_twin_balls_agree(closed, general):
+    # l1^n and l-inf^n against the general vertex ball of the same unit ball:
+    # the closed-form ball objects and the vertex ball must give equal
+    # norms, dual norms, support sets, smoothness, Birkhoff-James extremes
+    # and verdicts, level certificates, preservation reports, kernel
+    # conditions and face-count bounds, and every certificate, witness and
+    # counterexample must verify.
+    rng = random.Random(repr(closed))
+    points = _twin_points(closed, rng)
+    seen = set()
+    for x in points:
+        assert norm(closed, x) == norm(general, x)
+        assert dual_norm(closed, x) == dual_norm(general, x)
+        assert support_set(closed, x).vertices == support_set(general, x).vertices
+        assert is_smooth(closed, x) == is_smooth(general, x)
+        for y in rng.sample(points, 4):
+            assert support_extremes(closed, x, y) == support_extremes(general, x, y)
+            verdict = bj_orthogonal(closed, x, y)
+            assert verdict == bj_orthogonal(general, x, y)
+            if verdict.orthogonal:
+                assert functional_in_support(closed, x, verdict.witness) and dot(verdict.witness, y) == 0
+            seen.add(("orthogonal", verdict.orthogonal))
+    for matrix in _twin_matrices(closed.dim, rng):
+        a, b = operator(matrix, closed), operator(matrix, general)
+        assert level_count_bound(closed, a) == level_count_bound(general, b)
+        for x in points:
+            cert = is_level_vector(a, x)
+            assert cert == is_level_vector(b, x)
+            if cert is not None and cert.f is not None:
+                certificate_is_sound(b, cert)
+            seen.add(("level", cert is not None))
+            report = preserves_bj_at(a, x)
+            assert report == preserves_bj_at(b, x)
+            if not report.holds:
+                y, margin = report.counterexample
+                tx, ty = b(x), b(y)
+                assert dot(report.failing_functional, y) == 0 and bj_orthogonal_oracle(general, x, y).orthogonal
+                assert not bj_orthogonal_oracle(general, tx, ty).orthogonal
+                assert margin == min(dot(g, ty) for g in support_set(general, tx).vertices) > 0
+            seen.add(("preserves", report.holds))
+            assert kernel_condition(a, x) == kernel_condition(b, x)
+    assert seen == {(kind, verdict) for kind in ("orthogonal", "level", "preserves") for verdict in (True, False)}

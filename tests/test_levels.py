@@ -39,21 +39,9 @@ from bjlevel import (
 from bjlevel import faces, isometry, levels, linalg, simplex, spaces, support
 from bjlevel.linalg import dot, integer_point, integer_rows, is_zero_vec, kernel_basis, mat_vec, transpose, unit, vec_scale
 
-from ._util import HEXAGON_VERTICES, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
+from ._util import HEXAGON_VERTICES, certificate_is_sound, cube_cross_vertices, seeded_operator_kinds, sphere_ball, v
 
 F = Fraction
-
-
-def certificate_is_sound(op, cert):
-    x, f, g = cert.x, cert.f, cert.g
-    tx = op(x)
-    scale = norm(op.codomain, tx) / norm(op.domain, x)
-    assert mat_vec(transpose(op.matrix), g) == vec_scale(scale, f)
-    assert dot(f, x) == norm(op.domain, x)
-    assert dot(g, tx) == norm(op.codomain, tx)
-    assert dual_norm(op.domain, f) == 1
-    assert dual_norm(op.codomain, g) == 1
-    assert cert.level_number == scale * scale
 
 
 def test_diag211_level_vector_with_number_4(l1_3):
@@ -154,15 +142,14 @@ def test_the_exact_path_scans_the_polar_table_once_per_point(hexagon, monkeypatc
     # and per directional check, whose f in J(x) is read against that ||x||.
     x = v("1/3,2/3")
     f = support_set(hexagon, x).vertices[0]
-    scan = spaces._integer_norm_and_face
+    scan = spaces._VertexBall.scan
     calls = []
 
     def counted(*args):
         calls.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(spaces, "_integer_norm_and_face", counted)
-    monkeypatch.setattr(support, "_integer_norm_and_face", counted)
+    monkeypatch.setattr(spaces._VertexBall, "scan", counted)
     rotation = operator([[F(1, 3), F(-1, 3)], [F(1, 3), 0]], hexagon)  # a third of a hexagon symmetry
     dense = operator([[F(1, 2), 1], [F(1, 3), -1]], hexagon)
     for op, holds in ((rotation, True), (dense, False)):
@@ -245,7 +232,8 @@ def test_kernel_condition_on_a_line_lists_no_vertices_and_solves_no_lp(monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("listed J(x) or solved an LP")
 
-    monkeypatch.setattr(support, "_exact_vertices", refuse)
+    for ball in (spaces._CrossPolytope, spaces._Cube):
+        monkeypatch.setattr(ball, "face_vertices", refuse)
     monkeypatch.setattr(simplex, "solve_standard_lp", refuse)
     assert [kernel_condition(op, x) for op, x, _ in cases] == [want for _, _, want in cases]
     assert {want for _, _, want in cases} == {True, False}
@@ -639,7 +627,7 @@ def test_probe_points_have_the_face_support_set_and_unit_norm():
                 assert probe.face_vertices == face.vertices and probe.points[0] == first
                 for x in probe.points:
                     assert norm(space, x) == 1
-                    assert support_set(space, x).vertices == tuple(support._face_vertices(space, j_face))
+                    assert support_set(space, x).vertices == tuple(spaces.exact_ball(space).face_vertices(space, j_face))
 
 
 def test_enumeration_reports_are_pinned():
@@ -746,12 +734,12 @@ def test_a_certificate_failing_its_equation_is_refused(samples, hexagon, monkeyp
 
 def _j_vertices(domain, point):
     """The vertex list of J(x), from the face a `levels._Point` names it by."""
-    return tuple(support._face_vertices(domain, point.p_face))
+    return tuple(spaces.exact_ball(domain).face_vertices(domain, point.p_face))
 
 
 def _image_vertices(op, point):
     """The vertex list of J(Tx), from the face of the key of a `levels._Point`."""
-    return tuple(support._face_vertices(op.codomain, point.key[0]))
+    return tuple(spaces.exact_ball(op.codomain).face_vertices(op.codomain, point.key[0]))
 
 
 def _level_lp(op, point):
@@ -902,7 +890,8 @@ def test_an_edge_certificate_without_dual_norm_one_is_refused(hexagon, monkeypat
     matrix, domain, codomain, x, _, _ = EDGE_CASES[0]
     op = _edge_case(hexagon, matrix, domain, codomain)
     assert is_level_vector(op, v(x)) is not None
-    monkeypatch.setattr(levels, "_edge_rows", lambda domain, a0, a1: (1, (), ()))
+    for ball in (spaces._CrossPolytope, spaces._Cube, spaces._VertexBall):
+        monkeypatch.setattr(ball, "edge_rows", lambda self, space, a0, a1: (1, (), ()))
     with pytest.raises(InternalCheckError, match="dual norm"):
         is_level_vector(op, v(x))
 
@@ -929,20 +918,26 @@ def _full_list_preservation(op, x):
 
 
 def _record_boxes(monkeypatch):
-    """Patch the l1 box builder to record, per box asked for, its sign
-    pattern and how many vertices were drawn, and to refuse a third."""
-    box, drawn = support._box_vertices, []
+    """Patch the l1 ball's box builder (its `face_rows`) to record, per box
+    asked for, its sign pattern and how many vertices were drawn, and to
+    refuse a third."""
+    box, drawn = spaces._CrossPolytope.face_rows, []
 
-    def recorded(x):
-        record = [tuple(x), 0]
+    def recorded(self, space, face):
+        record = [tuple(face), 0]
         drawn.append(record)
-        for f in box(x):
-            record[1] += 1
-            if record[1] > 2:
-                raise AssertionError("listed a J(x) box")
-            yield f
+        d, rows = box(self, space, face)
 
-    monkeypatch.setattr(support, "_box_vertices", recorded)
+        def counted():
+            for f in rows:
+                record[1] += 1
+                if record[1] > 2:
+                    raise AssertionError("listed a J(x) box")
+                yield f
+
+        return d, counted()
+
+    monkeypatch.setattr(spaces._CrossPolytope, "face_rows", recorded)
     return drawn
 
 
@@ -1083,8 +1078,9 @@ def test_smooth_and_edge_images_build_no_fraction_list_of_j_tx(hexagon, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("listed a support set in Fractions")
 
-    for module, name in ((support, "_face_vertices"), (support, "_exact_vertices"), (support, "_norm_and_face"),
-                         (support, "_vertex_extremes"), (levels, "support_set"), (levels, "_face_vertices")):
+    for ball in (spaces._CrossPolytope, spaces._Cube, spaces._VertexBall):
+        monkeypatch.setattr(ball, "face_vertices", refuse)
+    for module, name in ((support, "_vertex_extremes"), (levels, "support_set")):
         monkeypatch.setattr(module, name, refuse)
     sizes = set()
     for (op, x), report in want.items():

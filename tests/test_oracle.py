@@ -133,8 +133,9 @@ def _refused_stream(seed):
 
 def test_preservation_sample_counts_are_guarded_before_sampling(l1_3, monkeypatch):
     # A negative count is refused, as sample_sphere refuses one below 1, and
-    # the cap, 2,500 samples at any point, even e1 on l1^12 with its 2^11
-    # supporting functionals, is checked before the first draw.
+    # the cap, 1,000 samples at any point, even e1 on l1^12 with its 2^11
+    # supporting functionals and (1, 1/2, ..., 1/2) on l-inf^12, where a
+    # sample takes longest, is checked before the first draw.
     from bjlevel import oracle
 
     op = diagonal_operator(l1_3, [2, 1, 1])
@@ -144,8 +145,9 @@ def test_preservation_sample_counts_are_guarded_before_sampling(l1_3, monkeypatc
         preservation_sample_check(op, v("1,0,0"), -3, 1)
     assert err.value.code == "bad_count"
     smooth, e1 = v("1/2,1/4,1/4"), v("1,0,0")  # |J(x)| = 1 and 4
-    for x, limit in ((smooth, 2_500), (e1, 2_500), (v("1,0,0,0,0,0,0,0,0,0,0,0"), 2_500)):
-        op = identity_operator(l1(len(x)))
+    limit = 1_000
+    for space, x in ((l1(3), smooth), (l1(3), e1), (l1(12), v("1,0,0,0,0,0,0,0,0,0,0,0")), (linf(12), v("1" + ",1/2" * 11))):
+        op = identity_operator(space)
         with pytest.raises(AssertionError, match="sampling started"):
             preservation_sample_check(op, x, limit, 1)
         with pytest.raises(InputError) as err:

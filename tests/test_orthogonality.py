@@ -17,7 +17,7 @@ from bjlevel import (
     polyhedral_space,
     subspace_orthogonal,
 )
-from bjlevel import simplex, support
+from bjlevel import simplex, spaces
 from bjlevel.linalg import unit
 
 from ._util import cube_cross_vertices, v
@@ -160,7 +160,7 @@ def test_bj_orthogonal_on_l1_lists_no_vertices_and_solves_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("listed J(x) or solved an LP")
 
-    monkeypatch.setattr(support, "_exact_vertices", refuse)
+    monkeypatch.setattr(spaces._CrossPolytope, "face_vertices", refuse)
     monkeypatch.setattr(simplex, "solve_standard_lp", refuse)
     assert [bj_orthogonal(space, x, y) for space, x, y, _ in cases] == [want for *_, want in cases]
     assert {want.orthogonal for *_, want in cases} == {True, False}

@@ -1,11 +1,15 @@
 """Norms, duals, polars and operators on the core space representations."""
 
+import ast
+import collections
 import itertools
 import math
 import pickle
 import random
+import re
 from copy import deepcopy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -396,3 +400,54 @@ def test_unvalidated_lists_get_no_known_polar():
     assert inner.known_polar is None and dual_space(inner).known_polar is None
     assert polar_vertices(dual_space(inner)) == tuple(sorted(polyhedral_space(square).ball_vertices))
     assert polyhedral_space(square, validate=False) == polyhedral_space(square)
+
+
+# Every test on the kind of a space that may stay outside the ball objects
+# (`spaces.exact_ball`), per module and enclosing function: the one selector,
+# the float path's p = 2 branches, the lp and polyhedral forms of repr, the
+# dual space and the JSON dict, the oracle's independent breakpoints (a
+# reference the tests compare against), and the closed-form face lattices
+# and censuses, whose general case lives in faces.py.
+_KIND_TESTS_ALLOWED = {
+    ("spaces.py", "SpaceSpec.__repr__"): 1,
+    ("spaces.py", "norm"): 1,
+    ("spaces.py", "norm_squared"): 1,
+    ("spaces.py", "dual_space"): 1,
+    ("spaces.py", "exact_ball"): 2,
+    ("spaces.py", "space_to_dict"): 1,
+    ("support.py", "_lp_gradient"): 1,
+    ("levels.py", "_level_vector_float"): 1,
+    ("levels.py", "_preserves_float"): 1,
+    ("orthogonality.py", "_dual_float"): 1,
+    ("orthogonality.py", "_subspace_float"): 1,
+    ("oracle.py", "_breakpoints"): 2,
+    ("faces.py", "face_lattice"): 2,
+    ("faces.py", "face_census"): 2,
+}
+
+
+def _scopes(tree, prefix=""):
+    """(first line, last line, qualified name) of every function and method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield node.lineno, node.end_lineno, name
+            yield from _scopes(node, name + ".")
+
+
+def test_ball_kind_tests_stay_behind_the_ball_objects():
+    # A line of src/bjlevel that tests `.kind ==`, `.kind !=` or `.p ==`
+    # outside the allow-list fails: a new per-kind branch belongs in the
+    # ball classes of spaces.py.
+    dispatch = re.compile(r"\.kind (==|!=)|\.p ==")
+    found = collections.Counter()
+    for path in sorted(Path(spaces.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        scopes = list(_scopes(ast.parse(text)))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if dispatch.search(line):
+                inner = [s for s in scopes if s[0] <= lineno <= s[1]]
+                found[path.name, max(inner)[2] if inner else "<module>"] += 1
+    extra = found - collections.Counter(_KIND_TESTS_ALLOWED)
+    assert not extra, dict(extra)

@@ -26,8 +26,8 @@ from bjlevel import (
     support_set,
 )
 from bjlevel.linalg import dot, unit
-from bjlevel.spaces import _cross_polytope_vertices, _polar_rows
-from bjlevel.support import _face_extremes, _face_rows, _integer_key, _row_vertex, functional_in_support
+from bjlevel.spaces import _cross_polytope_vertices, _polar_rows, exact_ball
+from bjlevel.support import functional_in_support
 
 from ._util import HEXAGON_VERTICES, cube_cross_vertices, probe_points, sphere_ball, v
 
@@ -318,9 +318,10 @@ def test_integer_norm_and_support_match_the_fraction_entry(make_space):
             continue
         s = rng.randint(1, 12)
         x = tuple(F(c, s) for c in q)
-        face, n, d = _integer_key(space, q, s)
-        scale, rows = _face_rows(space, face)
-        vertices = tuple(_row_vertex(space, scale, row) for row in rows)
+        ball = exact_ball(space)
+        face, n, d = ball.key(space, q, s)
+        scale, rows = ball.face_rows(space, face)
+        vertices = tuple(ball.row_vertex(space, scale, row) for row in rows)
         assert (F(n, d), vertices) == (norm(space, x), support_set(space, x).vertices)
 
 
@@ -336,7 +337,7 @@ def test_integer_norm_and_support_match_the_fraction_entry(make_space):
     ids=["l1^3", "linf^4", "hexagon", "cube+2cross", "sphere-ball"],
 )
 def test_integer_key_neither_merges_nor_splits_norm_and_support_set(make_space):
-    # Two points have equal `_integer_key` exactly when they have equal
+    # Two points have equal ball `key`s exactly when they have equal
     # ||x|| and J(x).  Each q comes with -q, with each entry's sign flipped,
     # with 2q, and over s and 2s, so that J(x) repeats at other norms and
     # the norm repeats with other J(x).
@@ -353,7 +354,7 @@ def test_integer_key_neither_merges_nor_splits_norm_and_support_set(make_space):
             points.update(((variant, s), (variant, 2 * s)))
     by_key, by_pair = {}, {}
     for q, s in points:
-        key = _integer_key(space, q, s)
+        key = exact_ball(space).key(space, q, s)
         face, n, d = key
         assert all(type(c) is int for c in (*face, n, d)) and d > 0 and math.gcd(n, d) == 1
         x = tuple(F(c, s) for c in q)
@@ -366,8 +367,9 @@ def test_integer_key_neither_merges_nor_splits_norm_and_support_set(make_space):
 
 
 def _integer_range(space, q, v):
-    """The ends of the integer reader on the face of q (`_face_extremes`)."""
-    _, (lo, _), (hi, _) = _face_extremes(space, _integer_key(space, q, 1)[0], v)
+    """The ends of the integer reader on the face of q (the ball's `extremes`)."""
+    ball = exact_ball(space)
+    _, (lo, _), (hi, _) = ball.extremes(space, ball.key(space, q, 1)[0], v)
     return lo, hi
 
 

@@ -45,6 +45,9 @@ def _mutant(name: str, path: str, old: str, new: str, *selection: str) -> Mutant
     return Mutant(name, ((path, old, new),), selection)
 
 
+# The signature line of the ball classes' `dual_norm` up to its return value.
+_DUAL_NORM = "self, space: SpaceSpec, q: tuple[int, ...]) -> tuple[int, int]:\n        return "
+
 MUTANTS = (
     # One fraction-free elimination to echelon form and back-substitution
     # (linalg._echelon, _back_substitute, integer_kernel, solve_square,
@@ -85,7 +88,7 @@ MUTANTS = (
         "tests/test_linalg.py",
     ),
     # The kernel condition in integers and the Birkhoff-James interval
-    # (levels.kernel_condition, support._face_extremes).
+    # (levels.kernel_condition, the ball classes' `extremes` in spaces.py).
     _mutant(
         "kernel-image-test-all-not-any",
         "levels.py",
@@ -95,7 +98,7 @@ MUTANTS = (
     ),
     _mutant(
         "polyhedral-range-over-every-facet",
-        "support.py",
+        "spaces.py",
         "values = [(sum(map(mul, rows[i], v)), rows[i]) for i in face]",
         "values = [(sum(map(mul, row, v)), row) for row in rows]",
         "tests/test_differential.py",
@@ -118,22 +121,22 @@ MUTANTS = (
     ),
     _mutant(
         "l1-free-sum-without-abs",
-        "support.py",
-        "free = sum(abs(yc) for c, yc in zip(x, y) if not c)",
-        "free = sum(yc for c, yc in zip(x, y) if not c)",
+        "spaces.py",
+        "free = sum(abs(vc) for c, vc in zip(face, v) if not c)",
+        "free = sum(vc for c, vc in zip(face, v) if not c)",
         "tests/test_support.py",
         "tests/test_differential.py",
     ),
     _mutant(
         "l1-pinned-sign-flipped",
-        "support.py",
-        "pinned = sum(yc if c > 0 else -yc for",
-        "pinned = sum(-yc if c > 0 else yc for",
+        "spaces.py",
+        "pinned = sum(vc if c > 0 else -vc for",
+        "pinned = sum(-vc if c > 0 else vc for",
         "tests/test_support.py",
     ),
     _mutant(
         "linf-pinned-sign-flipped",
-        "support.py",
+        "spaces.py",
         "values = [(-v[i // 2] if i % 2 else v[i // 2], _signed_unit(",
         "values = [(v[i // 2] if i % 2 else -v[i // 2], _signed_unit(",
         "tests/test_support.py",
@@ -141,8 +144,8 @@ MUTANTS = (
     Mutant(
         "l1-tie-fill-swapped",
         (
-            ("support.py", "r_lo = tuple([c or (1 if vc < 0 else -1)", "r_lo = tuple([c or (1 if vc <= 0 else -1)"),
-            ("support.py", "r_hi = tuple([c or (-1 if vc < 0 else 1)", "r_hi = tuple([c or (-1 if vc <= 0 else 1)"),
+            ("spaces.py", "r_lo = tuple([c or (1 if vc < 0 else -1)", "r_lo = tuple([c or (1 if vc <= 0 else -1)"),
+            ("spaces.py", "r_hi = tuple([c or (-1 if vc < 0 else 1)", "r_hi = tuple([c or (-1 if vc <= 0 else 1)"),
         ),
         ("tests/test_orthogonality.py", "tests/test_differential.py"),
     ),
@@ -252,9 +255,9 @@ MUTANTS = (
         "    (q1, q0), (a1, a0) = point.q_rows, point.images\n",
         "tests/test_levels.py::test_the_edge_image_test_agrees_with_the_level_lp",
     ),
-    # J(x) carried as its face on the single-point path (levels._Point,
-    # support._face_vertices, support._face_range) and certification by
-    # antipodal index pairs (isometry.certify_scalar_isometry_polyhedral).
+    # J(x) carried as its face on the single-point path (levels._Point, the
+    # ball classes' `scan` and `face_rows`) and certification by antipodal
+    # index pairs (isometry.certify_scalar_isometry_polyhedral).
     _mutant(
         "face-range-orthogonality-strict-lo",
         "levels.py",
@@ -278,24 +281,27 @@ MUTANTS = (
     ),
     _mutant(
         "box-vertices-out-of-order",
-        "support.py",
+        "spaces.py",
         "itertools.product((-1, 1), repeat=len(zeros))",
         "itertools.product((1, -1), repeat=len(zeros))",
         "tests/test_levels.py::test_preservation_reports_equal_the_full_list_loop",
     ),
     _mutant(
         "linf-key-without-sign-bit",
-        "support.py",
-        "face = tuple(2 * i + (c < 0) for i, c in enumerate(q) if abs(c) == top)",
-        "face = tuple(2 * i for i, c in enumerate(q) if abs(c) == top)",
+        "spaces.py",
+        "tuple(2 * i + (c < 0) for i, c in enumerate(q) if abs(c) == top)",
+        "tuple(2 * i for i, c in enumerate(q) if abs(c) == top)",
         "tests/test_support.py",
     ),
-    _mutant(
+    Mutant(
         "smooth-test-max-and-sum-swapped",
-        "spaces.py",
-        "        return max(map(abs, q)), 1\n    return sum(map(abs, q)), 1\n",
-        "        return sum(map(abs, q)), 1\n    return max(map(abs, q)), 1\n",
-        "tests/test_levels.py::test_the_integer_smooth_image_test_is_the_dual_norm_test",
+        (
+            # The l1 ball's dual norm follows its sign-pattern scan, the
+            # l-inf ball's its scan of the entries of largest size.
+            ("spaces.py", "tuple(map(sgn, q))\n\n    def dual_norm(" + _DUAL_NORM + "max(", "tuple(map(sgn, q))\n\n    def dual_norm(" + _DUAL_NORM + "sum("),
+            ("spaces.py", "== top)\n\n    def dual_norm(" + _DUAL_NORM + "sum(", "== top)\n\n    def dual_norm(" + _DUAL_NORM + "max("),
+        ),
+        ("tests/test_levels.py::test_the_integer_smooth_image_test_is_the_dual_norm_test",),
     ),
     _mutant(
         "smooth-f-not-divided-by-scale",
@@ -305,7 +311,7 @@ MUTANTS = (
         "tests/test_levels.py",
     ),
     # The exact Birkhoff-James verdict in integers (orthogonality._dual_exact
-    # on the rows of support._face_extremes).
+    # on the rows of the ball classes' `extremes`).
     _mutant(
         "witness-lo-and-hi-swapped",
         "orthogonality.py",
@@ -322,10 +328,26 @@ MUTANTS = (
     ),
     _mutant(
         "reader-min-tie-reversed",
-        "support.py",
+        "spaces.py",
         "r_lo = tuple([c or (1 if vc < 0 else -1)",
         "r_lo = tuple([c or (1 if vc <= 0 else -1)",
         "tests/test_differential.py::test_bj_orthogonal_equals_the_decision_over_the_listed_support_set",
+    ),
+    # The closed-form balls against the general vertex ball of the same
+    # unit ball (spaces._CrossPolytope and _Cube against _VertexBall).
+    _mutant(
+        "l1-single-on-any-nonzero",
+        "spaces.py",
+        "return _signs(face) if all(face) else None",
+        "return _signs(face) if any(face) else None",
+        "tests/test_differential.py::test_twin_balls_agree",
+    ),
+    _mutant(
+        "linf-edge-zero-end-without-the-other-sign",
+        "spaces.py",
+        "base = [sgn(c0) or sgn(c1) for c0, c1 in zip(a0, a1)]",
+        "base = [sgn(c0) for c0, c1 in zip(a0, a1)]",
+        "tests/test_differential.py::test_twin_balls_agree",
     ),
     # Faces of a general ball from the facet incidence alone
     # (faces._face_closure): the closure under intersection and the
